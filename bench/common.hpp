@@ -91,7 +91,7 @@ std::vector<std::size_t> default_ladder(bool full);
 //   bench::emit_reports(obs, report);
 
 /// Per-iteration statistics of a repeated timing measurement. Single-shot
-/// timings on the 1-core CI runner are noise; EXPERIMENTS.md's timing-hygiene
+/// timings on a shared CI runner are noise; EXPERIMENTS.md's timing-hygiene
 /// note asks for per-iteration min (least-perturbed run) and median (typical
 /// run) over N repeats.
 struct RepeatStats {

@@ -12,8 +12,10 @@
 ///     exact to its truncation degree even when children carry lower
 ///     degrees (translation of a lower-degree child would silently drop the
 ///     orders the parent needs);
-///  3. per-particle traversal with the alpha-MAC, parallelized over blocks
-///     of `block_size` consecutive Hilbert-ordered particles (the paper's
+///  3. per-particle alpha-MAC walk (core/interaction_walk.hpp — the one
+///     walk the engine's plan compiler and the dipole evaluator share),
+///     evaluating M2P and P2P as it goes; parallelized over blocks of
+///     `block_size` consecutive Hilbert-ordered particles (the paper's
 ///     w-aggregation) with dynamic scheduling.
 ///
 /// The evaluator can be reused: construct once (builds the multipoles) and
@@ -71,8 +73,6 @@ class BarnesHutEvaluator {
   [[nodiscard]] std::uint64_t stored_coefficients() const noexcept;
 
  private:
-  struct ThreadAccumulator;
-
   /// Shared traversal core: evaluates at `points[i]`; `self` indicates the
   /// points are the tree's own (sorted) particles, enabling exact
   /// self-skip semantics in P2P.

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <vector>
 
 #include "analysis/invariants.hpp"
+#include "core/interaction_walk.hpp"
 #include "multipole/error_bounds.hpp"
 #include "multipole/operators.hpp"
 #include "multipole/rotation.hpp"
@@ -74,20 +74,6 @@ struct Traversal {
   }
 };
 
-struct ThreadStats {
-  std::uint64_t terms = 0;
-  std::uint64_t m2l = 0;
-  std::uint64_t p2p = 0;
-  double max_bound = 0.0;
-  /// Expansion degrees actually evaluated (M2L sources/targets and L2P),
-  /// mirroring the Barnes-Hut "degree actually used" bookkeeping.
-  int min_deg = std::numeric_limits<int>::max();
-  int max_deg = -1;
-  obs::LevelCounts m2l_by_level{};
-  obs::LevelCounts p2p_by_level{};
-  obs::DegreeCounts degree_used{};
-};
-
 }  // namespace
 
 EvalResult evaluate_fmm(const Tree& tree, const EvalConfig& config) {
@@ -106,22 +92,10 @@ EvalResult evaluate_fmm(const Tree& tree, const EvalConfig& config) {
   const bool want_grad = config.compute_gradient;
 
   // ---- Upward pass: per-node P2M (see barnes_hut.hpp for why not M2M).
-  std::vector<MultipoleExpansion> multipole(tree.num_nodes());
+  std::vector<MultipoleExpansion> multipole;
   {
     const ScopedTimer phase(obs::span::kFmmP2m, &result.stats.build_seconds);
-    parallel_for(pool, tree.num_nodes(), 8,
-                 [&](std::size_t b, std::size_t e, unsigned) {
-                   for (std::size_t i = b; i < e; ++i) {
-                     const TreeNode& node = tree.node(i);
-                     if (node.count() == 0) continue;
-                     multipole[i].reset(degrees.degree[i]);
-                     p2m(node.center,
-                         std::span<const Vec3>(pos.data() + node.begin, node.count()),
-                         std::span<const double>(q.data() + node.begin, node.count()),
-                         multipole[i]);
-                   }
-                 },
-                 nullptr, obs::span::kFmmP2mWorker);
+    multipole = build_multipoles(tree, degrees.degree, q, &pool, obs::span::kFmmP2mWorker);
   }
 
   Timer eval_timer;
@@ -139,7 +113,8 @@ EvalResult evaluate_fmm(const Tree& tree, const EvalConfig& config) {
   // ---- M2L phase: parallel over target nodes.
   std::vector<LocalExpansion> local(tree.num_nodes());
   std::vector<char> has_local(tree.num_nodes(), 0);
-  std::vector<ThreadStats> tstats(pool.width());
+  // Per-thread tallies; the FMM counts its M2L conversions in the m2p slots.
+  std::vector<WalkTally> tstats(pool.width());
   const auto& m2l_targets = trav.lists.m2l_targets;
   {
     const ScopedTimer phase(obs::span::kFmmM2l);
@@ -160,8 +135,8 @@ EvalResult evaluate_fmm(const Tree& tree, const EvalConfig& config) {
           }
           const int pb = multipole[static_cast<std::size_t>(src)].degree();
           const int pl = l.degree();
-          ThreadStats& s = tstats[t];
-          ++s.m2l;
+          WalkTally& s = tstats[t];
+          ++s.m2p;
           // M2L is an O(p^4) dense translation: count
           // (p_src+1)^2 (p_dst+1)^2 term-operations so costs are comparable
           // with Barnes-Hut's M2P count.
@@ -171,7 +146,7 @@ EvalResult evaluate_fmm(const Tree& tree, const EvalConfig& config) {
           s.max_deg = std::max(s.max_deg, std::max(pb, pl));
           obs::count_slot(s.degree_used, pb);
           obs::count_slot(s.degree_used, pl);
-          obs::count_slot(s.m2l_by_level, ta.level);
+          obs::count_slot(s.m2p_by_level, ta.level);
           const double d = distance(ta.center, tb.center);
           s.max_bound =
               std::max(s.max_bound, mac_error_bound(tb.abs_charge, d, config.alpha, pb));
@@ -184,8 +159,9 @@ EvalResult evaluate_fmm(const Tree& tree, const EvalConfig& config) {
   // ---- Downward pass: L2L level by level (parents of level L-1 are final
   // before level L starts), leaves evaluated with L2P. Parallel within a
   // level; each node only writes its own local / its own particle range.
-  std::vector<double> phi(n, 0.0);
-  std::vector<Vec3> grad(want_grad ? n : 0, Vec3{});
+  TargetRows rows(n, 1, want_grad, /*bound_row=*/false);
+  std::vector<double>& phi = rows.phi;
+  std::vector<Vec3>& grad = rows.grad;
   std::vector<std::vector<int>> by_level(static_cast<std::size_t>(tree.height()));
   for (std::size_t i = 0; i < tree.num_nodes(); ++i) {
     by_level[static_cast<std::size_t>(tree.node(i).level)].push_back(static_cast<int>(i));
@@ -216,7 +192,7 @@ EvalResult evaluate_fmm(const Tree& tree, const EvalConfig& config) {
         }
         if (node.is_leaf() && has_local[static_cast<std::size_t>(i)]) {
           const LocalExpansion& l = local[static_cast<std::size_t>(i)];
-          ThreadStats& s = tstats[t];
+          WalkTally& s = tstats[t];
           for (std::size_t pi = node.begin; pi < node.end; ++pi) {
             if (want_grad) {
               const PotentialGrad pg = l2p_grad(l, node.center, pos[pi]);
@@ -245,7 +221,7 @@ EvalResult evaluate_fmm(const Tree& tree, const EvalConfig& config) {
     for (std::size_t k = b; k < e; ++k) {
       const int a = p2p_targets[k];
       const TreeNode& ta = tree.node(static_cast<std::size_t>(a));
-      ThreadStats& s = tstats[t];
+      WalkTally& s = tstats[t];
       for (int src : trav.lists.p2p_sources[static_cast<std::size_t>(a)]) {
         const TreeNode& tb = tree.node(static_cast<std::size_t>(src));
         const std::span<const Vec3> bpos(pos.data() + tb.begin, tb.count());
@@ -268,29 +244,15 @@ EvalResult evaluate_fmm(const Tree& tree, const EvalConfig& config) {
   }
   result.stats.eval_seconds = eval_timer.seconds();
 
-  int min_deg = std::numeric_limits<int>::max();
-  int max_deg = -1;
-  obs::LevelCounts m2l_by_level{};
-  obs::LevelCounts p2p_by_level{};
-  obs::DegreeCounts degree_used{};
-  for (const ThreadStats& s : tstats) {
-    result.stats.multipole_terms += s.terms;
-    result.stats.m2l_count += s.m2l;
-    result.stats.p2p_pairs += s.p2p;
-    result.stats.max_interaction_bound =
-        std::max(result.stats.max_interaction_bound, s.max_bound);
-    min_deg = std::min(min_deg, s.min_deg);
-    max_deg = std::max(max_deg, s.max_deg);
-    for (std::size_t i = 0; i < m2l_by_level.size(); ++i) {
-      m2l_by_level[i] += s.m2l_by_level[i];
-      p2p_by_level[i] += s.p2p_by_level[i];
-    }
-    for (std::size_t i = 0; i < degree_used.size(); ++i) degree_used[i] += s.degree_used[i];
-  }
-  // Degrees *actually used* in M2L/L2P (0/0 when everything went P2P),
-  // mirroring the Barnes-Hut reduction.
-  result.stats.min_degree_used = max_deg >= 0 ? min_deg : 0;
-  result.stats.max_degree_used = max_deg >= 0 ? max_deg : 0;
+  WalkTally total;
+  for (const WalkTally& s : tstats) total.merge(s);
+  result.stats.multipole_terms = total.terms;
+  result.stats.m2l_count = total.m2p;
+  result.stats.p2p_pairs = total.p2p;
+  result.stats.max_interaction_bound = total.max_bound;
+  // Degrees *actually used* in M2L/L2P (0/0 when everything went P2P).
+  result.stats.min_degree_used = total.max_deg >= 0 ? total.min_deg : 0;
+  result.stats.max_degree_used = total.max_deg >= 0 ? total.max_deg : 0;
   result.stats.reference_charge = degrees.reference_charge;
 
   obs::Registry& reg = obs::registry();
@@ -298,16 +260,11 @@ EvalResult evaluate_fmm(const Tree& tree, const EvalConfig& config) {
   reg.counter(obs::metric::kFmmM2lCount).add(result.stats.m2l_count);
   reg.counter(obs::metric::kFmmP2pPairs).add(result.stats.p2p_pairs);
   reg.gauge(obs::metric::kFmmMaxInteractionBound).record_max(result.stats.max_interaction_bound);
-  obs::flush_counts(obs::metric::kFmmM2lPerLevel, m2l_by_level);
-  obs::flush_counts(obs::metric::kFmmP2pPerLevel, p2p_by_level);
-  obs::flush_counts(obs::metric::kFmmDegreeUsed, degree_used);
+  obs::flush_counts(obs::metric::kFmmM2lPerLevel, total.m2p_by_level);
+  obs::flush_counts(obs::metric::kFmmP2pPerLevel, total.p2p_by_level);
+  obs::flush_counts(obs::metric::kFmmDegreeUsed, total.degree_used);
 
-  // Scatter to the caller's particle order.
-  const auto& orig = tree.original_index();
-  for (std::size_t i = 0; i < n; ++i) {
-    result.potential[orig[i]] = phi[i];
-    if (want_grad) result.gradient[orig[i]] = grad[i];
-  }
+  rows.scatter(tree, /*self=*/true, {&result, 1});
   TREECODE_ASSERT_EVAL_INVARIANTS(tree, degrees, config, result, tree.source_size(),
                                   "evaluate_fmm");
   return result;

@@ -1,0 +1,135 @@
+#include "core/interaction_walk.hpp"
+
+#include "multipole/operators.hpp"
+#include "parallel/parallel_for.hpp"
+
+namespace treecode {
+
+void WalkTally::merge(const WalkTally& other) noexcept {
+  terms += other.terms;
+  m2p += other.m2p;
+  p2p += other.p2p;
+  budget_refine += other.budget_refine;
+  budget_refine_leaf += other.budget_refine_leaf;
+  max_bound = std::max(max_bound, other.max_bound);
+  min_deg = std::min(min_deg, other.min_deg);
+  max_deg = std::max(max_deg, other.max_deg);
+  for (std::size_t i = 0; i < m2p_by_level.size(); ++i) {
+    m2p_by_level[i] += other.m2p_by_level[i];
+    p2p_by_level[i] += other.p2p_by_level[i];
+  }
+  for (std::size_t i = 0; i < degree_used.size(); ++i) degree_used[i] += other.degree_used[i];
+}
+
+void WalkTally::write(EvalStats& stats) const noexcept {
+  stats.multipole_terms = terms;
+  stats.m2p_count = m2p;
+  stats.p2p_pairs = p2p;
+  stats.budget_refinements = budget_refine;
+  stats.budget_refinements_leaf = budget_refine_leaf;
+  stats.max_interaction_bound = max_bound;
+  // No accepted cluster (tiny system, or the budget demoted everything to
+  // P2P): no degree was used.
+  stats.min_degree_used = max_deg >= 0 ? min_deg : 0;
+  stats.max_degree_used = max_deg >= 0 ? max_deg : 0;
+}
+
+WorkStats InteractionWalk::sweep(ThreadPool& pool, std::size_t n, std::size_t block_size,
+                                 const char* worker_span,
+                                 const std::function<void(std::size_t, unsigned)>& body) {
+  return parallel_for_blocked(
+      pool, n, block_size,
+      [&](std::size_t begin, std::size_t end, unsigned t) -> std::uint64_t {
+        const WalkTally& a = lanes_[t].tally;
+        const std::uint64_t before = a.terms + a.p2p;
+        for (std::size_t i = begin; i < end; ++i) body(i, t);
+        return (a.terms + a.p2p) - before;
+      },
+      nullptr, worker_span);
+}
+
+WalkTally InteractionWalk::total() const noexcept {
+  WalkTally sum;
+  for (const Lane& lane : lanes_) sum.merge(lane.tally);
+  return sum;
+}
+
+void TargetRows::scatter(const Tree& tree, bool self, std::span<EvalResult> results) const {
+  const auto& orig = tree.original_index();
+  for (std::size_t c = 0; c < results.size(); ++c) {
+    EvalResult& r = results[c];
+    const double* row = phi.data() + c * n;
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t slot = self ? orig[i] : i;
+      r.potential[slot] = row[i];
+      if (!grad.empty()) r.gradient[slot] = grad[i];
+      if (!bound.empty()) r.error_bound[slot] = bound[i];
+    }
+  }
+}
+
+void for_each_node(ThreadPool* pool, std::size_t count, const char* worker_span,
+                   const std::function<void(std::size_t)>& fn) {
+  if (pool != nullptr && pool->width() > 1) {
+    parallel_for(
+        *pool, count, 8,
+        [&](std::size_t b, std::size_t e, unsigned) {
+          for (std::size_t i = b; i < e; ++i) fn(i);
+        },
+        nullptr, worker_span);
+  } else {
+    for (std::size_t i = 0; i < count; ++i) fn(i);
+  }
+}
+
+std::vector<MultipoleExpansion> build_multipoles(const Tree& tree, std::span<const int> degree,
+                                                 std::span<const double> charges,
+                                                 ThreadPool* pool, const char* worker_span) {
+  std::vector<MultipoleExpansion> multipoles(tree.nodes().size());
+  const auto& pos = tree.positions();
+  for_each_node(pool, multipoles.size(), worker_span, [&](std::size_t i) {
+    const TreeNode& node = tree.node(i);
+    if (node.count() == 0) return;
+    multipoles[i].reset(degree[i]);
+    p2m(node.center, std::span<const Vec3>(pos.data() + node.begin, node.count()),
+        charges.subspan(node.begin, node.count()), multipoles[i]);
+  });
+  return multipoles;
+}
+
+obs::audit::Sample audit_sample(std::uint64_t seed, std::size_t target, std::uint64_t ordinal,
+                                int node_id, const TreeNode& node, int degree, double approx,
+                                double bound, double r) noexcept {
+  obs::audit::Sample s;
+  s.key = obs::audit::sample_key(seed, target, ordinal);
+  s.target = target;
+  s.node = node_id;
+  s.level = node.level;
+  s.degree = degree;
+  s.abs_charge = node.abs_charge;
+  s.approx = approx;
+  s.bound = bound;
+  s.noise_scale = r > node.radius ? node.abs_charge / (r - node.radius) : 0.0;
+  return s;
+}
+
+void finish_audit(std::span<const obs::audit::Reservoir> reservoirs, std::size_t k,
+                  std::span<const Vec3> points, const Tree& tree,
+                  std::span<const double> sorted_charges, EvalStats& stats) {
+  const std::vector<obs::audit::Sample> winners = obs::audit::merge(reservoirs, k);
+  const auto& pos = tree.positions();
+  const obs::audit::Summary summary =
+      obs::audit::finalize(winners, [&](const obs::audit::Sample& s) {
+        const TreeNode& node = tree.node(static_cast<std::size_t>(s.node));
+        return p2p(points[s.target],
+                   std::span<const Vec3>(pos.data() + node.begin, node.count()),
+                   sorted_charges.subspan(node.begin, node.count()),
+                   /*softening2=*/0.0);
+      });
+  stats.audit_samples = summary.samples;
+  stats.audit_bound_violations = summary.bound_violations;
+  stats.audit_max_tightness = summary.max_tightness;
+  stats.audit_mean_tightness = summary.mean_tightness;
+}
+
+}  // namespace treecode

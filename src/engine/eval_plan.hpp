@@ -1,29 +1,24 @@
 #pragma once
 
 /// \file eval_plan.hpp
-/// A compiled traversal plan: the frozen output of one alpha-MAC tree walk.
+/// A compiled traversal plan: the recorded decisions of the alpha-MAC walk
+/// (core/interaction_walk.hpp) over a fixed target set.
 ///
 /// The paper's BEM application applies the same treecode operator dozens of
-/// times per GMRES solve over fixed geometry — only the charges change per
-/// iteration. Every decision the traversal makes (MAC acceptance, Theorem-3
-/// degree, budget demotion) depends only on geometry, the degree table, and
-/// the per-cluster aggregate |q| frozen at tree build, so the interaction
-/// lists can be compiled once and replayed for every subsequent charge
-/// vector. EvalPlan is that compiled artifact; EvalSession produces and
-/// replays it.
+/// times per GMRES solve over fixed geometry — only the charges change. Every
+/// decision the walk makes (MAC acceptance, Theorem-3 degree, budget
+/// demotion) depends only on geometry, the degree table and the per-cluster
+/// |q| aggregates frozen at tree build, so EvalSession records them once and
+/// replays them for every later charge vector.
 ///
-/// Layout: one flat entry stream, partitioned per target by `offsets`.
-/// Entries preserve the exact DFS order of the fresh traversal — M2P and
-/// P2P contributions interleave exactly as the tree walk produced them —
-/// so a replay accumulates potentials in the identical floating-point
-/// order and is bitwise-equal to a fresh traversal. Each entry packs a
-/// node id and an interaction kind into one int32: `(node << 1) | is_p2p`.
-///
-/// Everything else in the plan is charge-independent bookkeeping computed
-/// at compile time so the replay hot loop carries none of it: per-entry
-/// Theorem-1 bounds (for budget/error-bound replay), per-target work costs
-/// (for load-balanced scheduling stats), the schedule's EvalStats, and the
-/// level/degree histograms the observability layer flushes per run.
+/// Layout: one flat entry stream, partitioned per target by `offsets`, in
+/// the walk's DFS order — M2P and P2P entries interleave exactly as the walk
+/// visited them, so the replay kernel accumulates in the fresh walk's
+/// floating-point order. Each entry packs a node id and an interaction kind
+/// into one int32: `(node << 1) | is_p2p`. The rest is charge-independent
+/// bookkeeping the replay loop would otherwise recompute: per-entry
+/// Theorem-1 bounds, per-target costs, the schedule's EvalStats and the
+/// level/degree histograms.
 
 #include <cstddef>
 #include <cstdint>
@@ -59,6 +54,9 @@ struct EvalPlan {
   /// Cache key: hash of the target set plus every decision-relevant
   /// EvalConfig field (alpha, degrees, mode/law/reference, budget, ...).
   std::uint64_t key = 0;
+  /// Id of the EvalSession that compiled the plan; replay in any other
+  /// session is rejected (its node tables need not match).
+  std::uint64_t session = 0;
 
   /// Entry stream partition: target i owns entries [offsets[i], offsets[i+1]).
   std::vector<std::uint64_t> offsets;

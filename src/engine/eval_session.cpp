@@ -12,6 +12,7 @@
 
 #include "analysis/invariants.hpp"
 #include "core/barnes_hut.hpp"
+#include "core/interaction_walk.hpp"
 #include "multipole/error_bounds.hpp"
 #include "multipole/operators.hpp"
 #include "obs/audit.hpp"
@@ -29,15 +30,6 @@
 namespace treecode::engine {
 
 namespace {
-
-/// The alpha-criterion, identical to the Barnes-Hut traversal's: accept the
-/// cluster when its radius-to-distance ratio is at most alpha.
-inline bool mac_accepts(const TreeNode& node, const Vec3& point, double alpha,
-                        double& r_out) noexcept {
-  const double r = distance(point, node.center);
-  r_out = r;
-  return r > 0.0 && node.radius <= alpha * r;
-}
 
 constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
 constexpr std::uint64_t kFnvPrime = 1099511628211ull;
@@ -124,11 +116,15 @@ class DeadlineScope {
 /// per-request tuple (plan, rung, outcome, wall, bytes, deadline slack,
 /// audit tightness) the serving layer records; see obs/telemetry.hpp.
 /// One relaxed load and a branch while telemetry is disabled.
-void emit_request(obs::telemetry::Api api, std::uint64_t key, double wall,
-                  bool ok, ErrorCode code, const EvalStats* stats,
-                  const PlanCache& cache, const EvalConfig& config,
-                  unsigned threads, obs::reqtrace::RequestScope& scope,
-                  std::uint32_t batch_width = 0) {
+/// `error` is null on success; the outcome is then the served stats'
+/// (kDeadline for a partial result) or kOk.
+void emit_request(obs::telemetry::Api api, std::uint64_t key, double wall, const Error* error,
+                  const EvalStats* stats, const EvalSession& session,
+                  obs::reqtrace::RequestScope& scope, std::uint32_t batch_width = 0) {
+  const bool ok = error == nullptr;
+  const ErrorCode code = !ok               ? error->code
+                         : stats != nullptr ? stats->outcome
+                                            : ErrorCode::kOk;
   // Counted before the telemetry-enabled gate: engine.requests is the SLO
   // error-rate denominator (obs/slo.cpp) and must cover every entry-point
   // call, with or without a telemetry session.
@@ -157,36 +153,171 @@ void emit_request(obs::telemetry::Api api, std::uint64_t key, double wall,
   r.outcome_name = error_code_name(code);
   r.ok = ok;
   r.wall_seconds = wall;
-  r.plan_bytes = cache.bytes();
-  r.basis_bytes = cache.basis_bytes();
-  r.deadline_slack_seconds = config.deadline_seconds > 0.0
-                                 ? config.deadline_seconds - wall
-                                 : std::numeric_limits<double>::quiet_NaN();
-  r.threads = threads;
+  r.plan_bytes = session.cache().bytes();
+  r.basis_bytes = session.cache().basis_bytes();
+  const double deadline = session.config().deadline_seconds;
+  r.deadline_slack_seconds =
+      deadline > 0.0 ? deadline - wall : std::numeric_limits<double>::quiet_NaN();
+  r.threads = session.pool().width();
   r.batch_width = batch_width;
   r.trace_hi = scope.context().trace_hi;
   r.trace_lo = scope.context().trace_lo;
   obs::telemetry::emit(r);
 }
 
-}  // namespace
+std::uint64_t next_session_id() noexcept {
+  static std::atomic<std::uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
 
-/// Per-thread compile statistics, merged in thread order after the sweep —
-/// the same shape (and merge order) as the fresh traversal's accumulator so
-/// plan stats match BarnesHutEvaluator stats exactly.
-struct EvalSession::CompileAccumulator {
-  std::uint64_t terms = 0;
-  std::uint64_t m2p = 0;
-  std::uint64_t p2p = 0;
-  std::uint64_t budget_refine = 0;
-  std::uint64_t budget_refine_leaf = 0;
-  double max_bound = 0.0;
-  int min_deg = std::numeric_limits<int>::max();
-  int max_deg = -1;
-  obs::LevelCounts m2p_by_level{};
-  obs::LevelCounts p2p_by_level{};
-  obs::DegreeCounts degree_used{};
-};
+ServeRung replay_rung(const EvalPlan& plan) noexcept {
+  return plan.basis_offset.empty() ? ServeRung::kPlainReplay : ServeRung::kBasisReplay;
+}
+
+/// A result of `out_n` zeroed slots carrying `stats` (a plan's schedule
+/// statistics, which hold no timings), served at `rung` for `targets`.
+EvalResult blank_result(const EvalStats& stats, ServeRung rung, std::size_t targets,
+                        std::size_t out_n, const EvalConfig& config) {
+  EvalResult r;
+  r.stats = stats;
+  r.stats.served_rung = rung;
+  r.stats.targets_served = static_cast<std::uint64_t>(targets);
+  r.potential.assign(out_n, 0.0);
+  if (config.compute_gradient) r.gradient.assign(out_n, Vec3{});
+  if (config.track_error_bounds || config.enforce_budget) r.error_bound.assign(out_n, 0.0);
+  return r;
+}
+
+/// Which per-target loop a sweep runs: it names the sweep in error
+/// messages and picks its trace spans.
+enum class SweepKind { kReplay, kBatch, kDirect };
+
+/// Direct summation and replay trace as different phases.
+auto sweep_timer(SweepKind kind, double* seconds) -> ScopedTimer {
+  return kind == SweepKind::kDirect ? ScopedTimer(obs::span::kEngineDirect, seconds)
+                                    : ScopedTimer(obs::span::kEngineReplay, seconds);
+}
+
+/// The per-target loop every serving rung shares, parallel over target
+/// blocks. Between blocks it polls the deadline (expiry cancels the rest of
+/// the sweep) and the slow-worker fault site. `target(i, t)` fills target
+/// i's slots in `rows` and returns its cost; the first non-finite potential
+/// cancels the sweep and becomes the error. A deadline_partial expiry zeroes
+/// the unserved targets. Success scatters the rows into `results`.
+template <typename Target>
+Expected<void> sweep(ThreadPool& pool, ResourceGovernor& governor, const EvalConfig& config,
+                     SweepKind kind, TargetRows& rows, const Tree& tree, bool self,
+                     std::span<EvalResult> results, Target&& target) {
+  const char* what = kind == SweepKind::kDirect  ? "direct fallback"
+                     : kind == SweepKind::kBatch ? "batch replay"
+                                                 : "replay";
+  const std::size_t n = rows.n;
+  const std::size_t k = results.size();
+  double seconds = 0.0;
+  WorkStats work;
+  CancellationToken cancel;
+  std::atomic<bool> deadline_hit{false};
+  // Packed (target * k + column) of the first non-finite potential seen.
+  std::atomic<std::int64_t> nonfinite_at{-1};
+  const bool deadline_active = governor.deadline_armed();
+  std::vector<char> done(deadline_active ? n : 0, 0);
+  try {
+    const ScopedTimer phase_timer = sweep_timer(kind, &seconds);
+    work = parallel_for_blocked(
+        pool, n, config.block_size,
+        [&](std::size_t block_begin, std::size_t block_end, unsigned t) -> std::uint64_t {
+          if (deadline_active && governor.deadline_expired()) {
+            deadline_hit.store(true, std::memory_order_relaxed);
+            cancel.cancel();
+            return 0;
+          }
+          if constexpr (fault::kEnabled) {
+            if (fault::fire(fault::Site::kSlowWorker)) {
+              std::this_thread::sleep_for(std::chrono::milliseconds(2));
+            }
+          }
+          std::uint64_t cost = 0;
+          for (std::size_t i = block_begin; i < block_end; ++i) {
+            const std::uint64_t target_cost = target(i, t);
+            for (std::size_t c = 0; c < k; ++c) {
+              if (std::isfinite(rows.phi[c * n + i])) continue;
+              obs::recorder::record(obs::recorder::Category::kNonFinite,
+                                    "engine.nonfinite_potential", static_cast<double>(i));
+              std::int64_t expected_idx = -1;
+              nonfinite_at.compare_exchange_strong(expected_idx,
+                                                   static_cast<std::int64_t>(i * k + c),
+                                                   std::memory_order_relaxed);
+              cancel.cancel();
+              return cost;
+            }
+            if (deadline_active) done[i] = 1;
+            cost += target_cost;
+          }
+          return cost;
+        },
+        &cancel,
+        kind == SweepKind::kDirect ? obs::span::kEngineDirectWorker
+                                   : obs::span::kEngineReplayWorker);
+  } catch (const std::exception& e) {
+    return engine_error(ErrorCode::kInternal,
+                        std::string("EvalSession: ") + what + " worker exception: " + e.what());
+  }
+
+  std::uint64_t served = n;
+  const std::int64_t bad = nonfinite_at.load(std::memory_order_relaxed);
+  if (bad >= 0) {
+    const auto width = static_cast<std::int64_t>(k);
+    std::string message = "EvalSession: non-finite potential at evaluation point " +
+                          std::to_string(bad / width);
+    if (kind == SweepKind::kBatch) message += " in batch column " + std::to_string(bad % width);
+    return engine_error(ErrorCode::kNonFinite, message);
+  }
+  if (deadline_hit.load(std::memory_order_relaxed)) {
+    obs::registry().counter(obs::metric::kEngineDeadlineExpirations).add(1);
+    if (!config.deadline_partial) {
+      return engine_error(ErrorCode::kDeadline,
+                          std::string("EvalSession: deadline expired during ") + what);
+    }
+    served = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (done[i] != 0) {
+        ++served;
+        continue;
+      }
+      for (std::size_t c = 0; c < k; ++c) rows.phi[c * n + i] = 0.0;
+      if (!rows.grad.empty()) rows.grad[i] = Vec3{};
+      if (!rows.bound.empty()) rows.bound[i] = 0.0;
+    }
+  }
+  for (EvalResult& r : results) {
+    r.stats.eval_seconds = seconds;
+    r.stats.work = work;
+    r.stats.targets_served = served;
+    if (served != n) r.stats.outcome = ErrorCode::kDeadline;
+  }
+  rows.scatter(tree, self, results);
+  return {};
+}
+
+/// Columns per walk of a target's entry stream; each column's accumulator
+/// stays in a register.
+constexpr std::size_t kMaxWidth = 8;
+
+/// Call f(std::integral_constant<std::size_t, K>{}) with K == width, for
+/// 1 <= width <= kMaxWidth: the replay kernel's column-block width is a
+/// compile-time constant picked from the request's column count.
+template <std::size_t K = 1, typename F>
+void with_width(std::size_t width, F&& f) {
+  if constexpr (K < kMaxWidth) {
+    if (width != K) {
+      with_width<K + 1>(width, std::forward<F>(f));
+      return;
+    }
+  }
+  f(std::integral_constant<std::size_t, K>{});
+}
+
+}  // namespace
 
 EvalSession::EvalSession(Tree tree, const EvalConfig& config, const Options& options)
     : tree_(std::move(tree)),
@@ -198,7 +329,8 @@ EvalSession::EvalSession(Tree tree, const EvalConfig& config, const Options& opt
       sorted_charges_(tree_.charges().begin(), tree_.charges().end()),
       multipoles_(tree_.nodes().size()),
       node_epoch_(tree_.nodes().size(), 0),
-      cache_(options.plan_cache_capacity, options.plan_cache_byte_capacity) {}
+      cache_(options.plan_cache_capacity, options.plan_cache_byte_capacity),
+      id_(next_session_id()) {}
 
 Expected<std::shared_ptr<const EvalPlan>> EvalSession::try_compile(
     std::span<const Vec3> targets) {
@@ -206,10 +338,8 @@ Expected<std::shared_ptr<const EvalPlan>> EvalSession::try_compile(
   obs::reqtrace::RequestScope rscope(obs::span::kReqEngineCompile);
   Expected<std::shared_ptr<const EvalPlan>> plan =
       try_compile_impl(targets, /*self=*/false);
-  emit_request(obs::telemetry::Api::kCompile,
-               plan.ok() ? plan.value()->key : 0, timer.seconds(), plan.ok(),
-               plan.ok() ? ErrorCode::kOk : plan.error().code,
-               /*stats=*/nullptr, cache_, config_, pool_.width(), rscope);
+  emit_request(obs::telemetry::Api::kCompile, plan.ok() ? plan.value()->key : 0,
+               timer.seconds(), plan.ok() ? nullptr : &plan.error(), nullptr, *this, rscope);
   return plan;
 }
 
@@ -218,35 +348,34 @@ Expected<std::shared_ptr<const EvalPlan>> EvalSession::try_compile_self() {
   obs::reqtrace::RequestScope rscope(obs::span::kReqEngineCompileSelf);
   Expected<std::shared_ptr<const EvalPlan>> plan =
       try_compile_impl(tree_.positions(), /*self=*/true);
-  emit_request(obs::telemetry::Api::kCompileSelf,
-               plan.ok() ? plan.value()->key : 0, timer.seconds(), plan.ok(),
-               plan.ok() ? ErrorCode::kOk : plan.error().code,
-               /*stats=*/nullptr, cache_, config_, pool_.width(), rscope);
+  emit_request(obs::telemetry::Api::kCompileSelf, plan.ok() ? plan.value()->key : 0,
+               timer.seconds(), plan.ok() ? nullptr : &plan.error(), nullptr, *this, rscope);
   return plan;
 }
 
 Expected<void> EvalSession::try_update_charges(std::span<const double> charges) {
   const Timer timer;
   obs::reqtrace::RequestScope rscope(obs::span::kReqEngineUpdateCharges);
-  Expected<void> result = try_update_charges_impl(charges);
+  Expected<void> result = try_update_charges_impl(charges, /*sorted=*/false);
   emit_request(obs::telemetry::Api::kUpdateCharges, 0, timer.seconds(),
-               result.ok(), result.ok() ? ErrorCode::kOk : result.error().code,
-               /*stats=*/nullptr, cache_, config_, pool_.width(), rscope);
+               result.ok() ? nullptr : &result.error(), nullptr, *this, rscope);
   return result;
 }
 
-Expected<void> EvalSession::try_update_charges_impl(std::span<const double> charges) {
-  if (charges.size() != tree_.source_size()) {
+Expected<void> EvalSession::try_update_charges_impl(std::span<const double> charges,
+                                                    bool sorted) {
+  const char* what = sorted ? "sorted charge vector" : "charge vector";
+  if (charges.size() != (sorted ? tree_.num_particles() : tree_.source_size())) {
     return engine_error(ErrorCode::kInvalidArgument,
-                        "EvalSession: charge vector size mismatch");
+                        std::string("EvalSession: ") + what + " size mismatch");
   }
   if (!all_finite(charges)) {
     return engine_error(ErrorCode::kNonFinite,
-                        "EvalSession: charge vector has non-finite values");
+                        std::string("EvalSession: ") + what + " has non-finite values");
   }
   const auto& orig = tree_.original_index();
-  for (std::size_t si = 0; si < orig.size(); ++si) {
-    sorted_charges_[si] = charges[orig[si]];
+  for (std::size_t si = 0; si < sorted_charges_.size(); ++si) {
+    sorted_charges_[si] = charges[sorted ? si : orig[si]];
   }
   if (fault::fire(fault::Site::kNanCharge) && !sorted_charges_.empty()) {
     // Simulate a corruption that slipped past input validation; the replay's
@@ -260,29 +389,10 @@ Expected<void> EvalSession::try_update_charges_impl(std::span<const double> char
 Expected<void> EvalSession::try_update_charges_sorted(std::span<const double> charges) {
   const Timer timer;
   obs::reqtrace::RequestScope rscope(obs::span::kReqEngineUpdateChargesSorted);
-  Expected<void> result = try_update_charges_sorted_impl(charges);
+  Expected<void> result = try_update_charges_impl(charges, /*sorted=*/true);
   emit_request(obs::telemetry::Api::kUpdateChargesSorted, 0, timer.seconds(),
-               result.ok(), result.ok() ? ErrorCode::kOk : result.error().code,
-               /*stats=*/nullptr, cache_, config_, pool_.width(), rscope);
+               result.ok() ? nullptr : &result.error(), nullptr, *this, rscope);
   return result;
-}
-
-Expected<void> EvalSession::try_update_charges_sorted_impl(
-    std::span<const double> charges) {
-  if (charges.size() != tree_.num_particles()) {
-    return engine_error(ErrorCode::kInvalidArgument,
-                        "EvalSession: sorted charge vector size mismatch");
-  }
-  if (!all_finite(charges)) {
-    return engine_error(ErrorCode::kNonFinite,
-                        "EvalSession: sorted charge vector has non-finite values");
-  }
-  std::copy(charges.begin(), charges.end(), sorted_charges_.begin());
-  if (fault::fire(fault::Site::kNanCharge) && !sorted_charges_.empty()) {
-    sorted_charges_[0] = std::numeric_limits<double>::quiet_NaN();
-  }
-  ++charge_epoch_;
-  return {};
 }
 
 Expected<std::shared_ptr<const EvalPlan>> EvalSession::try_compile_impl(
@@ -316,6 +426,7 @@ Expected<std::shared_ptr<const EvalPlan>> EvalSession::try_compile_impl(
   plan->targets.assign(targets.begin(), targets.end());
   plan->self = self;
   plan->key = key;
+  plan->session = id_;
   for (const std::size_t idx : report.non_finite_positions) {
     plan->skipped_targets.push_back(static_cast<std::uint32_t>(idx));
   }
@@ -324,87 +435,45 @@ Expected<std::shared_ptr<const EvalPlan>> EvalSession::try_compile_impl(
 
   const std::size_t n = targets.size();
   const auto& nodes = tree_.nodes();
-  const bool enforce = config_.enforce_budget;
-  const double budget = config_.error_budget;
-  const bool want_bounds = config_.track_error_bounds || enforce;
-  const double alpha = config_.alpha;
+  const bool want_bounds = config_.track_error_bounds || config_.enforce_budget;
 
-  std::vector<char> skip(n, 0);
-  for (const std::uint32_t idx : plan->skipped_targets) skip[idx] = 1;
-
-  // One alpha-MAC traversal per target, parallel over target blocks. The
-  // DFS below mirrors BarnesHutEvaluator::run decision-for-decision
-  // (including the budget bound-accumulation order) so a replay of the
-  // recorded entries is bitwise-identical to a fresh traversal.
+  // The shared alpha-MAC walk, recording each decision as an entry instead
+  // of evaluating it: a replay of the entries makes the fresh walk's kernel
+  // calls in the fresh walk's order.
   std::vector<std::vector<std::int32_t>> per_entries(n);
   std::vector<std::vector<double>> per_bounds(want_bounds ? n : 0);
-  std::vector<CompileAccumulator> acc(pool_.width());
+  plan->target_cost.assign(n, 0);
+  InteractionWalk walk(tree_,
+                       WalkRules{.alpha = config_.alpha,
+                                 .degree = degrees_.degree,
+                                 .bounds = want_bounds,
+                                 .enforce = config_.enforce_budget,
+                                 .budget = config_.error_budget},
+                       pool_.width());
 
-  // The runtime rethrows a worker's exception on this thread (a traversal
-  // worker can only hit bad_alloc growing its per-target entry vectors);
-  // each fan-out edge converts it to a typed error.
+  // The runtime rethrows a worker's exception on this thread (a walk can
+  // only hit bad_alloc growing its per-target entry vectors); each fan-out
+  // edge converts it to a typed error.
   if (n > 0 && tree_.num_particles() > 0) try {
-    parallel_for_blocked(
-        pool_, n, config_.block_size,
-        [&](std::size_t block_begin, std::size_t block_end, unsigned t) -> std::uint64_t {
-          CompileAccumulator& a = acc[t];
-          const std::uint64_t terms_before = a.terms + a.p2p;
-          std::vector<int> stack;
-          stack.reserve(64);
-          for (std::size_t i = block_begin; i < block_end; ++i) {
-            if (skip[i] != 0) continue;
-            const Vec3 x = targets[i];
-            std::vector<std::int32_t>& ent = per_entries[i];
-            double my_bound = 0.0;
-            stack.clear();
-            stack.push_back(0);
-            while (!stack.empty()) {
-              const int ni = stack.back();
-              stack.pop_back();
-              const auto nu = static_cast<std::size_t>(ni);
-              const TreeNode& node = nodes[nu];
-              if (node.count() == 0) continue;
-              double r = 0.0;
-              bool approximate = mac_accepts(node, x, alpha, r);
-              double thm1 = 0.0;
-              if (approximate && want_bounds) {
-                thm1 = multipole_error_bound(node.abs_charge, node.radius, r,
-                                             degrees_.degree[nu]);
-                if (enforce && my_bound + thm1 > budget) {
-                  approximate = false;
-                  ++a.budget_refine;
-                  if (node.is_leaf()) ++a.budget_refine_leaf;
-                }
-              }
-              if (approximate) {
-                const int deg = degrees_.degree[nu];
-                ent.push_back(EvalPlan::make_entry(ni, /*p2p=*/false));
-                if (want_bounds) per_bounds[i].push_back(thm1);
-                a.terms += static_cast<std::uint64_t>(deg + 1) *
-                           static_cast<std::uint64_t>(deg + 1);
-                ++a.m2p;
-                a.min_deg = std::min(a.min_deg, deg);
-                a.max_deg = std::max(a.max_deg, deg);
-                obs::count_slot(a.degree_used, deg);
-                obs::count_slot(a.m2p_by_level, node.level);
-                const double thm2 = mac_error_bound(node.abs_charge, r, alpha, deg);
-                a.max_bound = std::max(a.max_bound, thm2);
-                my_bound += thm1;
-              } else if (node.is_leaf()) {
-                ent.push_back(EvalPlan::make_entry(ni, /*p2p=*/true));
-                if (want_bounds) per_bounds[i].push_back(0.0);
-                a.p2p += node.count();
-                obs::count_slot(a.p2p_by_level, node.level, node.count());
-              } else {
-                for (int c = 0; c < node.num_children; ++c) {
-                  stack.push_back(node.first_child + c);
-                }
-              }
-            }
-          }
-          return (a.terms + a.p2p) - terms_before;
-        },
-        nullptr, obs::span::kEngineCompileWorker);
+    walk.sweep(pool_, n, config_.block_size, obs::span::kEngineCompileWorker,
+               [&](std::size_t i, unsigned t) {
+                 if (!all_finite(targets.subspan(i, 1))) return;  // a skipped target
+                 std::vector<std::int32_t>& ent = per_entries[i];
+                 walk.target(
+                     targets[i], t,
+                     [&](int ni, const TreeNode&, double, double thm1) {
+                       ent.push_back(EvalPlan::make_entry(ni, /*p2p=*/false));
+                       if (want_bounds) per_bounds[i].push_back(thm1);
+                       const auto terms = static_cast<std::uint64_t>(
+                           degrees_.degree[static_cast<std::size_t>(ni)] + 1);
+                       plan->target_cost[i] += terms * terms;
+                     },
+                     [&](int ni, const TreeNode& node) {
+                       ent.push_back(EvalPlan::make_entry(ni, /*p2p=*/true));
+                       if (want_bounds) per_bounds[i].push_back(0.0);
+                       plan->target_cost[i] += node.count();
+                     });
+               });
   } catch (const std::exception& e) {
     return engine_error(ErrorCode::kInternal,
                         std::string("EvalSession::compile: worker exception: ") +
@@ -412,33 +481,23 @@ Expected<std::shared_ptr<const EvalPlan>> EvalSession::try_compile_impl(
   }
 
   // Serial flatten into the plan's replay layout.
-  plan->offsets.resize(n + 1);
-  std::uint64_t total = 0;
+  plan->offsets.assign(n + 1, 0);
   for (std::size_t i = 0; i < n; ++i) {
-    plan->offsets[i] = total;
-    total += per_entries[i].size();
+    plan->offsets[i + 1] = plan->offsets[i] + per_entries[i].size();
   }
-  plan->offsets[n] = total;
+  const std::uint64_t total = plan->offsets[n];
   plan->entries.reserve(total);
   if (want_bounds) plan->entry_bounds.reserve(total);
-  plan->target_cost.resize(n, 0);
   std::vector<char> referenced(nodes.size(), 0);
   for (std::size_t i = 0; i < n; ++i) {
-    std::uint64_t cost = 0;
-    for (std::size_t k = 0; k < per_entries[i].size(); ++k) {
-      const std::int32_t e = per_entries[i][k];
-      plan->entries.push_back(e);
-      if (want_bounds) plan->entry_bounds.push_back(per_bounds[i][k]);
-      const auto nu = static_cast<std::size_t>(EvalPlan::node_of(e));
-      if (EvalPlan::is_p2p(e)) {
-        cost += nodes[nu].count();
-      } else {
-        referenced[nu] = 1;
-        const auto deg = static_cast<std::uint64_t>(degrees_.degree[nu]);
-        cost += (deg + 1) * (deg + 1);
-      }
+    plan->entries.insert(plan->entries.end(), per_entries[i].begin(), per_entries[i].end());
+    if (want_bounds) {
+      plan->entry_bounds.insert(plan->entry_bounds.end(), per_bounds[i].begin(),
+                                per_bounds[i].end());
     }
-    plan->target_cost[i] = cost;
+    for (const std::int32_t e : per_entries[i]) {
+      if (!EvalPlan::is_p2p(e)) referenced[static_cast<std::size_t>(EvalPlan::node_of(e))] = 1;
+    }
   }
   for (std::size_t nu = 0; nu < referenced.size(); ++nu) {
     if (referenced[nu] != 0) plan->m2p_nodes.push_back(static_cast<std::int32_t>(nu));
@@ -460,16 +519,12 @@ Expected<std::shared_ptr<const EvalPlan>> EvalSession::try_compile_impl(
   }
 
   // Precompute the charge-independent m2p evaluation basis (1/r and the
-  // Y_n^m harmonics per entry). Replay then pays only the coefficient dot
-  // product — the transcendentals and recurrences, the bulk of the kernel,
-  // move into compile. Offsets are laid out serially (budget-gated, in
-  // schedule order); the fill itself is parallel over target blocks.
-  // m2p_grad has no basis form, so gradient plans skip the whole pass.
-  // The basis budget is clamped to the governor's remaining bytes, so a
-  // tight session budget yields a thinner basis (or none: rung 1), never a
-  // failed compile.
-  if (options_.precompute_basis && options_.basis_budget_bytes > 0 &&
-      !config_.compute_gradient && total > 0) {
+  // Y_n^m harmonics per entry), so replay pays only the coefficient dot
+  // product. Offsets are laid out serially in schedule order, the fill is
+  // parallel. Gradient plans skip it (m2p_grad has no basis form). The
+  // budget is clamped to the governor's remaining bytes: a tight session
+  // budget yields a thinner basis (or none: rung 1), never a failed compile.
+  if (options_.basis_budget_bytes > 0 && !config_.compute_gradient && total > 0) {
     plan->basis_offset.assign(total, EvalPlan::kNoBasis);
     std::uint64_t budget_bytes = options_.basis_budget_bytes;
     if (governor_.enabled()) {
@@ -481,7 +536,6 @@ Expected<std::shared_ptr<const EvalPlan>> EvalSession::try_compile_impl(
     }
     const std::uint64_t budget_doubles = budget_bytes / sizeof(double);
     std::uint64_t basis_total = 0;
-    bool any = false;
     for (std::uint64_t idx = 0; idx < total; ++idx) {
       const std::int32_t e = plan->entries[idx];
       if (EvalPlan::is_p2p(e)) continue;
@@ -491,9 +545,10 @@ Expected<std::shared_ptr<const EvalPlan>> EvalSession::try_compile_impl(
       if (basis_total + need > budget_doubles) break;
       plan->basis_offset[idx] = basis_total;
       basis_total += need;
-      any = true;
     }
-    if (any) {
+    if (basis_total == 0) {
+      plan->basis_offset.clear();
+    } else {
       plan->basis.resize(basis_total);
       const std::size_t basis_delta = plan->memory_bytes() - plan_core_bytes;
       ResourceGovernor::Reservation basis_reservation =
@@ -506,13 +561,10 @@ Expected<std::shared_ptr<const EvalPlan>> EvalSession::try_compile_impl(
         std::vector<double>().swap(plan->basis);
       } else try {
         plan_reservation.absorb(std::move(basis_reservation));
-        parallel_for_blocked(
+        parallel_for(
             pool_, n, config_.block_size,
-            [&](std::size_t block_begin, std::size_t block_end,
-                unsigned) -> std::uint64_t {
-              std::uint64_t filled = 0;
+            [&](std::size_t block_begin, std::size_t block_end, unsigned) {
               for (std::size_t i = block_begin; i < block_end; ++i) {
-                const Vec3 x = targets[i];
                 for (std::uint64_t idx = plan->offsets[i]; idx < plan->offsets[i + 1];
                      ++idx) {
                   const std::uint64_t off = plan->basis_offset[idx];
@@ -520,13 +572,11 @@ Expected<std::shared_ptr<const EvalPlan>> EvalSession::try_compile_impl(
                   const auto nu =
                       static_cast<std::size_t>(EvalPlan::node_of(plan->entries[idx]));
                   const int deg = degrees_.degree[nu];
-                  m2p_basis(deg, nodes[nu].center, x,
+                  m2p_basis(deg, nodes[nu].center, targets[i],
                             std::span<double>(plan->basis.data() + off,
                                               m2p_basis_size(deg)));
-                  ++filled;
                 }
               }
-              return filled;
             },
             nullptr, obs::span::kEngineCompileWorker);
       } catch (const std::exception& e) {
@@ -535,34 +585,15 @@ Expected<std::shared_ptr<const EvalPlan>> EvalSession::try_compile_impl(
             std::string("EvalSession::compile: basis worker exception: ") +
                 e.what());
       }
-    } else {
-      plan->basis_offset.clear();
     }
   }
 
-  // Merge per-thread statistics in thread order (same as the fresh run).
-  int min_deg = std::numeric_limits<int>::max();
-  int max_deg = -1;
-  for (const CompileAccumulator& a : acc) {
-    plan->stats.multipole_terms += a.terms;
-    plan->stats.m2p_count += a.m2p;
-    plan->stats.p2p_pairs += a.p2p;
-    plan->stats.budget_refinements += a.budget_refine;
-    plan->stats.budget_refinements_leaf += a.budget_refine_leaf;
-    plan->stats.max_interaction_bound =
-        std::max(plan->stats.max_interaction_bound, a.max_bound);
-    min_deg = std::min(min_deg, a.min_deg);
-    max_deg = std::max(max_deg, a.max_deg);
-    for (std::size_t i = 0; i < plan->m2p_by_level.size(); ++i) {
-      plan->m2p_by_level[i] += a.m2p_by_level[i];
-      plan->p2p_by_level[i] += a.p2p_by_level[i];
-    }
-    for (std::size_t i = 0; i < plan->degree_used.size(); ++i) {
-      plan->degree_used[i] += a.degree_used[i];
-    }
-  }
-  plan->stats.min_degree_used = max_deg >= 0 ? min_deg : 0;
-  plan->stats.max_degree_used = max_deg >= 0 ? max_deg : 0;
+  // Per-thread tallies merged in thread order, exactly as the fresh walk's.
+  const WalkTally tally = walk.total();
+  tally.write(plan->stats);
+  plan->m2p_by_level = tally.m2p_by_level;
+  plan->p2p_by_level = tally.p2p_by_level;
+  plan->degree_used = tally.degree_used;
   plan->stats.reference_charge = degrees_.reference_charge;
 
   reg.counter(obs::metric::kEnginePlanCompiles).add(1);
@@ -578,26 +609,20 @@ Expected<std::shared_ptr<const EvalPlan>> EvalSession::try_compile_impl(
 }
 
 Expected<void> EvalSession::try_ensure_refreshed(const EvalPlan& plan) {
+  // First-build multipole coefficients are session-durable storage (reused
+  // by every later refresh), reserved as one batch, serially, before the
+  // parallel rebuild so the decision is identical at every thread count.
   stale_.clear();
-  for (const std::int32_t ni : plan.m2p_nodes) {
-    if (node_epoch_[static_cast<std::size_t>(ni)] != charge_epoch_) stale_.push_back(ni);
-  }
-  if (stale_.empty()) return {};
-  const auto& nodes = tree_.nodes();
-  const auto& pos = tree_.positions();
-  const auto& q = sorted_charges_;
-
-  // Governed batch reservation for first-build multipole coefficients —
-  // session-durable storage (reused across every later refresh), reserved
-  // once, serially, before the parallel rebuild so the decision is
-  // identical at every thread count.
   std::size_t first_build_bytes = 0;
-  for (const std::int32_t ni : stale_) {
+  for (const std::int32_t ni : plan.m2p_nodes) {
     const auto nu = static_cast<std::size_t>(ni);
+    if (node_epoch_[nu] == charge_epoch_) continue;
+    stale_.push_back(ni);
     if (node_epoch_[nu] == 0) {
       first_build_bytes += tri_size(degrees_.degree[nu]) * sizeof(Complex);
     }
   }
+  if (stale_.empty()) return {};
   if (first_build_bytes > 0) {
     ResourceGovernor::Reservation r =
         governor_.reserve(first_build_bytes, "engine.multipoles");
@@ -610,347 +635,283 @@ Expected<void> EvalSession::try_ensure_refreshed(const EvalPlan& plan) {
     multipole_reservation_.absorb(std::move(r));
   }
 
-  // Cover newly-seen nodes with a p2m basis while the budget lasts: offsets
-  // assigned serially (the pool layout must not depend on thread timing),
-  // the basis itself filled inside the parallel refresh below. Geometry and
-  // degrees are frozen, so a node's basis is computed exactly once. A
-  // governor denial of the pool growth rolls the coverage back — the full
-  // p2m kernel produces identical coefficients, just slower.
-  std::vector<char> fill(stale_.size(), 0);
-  if (options_.precompute_basis && options_.refresh_basis_budget_bytes > 0) {
-    if (p2m_basis_offset_.empty()) {
-      p2m_basis_offset_.assign(nodes.size(), EvalPlan::kNoBasis);
-    }
-    const std::uint64_t budget_doubles =
-        options_.refresh_basis_budget_bytes / sizeof(double);
-    const std::uint64_t old_pool = p2m_basis_pool_.size();
-    std::uint64_t pool_size = old_pool;
-    for (std::size_t k = 0; k < stale_.size(); ++k) {
-      const auto nu = static_cast<std::size_t>(stale_[k]);
-      if (p2m_basis_offset_[nu] != EvalPlan::kNoBasis) continue;
-      const auto need = static_cast<std::uint64_t>(
-          p2m_basis_size(degrees_.degree[nu], nodes[nu].count()));
-      if (pool_size + need > budget_doubles) continue;
-      p2m_basis_offset_[nu] = pool_size;
-      pool_size += need;
-      fill[k] = 1;
-    }
-    if (pool_size > old_pool) {
-      const std::size_t growth_bytes =
-          static_cast<std::size_t>(pool_size - old_pool) * sizeof(double);
-      if (ResourceGovernor::Reservation growth =
-              governor_.reserve(growth_bytes, "engine.p2m_basis")) {
-        p2m_basis_pool_.resize(pool_size);
-        p2m_reservation_.absorb(std::move(growth));
-        obs::registry()
-            .gauge(obs::metric::kEngineRefreshBasisBytes)
-            .record_max(static_cast<double>(pool_size * sizeof(double)));
+  cover_p2m_basis(stale_);
+  try {
+    for_each_node(&pool_, stale_.size(), obs::span::kEngineRefreshWorker, [&](std::size_t j) {
+      const auto nu = static_cast<std::size_t>(stale_[j]);
+      MultipoleExpansion& m = multipoles_[nu];
+      // First build allocates to the node's assigned degree; later
+      // refreshes reuse the storage (the degree table is frozen).
+      if (node_epoch_[nu] == 0) {
+        m.reset(degrees_.degree[nu]);
       } else {
-        obs::registry().counter(obs::metric::kEngineP2mBasisDenied).add(1);
-        for (std::size_t k = 0; k < stale_.size(); ++k) {
-          if (fill[k] != 0) {
-            p2m_basis_offset_[static_cast<std::size_t>(stale_[k])] = EvalPlan::kNoBasis;
-            fill[k] = 0;
-          }
-        }
+        m.clear();
       }
-    }
-  }
-
-  auto refresh_node = [&](std::size_t k) {
-    const auto nu = static_cast<std::size_t>(stale_[k]);
-    const TreeNode& node = nodes[nu];
-    MultipoleExpansion& m = multipoles_[nu];
-    // First build allocates to the node's assigned degree; later refreshes
-    // reuse the storage (the degree table is frozen for the session).
-    if (node_epoch_[nu] == 0) {
-      m.reset(degrees_.degree[nu]);
-    } else {
-      m.clear();
-    }
-    const std::span<const Vec3> ppos(pos.data() + node.begin, node.count());
-    const std::span<const double> pq(q.data() + node.begin, node.count());
-    const std::uint64_t off =
-        p2m_basis_offset_.empty() ? EvalPlan::kNoBasis : p2m_basis_offset_[nu];
-    if (off != EvalPlan::kNoBasis) {
-      if (fill[k] != 0) {
-        p2m_basis(degrees_.degree[nu], node.center, ppos,
-                  std::span<double>(p2m_basis_pool_.data() + off,
-                                    p2m_basis_size(degrees_.degree[nu], node.count())));
-      }
-      p2m_apply_basis(pq, p2m_basis_pool_.data() + off, m);
-    } else {
-      p2m(node.center, ppos, pq, m);
-    }
-    node_epoch_[nu] = charge_epoch_;
-  };
-  if (pool_.width() > 1) try {
-    parallel_for(
-        pool_, stale_.size(), 8,
-        [&](std::size_t b, std::size_t e, unsigned) {
-          for (std::size_t k = b; k < e; ++k) refresh_node(k);
-        },
-        nullptr, obs::span::kEngineRefreshWorker);
+      build_multipole(nu, sorted_charges_.data(), m);
+      node_epoch_[nu] = charge_epoch_;
+    });
   } catch (const std::exception& e) {
     return engine_error(ErrorCode::kInternal,
                         std::string("EvalSession: refresh worker exception: ") +
                             e.what());
-  } else {
-    for (std::size_t k = 0; k < stale_.size(); ++k) refresh_node(k);
   }
   obs::registry().counter(obs::metric::kEngineNodesRefreshed).add(stale_.size());
   return {};
 }
 
+void EvalSession::build_multipole(std::size_t nu, const double* sorted_charges,
+                                  MultipoleExpansion& m) const {
+  const TreeNode& node = tree_.node(nu);
+  const std::span<const double> pq(sorted_charges + node.begin, node.count());
+  const std::uint64_t off =
+      p2m_basis_offset_.empty() ? EvalPlan::kNoBasis : p2m_basis_offset_[nu];
+  if (off != EvalPlan::kNoBasis) {
+    p2m_apply_basis(pq, p2m_basis_pool_.data() + off, m);
+  } else {
+    p2m(node.center, std::span<const Vec3>(tree_.positions().data() + node.begin, node.count()),
+        pq, m);
+  }
+}
+
+void EvalSession::cover_p2m_basis(std::span<const std::int32_t> node_ids) {
+  if (options_.refresh_basis_budget_bytes == 0) return;
+  const auto& nodes = tree_.nodes();
+  const auto& pos = tree_.positions();
+  if (p2m_basis_offset_.empty()) {
+    p2m_basis_offset_.assign(nodes.size(), EvalPlan::kNoBasis);
+  }
+  // Offsets are assigned serially (the pool layout must not depend on
+  // thread timing). Geometry and degrees are frozen, so a node's basis is
+  // computed exactly once, by whichever path covers it first.
+  const std::uint64_t budget_doubles =
+      options_.refresh_basis_budget_bytes / sizeof(double);
+  const std::uint64_t old_pool = p2m_basis_pool_.size();
+  std::uint64_t pool_size = old_pool;
+  std::vector<std::int32_t> fresh;
+  for (const std::int32_t ni : node_ids) {
+    const auto nu = static_cast<std::size_t>(ni);
+    if (p2m_basis_offset_[nu] != EvalPlan::kNoBasis) continue;
+    const auto need = static_cast<std::uint64_t>(
+        p2m_basis_size(degrees_.degree[nu], nodes[nu].count()));
+    if (pool_size + need > budget_doubles) continue;
+    p2m_basis_offset_[nu] = pool_size;
+    pool_size += need;
+    fresh.push_back(ni);
+  }
+  if (pool_size == old_pool) return;
+  // A governor denial, an allocation failure or a worker failure rolls the
+  // coverage back so no node points at unfilled pool storage; the full p2m
+  // kernel produces identical coefficients, just slower.
+  auto roll_back = [&] {
+    for (const std::int32_t ni : fresh) {
+      p2m_basis_offset_[static_cast<std::size_t>(ni)] = EvalPlan::kNoBasis;
+    }
+  };
+  const std::size_t growth_bytes =
+      static_cast<std::size_t>(pool_size - old_pool) * sizeof(double);
+  ResourceGovernor::Reservation growth =
+      governor_.reserve(growth_bytes, "engine.p2m_basis");
+  if (!growth) {
+    obs::registry().counter(obs::metric::kEngineP2mBasisDenied).add(1);
+    roll_back();
+    return;
+  }
+  try {
+    p2m_basis_pool_.resize(pool_size);
+    p2m_reservation_.absorb(std::move(growth));
+    for_each_node(&pool_, fresh.size(), obs::span::kEngineRefreshWorker, [&](std::size_t j) {
+      const auto nu = static_cast<std::size_t>(fresh[j]);
+      const TreeNode& node = nodes[nu];
+      const int deg = degrees_.degree[nu];
+      p2m_basis(deg, node.center,
+                std::span<const Vec3>(pos.data() + node.begin, node.count()),
+                std::span<double>(p2m_basis_pool_.data() + p2m_basis_offset_[nu],
+                                  p2m_basis_size(deg, node.count())));
+    });
+    obs::registry()
+        .gauge(obs::metric::kEngineRefreshBasisBytes)
+        .record_max(static_cast<double>(pool_size * sizeof(double)));
+  } catch (const std::exception&) {
+    roll_back();
+  }
+}
+
+Expected<void> EvalSession::check_owned(const EvalPlan& plan) {
+  // A foreign plan's node ids may run past the end of this session's tables.
+  if (plan.session != id_) {
+    return engine_error(ErrorCode::kInvalidArgument,
+                        "EvalSession: plan was not compiled by this session");
+  }
+  if (plan.offsets.size() != plan.num_targets() + 1) {
+    return engine_error(ErrorCode::kInvalidArgument,
+                        "EvalSession: plan offsets inconsistent with targets");
+  }
+  return {};
+}
+
 Expected<EvalResult> EvalSession::replay(const EvalPlan& plan) {
   const std::size_t n = plan.num_targets();
-  EvalResult result;
-  result.stats = plan.stats;  // charge-independent schedule statistics
-  result.stats.build_seconds = 0.0;
-  result.stats.eval_seconds = 0.0;
-  result.stats.work = WorkStats{};
-  result.stats.served_rung =
-      plan.basis_offset.empty() ? ServeRung::kPlainReplay : ServeRung::kBasisReplay;
-  result.stats.outcome = ErrorCode::kOk;
-  result.stats.targets_served = static_cast<std::uint64_t>(n);
-  const std::size_t out_n = plan.self ? tree_.source_size() : n;
-  const bool want_grad = config_.compute_gradient;
-  const bool want_bounds = config_.track_error_bounds || config_.enforce_budget;
-  result.potential.assign(out_n, 0.0);
-  if (want_grad) result.gradient.assign(out_n, Vec3{});
-  if (want_bounds) result.error_bound.assign(out_n, 0.0);
+  // result.stats starts as the plan's charge-independent schedule statistics.
+  EvalResult result = blank_result(plan.stats, replay_rung(plan), n,
+                                   plan.self ? tree_.source_size() : n, config_);
   if (n == 0 || tree_.num_particles() == 0) return result;
-
   {
     const ScopedTimer refresh_timer(obs::span::kEngineRefresh, &result.stats.build_seconds);
     Expected<void> refreshed = try_ensure_refreshed(plan);
     if (!refreshed.ok()) return refreshed.error();
   }
-
-  const auto& nodes = tree_.nodes();
-  const auto& pos = tree_.positions();
-  const auto& q = sorted_charges_;
-  const double softening2 = config_.softening * config_.softening;
-  const bool have_basis = !plan.basis_offset.empty();
-  // Replay audits mirror the fresh traversal exactly: M2P entries appear in
-  // the plan in per-target DFS acceptance order, so the (target, ordinal)
-  // sampling keys — and therefore the audited interactions and their
-  // bitwise contributions — match a fresh evaluation over the same targets.
-  const bool auditing = config_.audit_samples > 0;
-  const bool have_entry_bounds = !plan.entry_bounds.empty();
-
-  std::vector<double> phi(n, 0.0);
-  std::vector<Vec3> grad(want_grad ? n : 0, Vec3{});
-  std::vector<double> bound(want_bounds ? n : 0, 0.0);
-  std::vector<obs::audit::Reservoir> reservoirs(auditing ? pool_.width() : 0);
-  for (auto& r : reservoirs) r.set_capacity(config_.audit_samples);
-
-  // Failure channels out of the parallel region: a detected non-finite
-  // potential or an expired deadline cancels the sweep cooperatively
-  // (blocks already running complete; unclaimed blocks are skipped).
-  CancellationToken cancel;
-  std::atomic<bool> deadline_hit{false};
-  std::atomic<std::int64_t> nonfinite_at{-1};
-  const bool deadline_active = governor_.deadline_armed();
-  std::vector<char> done(deadline_active ? n : 0, 0);
-
-  try {
-    const ScopedTimer phase_timer(obs::span::kEngineReplay, &result.stats.eval_seconds);
-    result.stats.work = parallel_for_blocked(
-        pool_, n, config_.block_size,
-        [&](std::size_t block_begin, std::size_t block_end, unsigned t) -> std::uint64_t {
-          if (deadline_active && governor_.deadline_expired()) {
-            deadline_hit.store(true, std::memory_order_relaxed);
-            cancel.cancel();
-            return 0;
-          }
-          if constexpr (fault::kEnabled) {
-            if (fault::fire(fault::Site::kSlowWorker)) {
-              std::this_thread::sleep_for(std::chrono::milliseconds(2));
-            }
-          }
-          std::uint64_t cost = 0;
-          for (std::size_t i = block_begin; i < block_end; ++i) {
-            const Vec3 x = plan.targets[i];
-            double my_phi = 0.0;
-            double my_bound = 0.0;
-            Vec3 my_grad{};
-            std::uint64_t audit_ord = 0;
-            const std::uint64_t begin = plan.offsets[i];
-            const std::uint64_t end = plan.offsets[i + 1];
-            for (std::uint64_t idx = begin; idx < end; ++idx) {
-              const std::int32_t e = plan.entries[idx];
-              const auto nu = static_cast<std::size_t>(EvalPlan::node_of(e));
-              const TreeNode& node = nodes[nu];
-              if (EvalPlan::is_p2p(e)) {
-                const std::span<const Vec3> ppos(pos.data() + node.begin, node.count());
-                const std::span<const double> pq(q.data() + node.begin, node.count());
-                if (want_grad) {
-                  const PotentialGrad pg = p2p_grad(x, ppos, pq, softening2);
-                  my_phi += pg.potential;
-                  my_grad += pg.gradient;
-                } else {
-                  my_phi += p2p(x, ppos, pq, softening2);
-                }
-              } else {
-                const MultipoleExpansion& m = multipoles_[nu];
-                double contribution;
-                if (want_grad) {
-                  const PotentialGrad pg = m2p_grad(m, node.center, x);
-                  contribution = pg.potential;
-                  my_grad += pg.gradient;
-                } else {
-                  const std::uint64_t off =
-                      have_basis ? plan.basis_offset[idx] : EvalPlan::kNoBasis;
-                  contribution = off != EvalPlan::kNoBasis
-                                     ? m2p_apply_basis(m, plan.basis.data() + off)
-                                     : m2p(m, node.center, x);
-                }
-                my_phi += contribution;
-                if (want_bounds) my_bound += plan.entry_bounds[idx];
-                if (auditing) {
-                  obs::audit::Sample s;
-                  s.key = obs::audit::sample_key(config_.audit_seed, i, audit_ord);
-                  s.target = i;
-                  s.node = EvalPlan::node_of(e);
-                  s.level = node.level;
-                  s.degree = m.degree();
-                  s.abs_charge = node.abs_charge;
-                  s.approx = contribution;
-                  // Plans compiled without bound tracking carry no per-entry
-                  // bounds; recompute Theorem 1 with the same arguments the
-                  // fresh traversal uses so audits stay bitwise comparable.
-                  const double r_audit = distance(x, node.center);
-                  s.bound = have_entry_bounds
-                                ? plan.entry_bounds[idx]
-                                : multipole_error_bound(node.abs_charge, node.radius,
-                                                        r_audit, degrees_.degree[nu]);
-                  s.noise_scale = r_audit > node.radius
-                                      ? node.abs_charge / (r_audit - node.radius)
-                                      : 0.0;
-                  reservoirs[t].offer(s);
-                }
-                ++audit_ord;
-              }
-            }
-            if (!std::isfinite(my_phi)) {
-              obs::recorder::record(obs::recorder::Category::kNonFinite,
-                                    "engine.nonfinite_potential",
-                                    static_cast<double>(i));
-              std::int64_t expected_idx = -1;
-              nonfinite_at.compare_exchange_strong(expected_idx,
-                                                   static_cast<std::int64_t>(i),
-                                                   std::memory_order_relaxed);
-              cancel.cancel();
-              return cost;
-            }
-            phi[i] = my_phi;
-            if (want_grad) grad[i] = my_grad;
-            if (want_bounds) bound[i] = my_bound;
-            if (deadline_active) done[i] = 1;
-            cost += plan.target_cost[i];
-          }
-          return cost;
-        },
-        &cancel, obs::span::kEngineReplayWorker);
-  } catch (const std::exception& e) {
-    return engine_error(ErrorCode::kInternal,
-                        std::string("EvalSession: replay worker exception: ") +
-                            e.what());
-  }
-
-  const std::int64_t bad_target = nonfinite_at.load(std::memory_order_relaxed);
-  if (bad_target >= 0) {
-    return engine_error(ErrorCode::kNonFinite,
-                        "EvalSession: non-finite potential at evaluation point " +
-                            std::to_string(bad_target));
-  }
-  if (deadline_hit.load(std::memory_order_relaxed)) {
-    obs::registry().counter(obs::metric::kEngineDeadlineExpirations).add(1);
-    if (!config_.deadline_partial) {
-      return engine_error(ErrorCode::kDeadline,
-                          "EvalSession: deadline expired during replay");
-    }
-    result.stats.outcome = ErrorCode::kDeadline;
-    std::uint64_t served = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (done[i] != 0) {
-        ++served;
-      } else {
-        phi[i] = 0.0;
-        if (want_grad) grad[i] = Vec3{};
-        if (want_bounds) bound[i] = 0.0;
-      }
-    }
-    result.stats.targets_served = served;
-  }
-
-  if (auditing) {
-    const std::vector<obs::audit::Sample> winners =
-        obs::audit::merge(reservoirs, config_.audit_samples);
-    const obs::audit::Summary summary = obs::audit::finalize(
-        winners, [&](const obs::audit::Sample& s) {
-          const TreeNode& node = nodes[static_cast<std::size_t>(s.node)];
-          return p2p(plan.targets[s.target],
-                     std::span<const Vec3>(pos.data() + node.begin, node.count()),
-                     std::span<const double>(q.data() + node.begin, node.count()),
-                     /*softening2=*/0.0);
-        });
-    result.stats.audit_samples = summary.samples;
-    result.stats.audit_bound_violations = summary.bound_violations;
-    result.stats.audit_max_tightness = summary.max_tightness;
-    result.stats.audit_mean_tightness = summary.mean_tightness;
-  }
-
-  obs::Registry& reg = obs::registry();
-  reg.counter(obs::metric::kEngineReplays).add(1);
-  reg.counter(result.stats.served_rung == ServeRung::kBasisReplay
-                  ? obs::metric::kEngineServeBasisReplay
-                  : obs::metric::kEngineServePlainReplay)
-      .add(1);
-  reg.counter(obs::metric::kEngineMultipoleTerms).add(result.stats.multipole_terms);
-  reg.counter(obs::metric::kEngineM2pCount).add(result.stats.m2p_count);
-  reg.counter(obs::metric::kEngineP2pPairs).add(result.stats.p2p_pairs);
-  obs::flush_counts(obs::metric::kEngineM2pPerLevel, plan.m2p_by_level);
-  obs::flush_counts(obs::metric::kEngineP2pPerLevel, plan.p2p_by_level);
-  obs::flush_counts(obs::metric::kEngineDegreeUsed, plan.degree_used);
-
-  if (plan.self) {
-    const auto& orig = tree_.original_index();
-    for (std::size_t i = 0; i < n; ++i) {
-      result.potential[orig[i]] = phi[i];
-      if (want_grad) result.gradient[orig[i]] = grad[i];
-      if (want_bounds) result.error_bound[orig[i]] = bound[i];
-    }
-  } else {
-    result.potential = std::move(phi);
-    if (want_grad) result.gradient = std::move(grad);
-    if (want_bounds) result.error_bound = std::move(bound);
-  }
-  TREECODE_ASSERT_EVAL_INVARIANTS(tree_, degrees_, config_, result, out_n,
-                                  "EvalSession::evaluate");
+  Expected<void> served = replay_columns(
+      plan, Columns{sorted_charges_.data(), 0, multipoles_.data(), nullptr}, {&result, 1});
+  if (!served.ok()) return served.error();
   return result;
 }
 
-std::size_t EvalSession::traversal_reserve_bytes() {
-  if (traversal_bytes_ == 0) {
-    std::size_t total = 0;
-    const std::size_t num_nodes = tree_.nodes().size();
-    for (std::size_t nu = 0; nu < num_nodes; ++nu) {
-      total += tri_size(degrees_.degree[nu]) * sizeof(Complex);
+Expected<void> EvalSession::replay_columns(const EvalPlan& plan, const Columns& columns,
+                                           std::span<EvalResult> results) {
+  const std::size_t n = plan.num_targets();
+  const std::size_t k = results.size();
+  const bool batch = columns.slot != nullptr;
+  const bool want_bounds = config_.track_error_bounds || config_.enforce_budget;
+  const bool want_grad = config_.compute_gradient;  // single-RHS only
+  const bool auditing = config_.audit_samples > 0;  // single-RHS only
+  const bool have_basis = !plan.basis_offset.empty();
+  const auto& nodes = tree_.nodes();
+  const auto& pos = tree_.positions();
+  const double softening2 = config_.softening * config_.softening;
+
+  // The replay kernel: one walk of target i's frozen entry stream for the K
+  // columns [c0, c0 + K). Per column it makes the single-RHS kernel calls
+  // on identical operands in identical order (DESIGN.md §5c), so a column's
+  // bits do not depend on K. Gradients and audits exist only at K = 1; the
+  // batch path serves them column by column.
+  auto kernel = [&]<std::size_t K>(std::size_t i, std::size_t c0, double(&acc)[K],
+                                   double& bound, Vec3& grad, obs::audit::Reservoir* audit) {
+    const Vec3 x = plan.targets[i];
+    const double* q = columns.charges + c0 * columns.stride;
+    std::uint64_t audit_ord = 0;
+    for (std::uint64_t idx = plan.offsets[i]; idx < plan.offsets[i + 1]; ++idx) {
+      const std::int32_t e = plan.entries[idx];
+      const auto nu = static_cast<std::size_t>(EvalPlan::node_of(e));
+      const TreeNode& node = nodes[nu];
+      if (EvalPlan::is_p2p(e)) {
+        const std::span<const Vec3> ppos(pos.data() + node.begin, node.count());
+        if constexpr (K == 1) {
+          const std::span<const double> pq(q + node.begin, node.count());
+          if (want_grad) {
+            const PotentialGrad pg = p2p_grad(x, ppos, pq, softening2);
+            acc[0] += pg.potential;
+            grad += pg.gradient;
+          } else {
+            acc[0] += p2p(x, ppos, pq, softening2);
+          }
+        } else {
+          std::span<const double> cq[K];
+          double out[K];
+          for (std::size_t w = 0; w < K; ++w) {
+            cq[w] = std::span<const double>(q + w * columns.stride + node.begin, node.count());
+          }
+          p2p_batch(x, ppos, cq, softening2, out);
+          for (std::size_t w = 0; w < K; ++w) acc[w] += out[w];
+        }
+        continue;
+      }
+      const std::size_t s = batch ? static_cast<std::size_t>(columns.slot[nu]) : nu;
+      const MultipoleExpansion* m = columns.multipoles + s * k + c0;
+      const std::uint64_t off = have_basis ? plan.basis_offset[idx] : EvalPlan::kNoBasis;
+      // Bounds are charge-independent: accumulated by the first block only.
+      if (c0 == 0 && want_bounds) bound += plan.entry_bounds[idx];
+      if constexpr (K == 1) {
+        double contribution;
+        if (want_grad) {
+          const PotentialGrad pg = m2p_grad(*m, node.center, x);
+          contribution = pg.potential;
+          grad += pg.gradient;
+        } else {
+          contribution = off != EvalPlan::kNoBasis ? m2p_apply_basis(*m, plan.basis.data() + off)
+                                                   : m2p(*m, node.center, x);
+        }
+        acc[0] += contribution;
+        // M2P entries sit in per-target DFS acceptance order, so the
+        // (target, ordinal) keys audit exactly the fresh walk's samples.
+        if (audit != nullptr) {
+          // Plans compiled without bound tracking carry no per-entry
+          // bounds; recompute Theorem 1 with the fresh walk's arguments.
+          const double r = distance(x, node.center);
+          const double thm1 = plan.entry_bounds.empty()
+                                  ? multipole_error_bound(node.abs_charge, node.radius, r,
+                                                          degrees_.degree[nu])
+                                  : plan.entry_bounds[idx];
+          audit->offer(audit_sample(config_.audit_seed, i, audit_ord, EvalPlan::node_of(e),
+                                    node, m->degree(), contribution, thm1, r));
+        }
+        ++audit_ord;
+      } else {
+        for (std::size_t w = 0; w < K; ++w) {
+          acc[w] += off != EvalPlan::kNoBasis ? m2p_apply_basis(m[w], plan.basis.data() + off)
+                                              : m2p(m[w], node.center, x);
+        }
+      }
     }
-    traversal_bytes_ = total;
+  };
+
+  TargetRows rows(n, k, want_grad, want_bounds);
+  std::vector<obs::audit::Reservoir> audits(auditing ? pool_.width() : 0);
+  for (auto& r : audits) r.set_capacity(config_.audit_samples);
+
+  Expected<void> swept = sweep(
+      pool_, governor_, config_, batch ? SweepKind::kBatch : SweepKind::kReplay, rows, tree_,
+      plan.self, results, [&](std::size_t i, unsigned t) -> std::uint64_t {
+        double bound = 0.0;
+        Vec3 grad{};
+        for (std::size_t c0 = 0; c0 < k; c0 += kMaxWidth) {
+          with_width(std::min(kMaxWidth, k - c0), [&](auto width) {
+            constexpr std::size_t kWidth = decltype(width)::value;
+            double acc[kWidth] = {};
+            kernel(i, c0, acc, bound, grad, auditing ? &audits[t] : nullptr);
+            for (std::size_t w = 0; w < kWidth; ++w) rows.phi[(c0 + w) * n + i] = acc[w];
+          });
+        }
+        if (want_grad) rows.grad[i] = grad;
+        if (want_bounds) rows.bound[i] = bound;
+        return plan.target_cost[i] * k;
+      });
+  if (!swept.ok()) return swept;
+
+  if (auditing) {
+    finish_audit(audits, config_.audit_samples, plan.targets, tree_, sorted_charges_,
+                 results[0].stats);
   }
-  return traversal_bytes_;
+  obs::Registry& reg = obs::registry();
+  reg.counter(batch ? obs::metric::kEngineBatchReplays : obs::metric::kEngineReplays).add(1);
+  reg.counter(replay_rung(plan) == ServeRung::kBasisReplay
+                  ? obs::metric::kEngineServeBasisReplay
+                  : obs::metric::kEngineServePlainReplay)
+      .add(1);
+  reg.counter(obs::metric::kEngineMultipoleTerms).add(plan.stats.multipole_terms * k);
+  reg.counter(obs::metric::kEngineM2pCount).add(plan.stats.m2p_count * k);
+  reg.counter(obs::metric::kEngineP2pPairs).add(plan.stats.p2p_pairs * k);
+  if (!batch) {
+    obs::flush_counts(obs::metric::kEngineM2pPerLevel, plan.m2p_by_level);
+    obs::flush_counts(obs::metric::kEngineP2pPerLevel, plan.p2p_by_level);
+    obs::flush_counts(obs::metric::kEngineDegreeUsed, plan.degree_used);
+  }
+
+  for ([[maybe_unused]] const EvalResult& r : results) {
+    TREECODE_ASSERT_EVAL_INVARIANTS(tree_, degrees_, config_, r, r.potential.size(),
+                                    batch ? "EvalSession::evaluate_batch"
+                                          : "EvalSession::evaluate");
+  }
+  return {};
 }
 
 Expected<EvalResult> EvalSession::serve_degraded(std::span<const Vec3> targets,
                                                  bool self) {
   obs::registry().counter(obs::metric::kEngineDegradedServes).add(1);
-  // Rung 2 needs transient multipoles for the whole tree; reserve them for
-  // the duration of the traversal so a concurrent-session budget still
-  // holds, then hand the bytes back.
-  const std::size_t traversal_bytes = traversal_reserve_bytes();
+  // Rung 2 needs transient multipoles for the whole tree, every node at its
+  // assigned degree; reserve them for the duration of the traversal so a
+  // concurrent-session budget still holds, then hand the bytes back.
+  std::size_t traversal_bytes = 0;
+  for (const int p : degrees_.degree) traversal_bytes += tri_size(p) * sizeof(Complex);
   if (ResourceGovernor::Reservation traversal =
           governor_.reserve(traversal_bytes, "engine.traversal")) {
     // Held for the dynamic extent of the traversal; returned on any exit.
@@ -988,137 +949,41 @@ Expected<EvalResult> EvalSession::serve_traversal(std::span<const Vec3> targets,
 
 Expected<EvalResult> EvalSession::serve_direct(std::span<const Vec3> targets, bool self) {
   const std::size_t n = targets.size();
-  EvalResult result;
-  result.stats.served_rung = ServeRung::kDirect;
-  result.stats.outcome = ErrorCode::kOk;
-  result.stats.targets_served = static_cast<std::uint64_t>(n);
-  const std::size_t out_n = self ? tree_.source_size() : n;
-  const bool want_grad = config_.compute_gradient;
-  const bool want_bounds = config_.track_error_bounds || config_.enforce_budget;
-  result.potential.assign(out_n, 0.0);
-  if (want_grad) result.gradient.assign(out_n, Vec3{});
   // Direct summation is exact: the Theorem-1 truncation error of every
   // interaction is zero, so the a-posteriori bound vector is identically
   // zero and trivially within any error budget.
-  if (want_bounds) result.error_bound.assign(out_n, 0.0);
+  EvalResult result = blank_result(EvalStats{}, ServeRung::kDirect, n,
+                                   self ? tree_.source_size() : n, config_);
   obs::registry().counter(obs::metric::kEngineServeDirect).add(1);
   if (n == 0 || tree_.num_particles() == 0) return result;
 
-  std::vector<char> skip(n, 0);
-  if (!self) {
-    const ValidationReport report = validate_targets(targets);
-    if (tree_.config().validation == ValidationPolicy::kThrow && report.has_errors()) {
-      return engine_error(ErrorCode::kNonFinite,
-                          "EvalSession::direct: " + report.summary());
-    }
-    for (const std::size_t idx : report.non_finite_positions) skip[idx] = 1;
-  }
-
-  const auto& pos = tree_.positions();
-  const auto& q = sorted_charges_;
-  const std::span<const Vec3> sources(pos.data(), tree_.num_particles());
-  const std::span<const double> charges(q.data(), tree_.num_particles());
-  const double softening2 = config_.softening * config_.softening;
-  const auto pairs_per_target = static_cast<std::uint64_t>(tree_.num_particles());
-
-  CancellationToken cancel;
-  std::atomic<bool> deadline_hit{false};
-  std::atomic<std::int64_t> nonfinite_at{-1};
-  const bool deadline_active = governor_.deadline_armed();
-  std::vector<char> done(deadline_active ? n : 0, 0);
-  std::vector<double> phi(n, 0.0);
-  std::vector<Vec3> grad(want_grad ? n : 0, Vec3{});
-
-  try {
-    const ScopedTimer phase_timer(obs::span::kEngineDirect, &result.stats.eval_seconds);
-    result.stats.work = parallel_for_blocked(
-        pool_, n, config_.block_size,
-        [&](std::size_t block_begin, std::size_t block_end, unsigned) -> std::uint64_t {
-          if (deadline_active && governor_.deadline_expired()) {
-            deadline_hit.store(true, std::memory_order_relaxed);
-            cancel.cancel();
-            return 0;
-          }
-          if constexpr (fault::kEnabled) {
-            if (fault::fire(fault::Site::kSlowWorker)) {
-              std::this_thread::sleep_for(std::chrono::milliseconds(2));
-            }
-          }
-          std::uint64_t cost = 0;
-          for (std::size_t i = block_begin; i < block_end; ++i) {
-            if (skip[i] != 0) {
-              if (deadline_active) done[i] = 1;
-              continue;
-            }
-            const Vec3 x = targets[i];
-            double my_phi;
-            if (want_grad) {
-              const PotentialGrad pg = p2p_grad(x, sources, charges, softening2);
-              my_phi = pg.potential;
-              grad[i] = pg.gradient;
-            } else {
-              my_phi = p2p(x, sources, charges, softening2);
-            }
-            if (!std::isfinite(my_phi)) {
-              obs::recorder::record(obs::recorder::Category::kNonFinite,
-                                    "engine.nonfinite_potential",
-                                    static_cast<double>(i));
-              std::int64_t expected_idx = -1;
-              nonfinite_at.compare_exchange_strong(expected_idx,
-                                                   static_cast<std::int64_t>(i),
-                                                   std::memory_order_relaxed);
-              cancel.cancel();
-              return cost;
-            }
-            phi[i] = my_phi;
-            if (deadline_active) done[i] = 1;
-            cost += pairs_per_target;
-          }
-          return cost;
-        },
-        &cancel, obs::span::kEngineDirectWorker);
-  } catch (const std::exception& e) {
-    return engine_error(ErrorCode::kInternal,
-                        std::string("EvalSession: direct worker exception: ") +
-                            e.what());
-  }
-
-  const std::int64_t bad_target = nonfinite_at.load(std::memory_order_relaxed);
-  if (bad_target >= 0) {
+  // Non-finite external targets fail under kThrow; otherwise they keep a
+  // zero slot (self targets are the tree's validated particles).
+  if (!self && tree_.config().validation == ValidationPolicy::kThrow && !all_finite(targets)) {
     return engine_error(ErrorCode::kNonFinite,
-                        "EvalSession: non-finite potential at evaluation point " +
-                            std::to_string(bad_target));
+                        "EvalSession::direct: " + validate_targets(targets).summary());
   }
-  if (deadline_hit.load(std::memory_order_relaxed)) {
-    obs::registry().counter(obs::metric::kEngineDeadlineExpirations).add(1);
-    if (!config_.deadline_partial) {
-      return engine_error(ErrorCode::kDeadline,
-                          "EvalSession: deadline expired during direct fallback");
-    }
-    result.stats.outcome = ErrorCode::kDeadline;
-    std::uint64_t served = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (done[i] != 0) {
-        ++served;
-      } else {
-        phi[i] = 0.0;
-        if (want_grad) grad[i] = Vec3{};
-      }
-    }
-    result.stats.targets_served = served;
-  }
-  result.stats.p2p_pairs = result.stats.work.total_work();
 
-  if (self) {
-    const auto& orig = tree_.original_index();
-    for (std::size_t i = 0; i < n; ++i) {
-      result.potential[orig[i]] = phi[i];
-      if (want_grad) result.gradient[orig[i]] = grad[i];
-    }
-  } else {
-    result.potential = std::move(phi);
-    if (want_grad) result.gradient = std::move(grad);
-  }
+  const std::span<const Vec3> sources(tree_.positions().data(), tree_.num_particles());
+  const std::span<const double> charges(sorted_charges_.data(), tree_.num_particles());
+  const double softening2 = config_.softening * config_.softening;
+  const bool want_grad = config_.compute_gradient;
+  TargetRows rows(n, 1, want_grad, !result.error_bound.empty());
+  Expected<void> swept = sweep(
+      pool_, governor_, config_, SweepKind::kDirect, rows, tree_, self, {&result, 1},
+      [&](std::size_t i, unsigned) -> std::uint64_t {
+        if (!all_finite(targets.subspan(i, 1))) return 0;
+        if (want_grad) {
+          const PotentialGrad pg = p2p_grad(targets[i], sources, charges, softening2);
+          rows.phi[i] = pg.potential;
+          rows.grad[i] = pg.gradient;
+        } else {
+          rows.phi[i] = p2p(targets[i], sources, charges, softening2);
+        }
+        return static_cast<std::uint64_t>(sources.size());
+      });
+  if (!swept.ok()) return swept.error();
+  result.stats.p2p_pairs = result.stats.work.total_work();
   return result;
 }
 
@@ -1127,19 +992,14 @@ Expected<EvalResult> EvalSession::try_evaluate(const EvalPlan& plan) {
   obs::reqtrace::RequestScope rscope(obs::span::kReqEngineEvaluatePlan);
   Expected<EvalResult> served = try_evaluate_impl(plan);
   emit_request(obs::telemetry::Api::kEvaluatePlan, plan.key, timer.seconds(),
-               served.ok(), served.ok() ? served.value().stats.outcome
-                                        : served.error().code,
-               served.ok() ? &served.value().stats : nullptr, cache_, config_,
-               pool_.width(), rscope);
+               served.ok() ? nullptr : &served.error(),
+               served.ok() ? &served.value().stats : nullptr, *this, rscope);
   return served;
 }
 
 Expected<EvalResult> EvalSession::try_evaluate_impl(const EvalPlan& plan) {
   const DeadlineScope deadline(governor_, config_.deadline_seconds);
-  if (plan.offsets.size() != plan.num_targets() + 1) {
-    return engine_error(ErrorCode::kInvalidArgument,
-                        "EvalSession: plan offsets inconsistent with targets");
-  }
+  if (Expected<void> owned = check_owned(plan); !owned.ok()) return owned.error();
   Expected<EvalResult> served = replay(plan);
   if (served.ok() || !memory_class(served.error().code)) return served;
   return serve_degraded(plan.targets, plan.self);
@@ -1154,108 +1014,15 @@ Expected<std::vector<EvalResult>> EvalSession::try_evaluate_batch(
   const EvalStats* stats =
       served.ok() && !served.value().empty() ? &served.value().front().stats : nullptr;
   emit_request(obs::telemetry::Api::kEvaluateBatch, plan.key, timer.seconds(),
-               served.ok(),
-               served.ok() ? (stats != nullptr ? stats->outcome : ErrorCode::kOk)
-                           : served.error().code,
-               stats, cache_, config_, pool_.width(), rscope,
+               served.ok() ? nullptr : &served.error(), stats, *this, rscope,
                static_cast<std::uint32_t>(charge_columns.size()));
   return served;
-}
-
-void EvalSession::cover_p2m_basis(const EvalPlan& plan) {
-  if (!options_.precompute_basis || options_.refresh_basis_budget_bytes == 0) return;
-  const auto& nodes = tree_.nodes();
-  const auto& pos = tree_.positions();
-  if (p2m_basis_offset_.empty()) {
-    p2m_basis_offset_.assign(nodes.size(), EvalPlan::kNoBasis);
-  }
-  // Offsets assigned serially (the pool layout must not depend on thread
-  // timing), exactly like try_ensure_refreshed — the two paths share the
-  // pool, the budget rule, and the per-node layout, so whichever runs first
-  // covers a node and the other reuses it.
-  const std::uint64_t budget_doubles =
-      options_.refresh_basis_budget_bytes / sizeof(double);
-  const std::uint64_t old_pool = p2m_basis_pool_.size();
-  std::uint64_t pool_size = old_pool;
-  std::vector<std::int32_t> fresh;
-  for (const std::int32_t ni : plan.m2p_nodes) {
-    const auto nu = static_cast<std::size_t>(ni);
-    if (p2m_basis_offset_[nu] != EvalPlan::kNoBasis) continue;
-    const auto need = static_cast<std::uint64_t>(
-        p2m_basis_size(degrees_.degree[nu], nodes[nu].count()));
-    if (pool_size + need > budget_doubles) continue;
-    p2m_basis_offset_[nu] = pool_size;
-    pool_size += need;
-    fresh.push_back(ni);
-  }
-  if (pool_size == old_pool) return;
-  const std::size_t growth_bytes =
-      static_cast<std::size_t>(pool_size - old_pool) * sizeof(double);
-  ResourceGovernor::Reservation growth =
-      governor_.reserve(growth_bytes, "engine.p2m_basis");
-  if (!growth) {
-    obs::registry().counter(obs::metric::kEngineP2mBasisDenied).add(1);
-    for (const std::int32_t ni : fresh) {
-      p2m_basis_offset_[static_cast<std::size_t>(ni)] = EvalPlan::kNoBasis;
-    }
-    return;
-  }
-  auto fill_node = [&](std::size_t j) {
-    const auto nu = static_cast<std::size_t>(fresh[j]);
-    const TreeNode& node = nodes[nu];
-    const int deg = degrees_.degree[nu];
-    p2m_basis(deg, node.center,
-              std::span<const Vec3>(pos.data() + node.begin, node.count()),
-              std::span<double>(p2m_basis_pool_.data() + p2m_basis_offset_[nu],
-                                p2m_basis_size(deg, node.count())));
-  };
-  try {
-    p2m_basis_pool_.resize(pool_size);
-    p2m_reservation_.absorb(std::move(growth));
-    if (pool_.width() > 1) {
-      parallel_for(
-          pool_, fresh.size(), 8,
-          [&](std::size_t b, std::size_t e, unsigned) {
-            for (std::size_t j = b; j < e; ++j) fill_node(j);
-          },
-          nullptr, obs::span::kEngineRefreshWorker);
-    } else {
-      for (std::size_t j = 0; j < fresh.size(); ++j) fill_node(j);
-    }
-    obs::registry()
-        .gauge(obs::metric::kEngineRefreshBasisBytes)
-        .record_max(static_cast<double>(pool_size * sizeof(double)));
-  } catch (const std::exception&) {
-    // Allocation or worker failure: roll the coverage back so no node
-    // points at unfilled pool storage; the full p2m kernel serves instead.
-    for (const std::int32_t ni : fresh) {
-      p2m_basis_offset_[static_cast<std::size_t>(ni)] = EvalPlan::kNoBasis;
-    }
-  }
-}
-
-Expected<std::vector<EvalResult>> EvalSession::evaluate_batch_sequential(
-    const EvalPlan& plan, std::span<const std::span<const double>> charge_columns) {
-  obs::registry().counter(obs::metric::kEngineBatchFallbacks).add(1);
-  std::vector<EvalResult> results;
-  results.reserve(charge_columns.size());
-  for (std::size_t c = 0; c < charge_columns.size(); ++c) {
-    Expected<void> updated = try_update_charges_impl(charge_columns[c]);
-    if (!updated.ok()) return updated.error();
-    Expected<EvalResult> served = try_evaluate_impl(plan);
-    if (!served.ok()) return served.error();
-    results.push_back(std::move(served).value());
-  }
-  return results;
 }
 
 Expected<std::vector<EvalResult>> EvalSession::try_evaluate_batch_impl(
     const EvalPlan& plan, std::span<const std::span<const double>> charge_columns) {
   const DeadlineScope deadline(governor_, config_.deadline_seconds);
-  if (plan.offsets.size() != plan.num_targets() + 1) {
-    return engine_error(ErrorCode::kInvalidArgument,
-                        "EvalSession: plan offsets inconsistent with targets");
-  }
+  if (Expected<void> owned = check_owned(plan); !owned.ok()) return owned.error();
   const std::size_t k = charge_columns.size();
   if (k == 0) {
     return engine_error(ErrorCode::kInvalidArgument,
@@ -1276,34 +1043,30 @@ Expected<std::vector<EvalResult>> EvalSession::try_evaluate_batch_impl(
   obs::Registry& reg = obs::registry();
   reg.counter(obs::metric::kEngineBatchColumns).add(k);
 
-  // Gradient and audit evaluations have no batched kernel form (m2p_grad
-  // carries no basis; audit reservoirs key on a single charge vector) —
-  // serve them column-by-column through the single-RHS path, which is
-  // trivially bitwise-identical.
-  if (config_.compute_gradient || config_.audit_samples > 0) {
-    return evaluate_batch_sequential(plan, charge_columns);
-  }
+  // Per-column single-RHS replay, trivially bitwise-identical, for configs
+  // without a batched kernel form and for a denied workspace. It leaves the
+  // session's charges at the last column.
+  auto sequential = [&]() -> Expected<std::vector<EvalResult>> {
+    reg.counter(obs::metric::kEngineBatchFallbacks).add(1);
+    std::vector<EvalResult> results;
+    for (const std::span<const double> column : charge_columns) {
+      Expected<void> updated = try_update_charges_impl(column, /*sorted=*/false);
+      if (!updated.ok()) return updated.error();
+      Expected<EvalResult> served = try_evaluate_impl(plan);
+      if (!served.ok()) return served.error();
+      results.push_back(std::move(served).value());
+    }
+    return results;
+  };
+  // Gradients and audits have no batched form: m2p_grad carries no basis,
+  // and audit reservoirs key on a single charge vector.
+  if (config_.compute_gradient || config_.audit_samples > 0) return sequential();
 
   const std::size_t n = plan.num_targets();
   const std::size_t np = tree_.num_particles();
-  const std::size_t out_n = plan.self ? tree_.source_size() : n;
-  const bool want_bounds = config_.track_error_bounds || config_.enforce_budget;
-  const bool have_basis = !plan.basis_offset.empty();
-  const ServeRung rung =
-      have_basis ? ServeRung::kBasisReplay : ServeRung::kPlainReplay;
-
-  std::vector<EvalResult> results(k);
-  for (EvalResult& r : results) {
-    r.stats = plan.stats;
-    r.stats.build_seconds = 0.0;
-    r.stats.eval_seconds = 0.0;
-    r.stats.work = WorkStats{};
-    r.stats.served_rung = rung;
-    r.stats.outcome = ErrorCode::kOk;
-    r.stats.targets_served = static_cast<std::uint64_t>(n);
-    r.potential.assign(out_n, 0.0);
-    if (want_bounds) r.error_bound.assign(out_n, 0.0);
-  }
+  std::vector<EvalResult> results(
+      k, blank_result(plan.stats, replay_rung(plan), n, plan.self ? tree_.source_size() : n,
+                      config_));
   if (n == 0 || np == 0) return results;
 
   // Governed batch workspace: k per-column copies of every plan-referenced
@@ -1311,7 +1074,6 @@ Expected<std::vector<EvalResult>> EvalSession::try_evaluate_batch_impl(
   // Reserved before any allocation; a denial falls back to the sequential
   // path rather than failing the batch.
   std::size_t coeff_bytes = 0;
-  const auto& nodes = tree_.nodes();
   for (const std::int32_t ni : plan.m2p_nodes) {
     coeff_bytes +=
         tri_size(degrees_.degree[static_cast<std::size_t>(ni)]) * sizeof(Complex);
@@ -1322,16 +1084,19 @@ Expected<std::vector<EvalResult>> EvalSession::try_evaluate_batch_impl(
       governor_.reserve(workspace_bytes, "engine.batch");
   if (!workspace) {
     reg.counter(obs::metric::kEngineBatchDenied).add(1);
-    return evaluate_batch_sequential(plan, charge_columns);
+    return sequential();
   }
 
-  double refresh_seconds = 0.0;
-  double eval_seconds = 0.0;
-
-  // Gather each column into tree-sorted order — the identical permutation
-  // try_update_charges performs (a pure copy, no arithmetic).
+  // The workspace: each column gathered into tree-sorted order (the
+  // permutation try_update_charges performs), and per-column multipoles of
+  // every plan-referenced node (slot j, column c at batch_m[j * k + c]),
+  // rebuilt exactly as the single-RHS refresh would.
   std::vector<double> sorted(k * np);
-  {
+  const std::size_t num_m2p = plan.m2p_nodes.size();
+  std::vector<MultipoleExpansion> batch_m(num_m2p * k);
+  std::vector<std::int32_t> m2p_slot(tree_.nodes().size(), -1);
+  double refresh_seconds = 0.0;
+  try {
     const ScopedTimer refresh_timer(obs::span::kEngineRefresh, &refresh_seconds);
     const auto& orig = tree_.original_index();
     for (std::size_t c = 0; c < k; ++c) {
@@ -1339,221 +1104,26 @@ Expected<std::vector<EvalResult>> EvalSession::try_evaluate_batch_impl(
       const std::span<const double> src = charge_columns[c];
       for (std::size_t si = 0; si < orig.size(); ++si) col[si] = src[orig[si]];
     }
-
-    // Per-column multipoles for every node the plan references, rebuilt from
-    // the column's charges exactly as the single-RHS refresh would: reset to
-    // the node's frozen degree, then p2m through the shared basis pool when
-    // covered (bitwise-equal to the full kernel) or the full p2m otherwise.
-    cover_p2m_basis(plan);
-  }
-
-  const std::size_t num_m2p = plan.m2p_nodes.size();
-  std::vector<MultipoleExpansion> batch_m(num_m2p * k);
-  const auto& pos = tree_.positions();
-  auto build_node = [&](std::size_t j) {
-    const auto nu = static_cast<std::size_t>(plan.m2p_nodes[j]);
-    const TreeNode& node = nodes[nu];
-    const int deg = degrees_.degree[nu];
-    const std::span<const Vec3> ppos(pos.data() + node.begin, node.count());
-    const std::uint64_t off =
-        p2m_basis_offset_.empty() ? EvalPlan::kNoBasis : p2m_basis_offset_[nu];
-    for (std::size_t c = 0; c < k; ++c) {
-      MultipoleExpansion& m = batch_m[j * k + c];
-      m.reset(deg);
-      const std::span<const double> pq(sorted.data() + c * np + node.begin,
-                                       node.count());
-      if (off != EvalPlan::kNoBasis) {
-        p2m_apply_basis(pq, p2m_basis_pool_.data() + off, m);
-      } else {
-        p2m(node.center, ppos, pq, m);
+    cover_p2m_basis(plan.m2p_nodes);
+    for_each_node(&pool_, num_m2p, obs::span::kEngineRefreshWorker, [&](std::size_t j) {
+      const auto nu = static_cast<std::size_t>(plan.m2p_nodes[j]);
+      m2p_slot[nu] = static_cast<std::int32_t>(j);
+      for (std::size_t c = 0; c < k; ++c) {
+        MultipoleExpansion& m = batch_m[j * k + c];
+        m.reset(degrees_.degree[nu]);
+        build_multipole(nu, sorted.data() + c * np, m);
       }
-    }
-  };
-  try {
-    const ScopedTimer refresh_timer(obs::span::kEngineRefresh, &refresh_seconds);
-    if (pool_.width() > 1) {
-      parallel_for(
-          pool_, num_m2p, 8,
-          [&](std::size_t b, std::size_t e, unsigned) {
-            for (std::size_t j = b; j < e; ++j) build_node(j);
-          },
-          nullptr, obs::span::kEngineRefreshWorker);
-    } else {
-      for (std::size_t j = 0; j < num_m2p; ++j) build_node(j);
-    }
+    });
   } catch (const std::exception& e) {
     return engine_error(ErrorCode::kInternal,
                         std::string("EvalSession: batch refresh worker exception: ") +
                             e.what());
   }
-  // Node index -> batch slot for the walk below.
-  std::vector<std::int32_t> m2p_slot(nodes.size(), -1);
-  for (std::size_t j = 0; j < num_m2p; ++j) {
-    m2p_slot[static_cast<std::size_t>(plan.m2p_nodes[j])] =
-        static_cast<std::int32_t>(j);
-  }
+  for (EvalResult& r : results) r.stats.build_seconds = refresh_seconds;
 
-  const double softening2 = config_.softening * config_.softening;
-  constexpr std::size_t kMaxWidth = 8;  // SoA column block held in registers
-
-  std::vector<double> phi(k * n, 0.0);  // phi[c * n + i]
-  std::vector<double> bound(want_bounds ? n : 0, 0.0);  // charge-independent
-
-  CancellationToken cancel;
-  std::atomic<bool> deadline_hit{false};
-  // Packed (target * k + column) of the first non-finite potential seen.
-  std::atomic<std::int64_t> nonfinite_at{-1};
-  const bool deadline_active = governor_.deadline_armed();
-  std::vector<char> done(deadline_active ? n : 0, 0);
-  WorkStats work;
-
-  try {
-    const ScopedTimer phase_timer(obs::span::kEngineReplay, &eval_seconds);
-    work = parallel_for_blocked(
-        pool_, n, config_.block_size,
-        [&](std::size_t block_begin, std::size_t block_end, unsigned) -> std::uint64_t {
-          if (deadline_active && governor_.deadline_expired()) {
-            deadline_hit.store(true, std::memory_order_relaxed);
-            cancel.cancel();
-            return 0;
-          }
-          if constexpr (fault::kEnabled) {
-            if (fault::fire(fault::Site::kSlowWorker)) {
-              std::this_thread::sleep_for(std::chrono::milliseconds(2));
-            }
-          }
-          std::uint64_t cost = 0;
-          for (std::size_t i = block_begin; i < block_end; ++i) {
-            const Vec3 x = plan.targets[i];
-            double my_bound = 0.0;
-            const std::uint64_t begin = plan.offsets[i];
-            const std::uint64_t end = plan.offsets[i + 1];
-            // One entry-stream walk per column block: the plan entries, the
-            // m2p basis pool, and the leaf positions stream from memory once
-            // for up to kMaxWidth columns, while each column's accumulator
-            // stays in a register. Per column the kernel calls, operands,
-            // and accumulation order are exactly the single-RHS replay's.
-            for (std::size_t c0 = 0; c0 < k; c0 += kMaxWidth) {
-              const std::size_t width = std::min(kMaxWidth, k - c0);
-              double acc[kMaxWidth] = {0.0};
-              double p2p_out[kMaxWidth];
-              std::span<const double> cq[kMaxWidth];
-              for (std::uint64_t idx = begin; idx < end; ++idx) {
-                const std::int32_t e = plan.entries[idx];
-                const auto nu = static_cast<std::size_t>(EvalPlan::node_of(e));
-                const TreeNode& node = nodes[nu];
-                if (EvalPlan::is_p2p(e)) {
-                  const std::span<const Vec3> ppos(pos.data() + node.begin,
-                                                   node.count());
-                  for (std::size_t w = 0; w < width; ++w) {
-                    cq[w] = std::span<const double>(
-                        sorted.data() + (c0 + w) * np + node.begin, node.count());
-                  }
-                  p2p_batch(x, ppos,
-                            std::span<const std::span<const double>>(cq, width),
-                            softening2, std::span<double>(p2p_out, width));
-                  for (std::size_t w = 0; w < width; ++w) acc[w] += p2p_out[w];
-                } else {
-                  const std::int32_t j = m2p_slot[nu];
-                  const std::uint64_t off =
-                      have_basis ? plan.basis_offset[idx] : EvalPlan::kNoBasis;
-                  for (std::size_t w = 0; w < width; ++w) {
-                    const MultipoleExpansion& m =
-                        batch_m[static_cast<std::size_t>(j) * k + c0 + w];
-                    acc[w] += off != EvalPlan::kNoBasis
-                                  ? m2p_apply_basis(m, plan.basis.data() + off)
-                                  : m2p(m, node.center, x);
-                  }
-                  if (c0 == 0 && want_bounds) my_bound += plan.entry_bounds[idx];
-                }
-              }
-              for (std::size_t w = 0; w < width; ++w) {
-                if (!std::isfinite(acc[w])) {
-                  obs::recorder::record(obs::recorder::Category::kNonFinite,
-                                        "engine.nonfinite_potential",
-                                        static_cast<double>(i));
-                  std::int64_t expected_idx = -1;
-                  nonfinite_at.compare_exchange_strong(
-                      expected_idx,
-                      static_cast<std::int64_t>(i * k + c0 + w),
-                      std::memory_order_relaxed);
-                  cancel.cancel();
-                  return cost;
-                }
-                phi[(c0 + w) * n + i] = acc[w];
-              }
-            }
-            if (want_bounds) bound[i] = my_bound;
-            if (deadline_active) done[i] = 1;
-            cost += plan.target_cost[i] * k;
-          }
-          return cost;
-        },
-        &cancel, obs::span::kEngineReplayWorker);
-  } catch (const std::exception& e) {
-    return engine_error(ErrorCode::kInternal,
-                        std::string("EvalSession: batch replay worker exception: ") +
-                            e.what());
-  }
-
-  const std::int64_t bad = nonfinite_at.load(std::memory_order_relaxed);
-  if (bad >= 0) {
-    return engine_error(
-        ErrorCode::kNonFinite,
-        "EvalSession: non-finite potential at evaluation point " +
-            std::to_string(bad / static_cast<std::int64_t>(k)) + " in batch column " +
-            std::to_string(bad % static_cast<std::int64_t>(k)));
-  }
-  std::uint64_t served = static_cast<std::uint64_t>(n);
-  if (deadline_hit.load(std::memory_order_relaxed)) {
-    reg.counter(obs::metric::kEngineDeadlineExpirations).add(1);
-    if (!config_.deadline_partial) {
-      return engine_error(ErrorCode::kDeadline,
-                          "EvalSession: deadline expired during batch replay");
-    }
-    served = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (done[i] != 0) {
-        ++served;
-      } else {
-        for (std::size_t c = 0; c < k; ++c) phi[c * n + i] = 0.0;
-        if (want_bounds) bound[i] = 0.0;
-      }
-    }
-  }
-
-  reg.counter(obs::metric::kEngineBatchReplays).add(1);
-  reg.counter(rung == ServeRung::kBasisReplay
-                  ? obs::metric::kEngineServeBasisReplay
-                  : obs::metric::kEngineServePlainReplay)
-      .add(1);
-  reg.counter(obs::metric::kEngineMultipoleTerms).add(plan.stats.multipole_terms * k);
-  reg.counter(obs::metric::kEngineM2pCount).add(plan.stats.m2p_count * k);
-  reg.counter(obs::metric::kEngineP2pPairs).add(plan.stats.p2p_pairs * k);
-
-  for (std::size_t c = 0; c < k; ++c) {
-    EvalResult& r = results[c];
-    r.stats.build_seconds = refresh_seconds;
-    r.stats.eval_seconds = eval_seconds;
-    r.stats.work = work;
-    r.stats.targets_served = served;
-    if (served != static_cast<std::uint64_t>(n)) r.stats.outcome = ErrorCode::kDeadline;
-    const double* row = phi.data() + c * n;
-    if (plan.self) {
-      const auto& orig = tree_.original_index();
-      for (std::size_t i = 0; i < n; ++i) {
-        r.potential[orig[i]] = row[i];
-        if (want_bounds) r.error_bound[orig[i]] = bound[i];
-      }
-    } else {
-      std::copy(row, row + n, r.potential.begin());
-      if (want_bounds) {
-        std::copy(bound.begin(), bound.end(), r.error_bound.begin());
-      }
-    }
-    TREECODE_ASSERT_EVAL_INVARIANTS(tree_, degrees_, config_, r, out_n,
-                                    "EvalSession::evaluate_batch");
-  }
+  Expected<void> served = replay_columns(
+      plan, Columns{sorted.data(), np, batch_m.data(), m2p_slot.data()}, results);
+  if (!served.ok()) return served.error();
   return results;
 }
 
@@ -1563,10 +1133,8 @@ Expected<EvalResult> EvalSession::try_evaluate_at(std::span<const Vec3> targets)
   std::uint64_t key = 0;
   Expected<EvalResult> served = try_evaluate_at_impl(targets, /*self=*/false, key);
   emit_request(obs::telemetry::Api::kEvaluateAt, key, timer.seconds(),
-               served.ok(), served.ok() ? served.value().stats.outcome
-                                        : served.error().code,
-               served.ok() ? &served.value().stats : nullptr, cache_, config_,
-               pool_.width(), rscope);
+               served.ok() ? nullptr : &served.error(),
+               served.ok() ? &served.value().stats : nullptr, *this, rscope);
   return served;
 }
 
@@ -1577,10 +1145,8 @@ Expected<EvalResult> EvalSession::try_evaluate() {
   Expected<EvalResult> served =
       try_evaluate_at_impl(tree_.positions(), /*self=*/true, key);
   emit_request(obs::telemetry::Api::kEvaluateSelf, key, timer.seconds(),
-               served.ok(), served.ok() ? served.value().stats.outcome
-                                        : served.error().code,
-               served.ok() ? &served.value().stats : nullptr, cache_, config_,
-               pool_.width(), rscope);
+               served.ok() ? nullptr : &served.error(),
+               served.ok() ? &served.value().stats : nullptr, *this, rscope);
   return served;
 }
 

@@ -71,10 +71,12 @@
 /// (EvalStats::targets_served valid targets) under deadline_partial. The
 /// deadline never influences rung choice, only completion.
 ///
-/// Determinism: a replay performs the identical kernel calls in the
-/// identical order as a fresh traversal (see eval_plan.hpp), so potentials
-/// — and tracked error bounds — are bitwise-equal to BarnesHutEvaluator
-/// output at every thread count and block size.
+/// Determinism: plans are recorded by the same alpha-MAC walk that
+/// BarnesHutEvaluator evaluates through (core/interaction_walk.hpp), and
+/// every replay — rung 0 or 1, single-RHS or batch column — runs one replay
+/// kernel, templated on its column-block width, over the recorded entries.
+/// Potentials and tracked error bounds are therefore bitwise-equal to
+/// BarnesHutEvaluator output at every thread count, block size and width.
 ///
 /// Thread safety: the session parallelizes internally over its own pool
 /// but external calls must be serialized — compile, update_charges, and
@@ -113,16 +115,15 @@ class EvalSession {
     /// charge-independent 1/r + Y_n^m factors; see eval_plan.hpp). Compile
     /// covers entries in schedule order until the budget is exhausted;
     /// uncovered entries replay through the full m2p kernel with identical
-    /// results. 0 disables precomputation entirely.
+    /// results. 0 disables it; gradient plans never carry one (m2p_grad
+    /// has no basis form).
     std::size_t basis_budget_bytes = std::size_t{512} << 20;
     /// Session-wide byte budget for the p2m refresh basis (per-particle rho
     /// powers and conjugated harmonics, shared across plans). Nodes are
     /// covered on first refresh until the budget is exhausted; uncovered
     /// nodes rebuild through the full p2m kernel with identical results.
+    /// 0 disables it; with both budgets 0 no basis is precomputed at all.
     std::size_t refresh_basis_budget_bytes = std::size_t{512} << 20;
-    /// Master switch for both basis precomputes (gradient plans never
-    /// precompute the m2p side: m2p_grad has no basis form).
-    bool precompute_basis = true;
   };
 
   /// Takes ownership of the tree; validates the config and assigns
@@ -165,25 +166,22 @@ class EvalSession {
   /// Replay a compiled plan against the current charges: refresh stale
   /// plan-referenced multipoles, then accumulate the frozen interaction
   /// lists. No tree walk, no MAC tests, no degree decisions. The plan must
-  /// come from this session (kInvalidArgument otherwise, shape-checked).
-  /// A governor denial during refresh degrades to rungs 2-3 over the
-  /// plan's own targets.
+  /// come from this session (kInvalidArgument otherwise: plans carry their
+  /// compiling session's id). A governor denial during refresh degrades to
+  /// rungs 2-3 over the plan's own targets.
   [[nodiscard]] Expected<EvalResult> try_evaluate(const EvalPlan& plan);
 
   /// Multi-RHS batched replay: evaluate `plan` against k charge columns
   /// (each in the *caller's original* particle order, size
-  /// tree().source_size()) in one walk of the frozen entry stream per
-  /// column block (SoA blocks of up to 8 columns). Column c of the result
-  /// is bitwise-identical to try_update_charges(charge_columns[c]) followed
-  /// by try_evaluate(plan), at every thread count and batch width: the
-  /// batch shares only charge-independent work (distances, the shared
-  /// sqrt denominator, the streamed m2p/p2m bases) and performs each
-  /// column's arithmetic on identical operands in identical order. The
-  /// batched path leaves the session's own charges, epochs, and multipoles
-  /// untouched. Gradient or audit configs — and a governor denial of the
-  /// batch workspace (engine.batch_denied) — fall back to a sequential
-  /// per-column replay (engine.batch_fallbacks), still bitwise-identical
-  /// but leaving the session's charges at the last column. Errors:
+  /// tree().source_size()) with one walk of the frozen entry stream per
+  /// block of up to 8 columns — the replay kernel at width K = the block's
+  /// column count. Column c is bitwise-identical to
+  /// try_update_charges(charge_columns[c]) + try_evaluate(plan) at every
+  /// thread count and width (DESIGN.md §5c), and the session's own charges,
+  /// epochs and multipoles stay untouched. Gradient or audit configs, and
+  /// a governor denial of the batch workspace (engine.batch_denied), fall
+  /// back to a sequential per-column replay (engine.batch_fallbacks) that
+  /// leaves the session's charges at the last column. Errors:
   /// kInvalidArgument (no columns, size mismatch, foreign plan),
   /// kNonFinite (bad column input, or a non-finite computed potential —
   /// the message names the target and column), kDeadline.
@@ -239,29 +237,38 @@ class EvalSession {
   }
 
  private:
-  struct CompileAccumulator;
+  /// Where a replay reads its charge columns and multipoles.
+  struct Columns {
+    const double* charges;                 ///< column c at charges + c * stride
+    std::size_t stride;
+    const MultipoleExpansion* multipoles;  ///< (slot s, column c) at [s * k + c]
+    const std::int32_t* slot;  ///< node -> batch slot; null = node id (single RHS)
+  };
 
   // Entry-point bodies: each public try_* above is a thin wrapper that
-  // times the call and emits one obs::telemetry RequestRecord at exit
-  // (api, plan key, rung, outcome, wall seconds, resident bytes, deadline
-  // slack, audit tightness) — success or failure.
+  // times the call and emits one obs::telemetry RequestRecord at exit.
   Expected<std::shared_ptr<const EvalPlan>> try_compile_impl(
       std::span<const Vec3> targets, bool self);
-  Expected<void> try_update_charges_impl(std::span<const double> charges);
-  Expected<void> try_update_charges_sorted_impl(std::span<const double> charges);
+  /// `sorted`: the charges are in tree order (size num_particles) rather
+  /// than the caller's original order (size source_size).
+  Expected<void> try_update_charges_impl(std::span<const double> charges, bool sorted);
   Expected<EvalResult> try_evaluate_impl(const EvalPlan& plan);
   Expected<std::vector<EvalResult>> try_evaluate_batch_impl(
       const EvalPlan& plan, std::span<const std::span<const double>> charge_columns);
-  /// Per-column single-RHS replay: the batch path for configs without a
-  /// batched kernel form (gradients, audits) or when the workspace was
-  /// denied. Mutates the session's charges (last column wins).
-  Expected<std::vector<EvalResult>> evaluate_batch_sequential(
-      const EvalPlan& plan, std::span<const std::span<const double>> charge_columns);
-  /// Best-effort p2m-basis coverage of every node `plan` references
-  /// (charge-independent, budget-gated, shared with the single-RHS refresh
-  /// pool) so a batch can rebuild per-column multipoles through
-  /// p2m_apply_basis. Never fails: uncovered nodes use the full kernel.
-  void cover_p2m_basis(const EvalPlan& plan);
+  /// Best-effort, budget-gated p2m-basis coverage of `node_ids` in the
+  /// session's pool (shared by the refresh and the batch). Never fails:
+  /// uncovered nodes rebuild through the full kernel.
+  void cover_p2m_basis(std::span<const std::int32_t> node_ids);
+  /// Build node `nu`'s (reset or cleared) expansion from tree-sorted
+  /// charges, through the p2m basis when covered — bitwise the same either way.
+  void build_multipole(std::size_t nu, const double* sorted_charges,
+                       MultipoleExpansion& m) const;
+  /// The replay prologue: kInvalidArgument unless this session compiled `plan`.
+  Expected<void> check_owned(const EvalPlan& plan);
+  /// The one replay body behind rungs 0-1 and the batch: the K-templated
+  /// kernel over results.size() columns, then metrics and the scatter.
+  Expected<void> replay_columns(const EvalPlan& plan, const Columns& columns,
+                                std::span<EvalResult> results);
   /// Shared ladder body for try_evaluate_at / try_evaluate; `key_out`
   /// reports the compiled plan's cache key (0 if compile was denied).
   Expected<EvalResult> try_evaluate_at_impl(std::span<const Vec3> targets,
@@ -277,9 +284,6 @@ class EvalSession {
   Expected<EvalResult> serve_traversal(std::span<const Vec3> targets, bool self);
   /// Rung 3: exact per-target P2P summation.
   Expected<EvalResult> serve_direct(std::span<const Vec3> targets, bool self);
-  /// Transient multipole bytes a rung-2 traversal needs (all nodes at
-  /// their assigned degrees); computed once, geometry is frozen.
-  [[nodiscard]] std::size_t traversal_reserve_bytes();
 
   Tree tree_;
   EvalConfig config_;
@@ -307,8 +311,8 @@ class EvalSession {
   /// into a live ledger.
   ResourceGovernor::Reservation multipole_reservation_;
   ResourceGovernor::Reservation p2m_reservation_;
-  std::size_t traversal_bytes_ = 0;  ///< lazy traversal_reserve_bytes() memo
   PlanCache cache_;
+  std::uint64_t id_;  ///< process-unique; stamped on every plan compiled here
 };
 
 }  // namespace treecode::engine

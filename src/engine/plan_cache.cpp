@@ -45,14 +45,7 @@ std::atomic<long long> g_basis_bytes_total{0};
 PlanCache::PlanCache(std::size_t capacity, std::size_t byte_capacity)
     : capacity_(capacity == 0 ? 1 : capacity), byte_capacity_(byte_capacity) {}
 
-PlanCache::~PlanCache() {
-  const std::lock_guard<std::mutex> lock(mu_);
-  plans_.clear();  // each ~Entry returns its reservation to the governor
-  by_key_.clear();
-  bytes_ = 0;
-  basis_bytes_ = 0;
-  publish_gauges_locked();  // withdraw this cache's share from the gauges
-}
+PlanCache::~PlanCache() { clear(); }  // withdraws this cache's share from the gauges
 
 std::shared_ptr<const EvalPlan> PlanCache::find(std::uint64_t key,
                                                 std::span<const Vec3> targets,

@@ -43,7 +43,7 @@ bool bitwise_equal(std::span<const double> a, std::span<const double> b) {
 
 /// Bytes a rung-2 traversal transiently needs: every node's multipole
 /// coefficients at its assigned degree (mirrors
-/// EvalSession::traversal_reserve_bytes).
+/// EvalSession::serve_degraded).
 std::size_t traversal_bytes(const engine::EvalSession& session) {
   std::size_t total = 0;
   const auto& degree = session.degrees().degree;
@@ -85,7 +85,8 @@ TEST(Degradation, BasisDisabledServesRungOneBitwiseEqual) {
 
   engine::EvalSession rung0(Tree(ps), base_config());
   engine::EvalSession::Options opts;
-  opts.precompute_basis = false;
+  opts.basis_budget_bytes = 0;
+  opts.refresh_basis_budget_bytes = 0;
   engine::EvalSession rung1(Tree(ps), base_config(), opts);
 
   auto r0 = rung0.try_evaluate_at(targets);

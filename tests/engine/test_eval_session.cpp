@@ -45,8 +45,9 @@ std::vector<double> perturbed_charges(const ParticleSystem& ps, std::uint64_t se
 }
 
 bool bitwise_equal(std::span<const double> a, std::span<const double> b) {
+  // memcmp must not see the null data() of an empty vector (UBSan).
   return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
 }
 
 // The engine's core contract: replaying a compiled plan is bitwise-equal to
@@ -120,7 +121,8 @@ TEST(EvalSession, BasisPrecomputeDoesNotChangeResults) {
   const std::vector<double> q = perturbed_charges(ps, 404);
 
   engine::EvalSession::Options no_basis;
-  no_basis.precompute_basis = false;
+  no_basis.basis_budget_bytes = 0;
+  no_basis.refresh_basis_budget_bytes = 0;
   engine::EvalSession plain(Tree(ps), cfg, no_basis);
   engine::EvalSession with_basis(Tree(ps), cfg);
 
@@ -259,6 +261,29 @@ TEST(EvalSession, ForeignPlanShapeRejected) {
   auto r = session.try_evaluate(bogus);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.error().code, ErrorCode::kInvalidArgument);
+}
+
+// A plan compiled by a session over a larger tree references node ids past
+// the end of this session's tables; replay and batch must reject it before
+// touching them (the ASan job keeps this honest).
+TEST(EvalSession, PlanFromAnotherSessionRejected) {
+  engine::EvalSession big(Tree(clustered(2000, 97)), base_config());
+  engine::EvalSession small(Tree(clustered(300, 83)), base_config());
+  const std::vector<Vec3> targets = grid_targets(64, 101);
+  const auto foreign = big.try_compile(targets).value_or_throw();
+  ASSERT_GT(foreign->m2p_nodes.back(), static_cast<std::int32_t>(small.tree().nodes().size()));
+
+  auto r = small.try_evaluate(*foreign);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error().code, ErrorCode::kInvalidArgument);
+  const std::vector<double> q(small.tree().source_size(), 1.0);
+  const std::span<const double> column(q);
+  auto b = small.try_evaluate_batch(*foreign, {&column, 1});
+  ASSERT_FALSE(b.ok());
+  EXPECT_EQ(b.error().code, ErrorCode::kInvalidArgument);
+
+  // The owning session still replays its plan.
+  EXPECT_TRUE(big.try_evaluate(*foreign).ok());
 }
 
 }  // namespace
