@@ -64,6 +64,35 @@ void BM_M2P(benchmark::State& state) {
 }
 BENCHMARK(BM_M2P)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
 
+// The two halves of replayed M2P, beside BM_M2P (the fused on-the-fly
+// kernel) at the same degrees: filling one target's basis, and applying an
+// expansion to a stored basis (bitwise-equal to m2p()).
+void BM_M2P_Basis(benchmark::State& state) {
+  const Fixture f;
+  const int p = static_cast<int>(state.range(0));
+  std::vector<double> basis(m2p_basis_size(p));
+  const Vec3 point{3.0, 2.0, 1.0};
+  for (auto _ : state) {
+    m2p_basis(p, f.center, point, basis);
+    benchmark::DoNotOptimize(basis.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_M2P_Basis)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
+
+void BM_M2P_ApplyBasis(benchmark::State& state) {
+  const Fixture f;
+  const int p = static_cast<int>(state.range(0));
+  MultipoleExpansion m(p);
+  p2m(f.center, f.pos, f.q, m);
+  std::vector<double> basis(m2p_basis_size(p));
+  m2p_basis(p, f.center, {3.0, 2.0, 1.0}, basis);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(m2p_apply_basis(m, basis.data()));
+  }
+}
+BENCHMARK(BM_M2P_ApplyBasis)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
+
 void BM_M2P_Grad(benchmark::State& state) {
   const Fixture f;
   const int p = static_cast<int>(state.range(0));

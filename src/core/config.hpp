@@ -96,6 +96,12 @@ struct EvalConfig {
   /// bounds over its accepted interactions — a rigorous a-posteriori bound
   /// on |Phi_exact - Phi_treecode| at that point (direct interactions
   /// contribute no error). Fills EvalResult::error_bound.
+  ///
+  /// The bound of an interaction is computed from the cluster's sum of |q|
+  /// as taken from the tree's charges at construction. A compiled session
+  /// keeps those sums across EvalSession::update_charges (and batch
+  /// columns): the bounds it then reports certify only charge vectors whose
+  /// sum of |q| over every cluster is no larger than the tree's.
   bool track_error_bounds = false;
 
   /// Per-target absolute error budget for Barnes-Hut traversal, in the

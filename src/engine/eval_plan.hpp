@@ -91,7 +91,8 @@ struct EvalPlan {
   /// target direction — see m2p_basis() in multipole/operators.hpp). These
   /// are the exact doubles the fresh kernel would recompute per apply, so
   /// replaying them through m2p_apply_basis() is bitwise-identical while
-  /// skipping the transcendentals and recurrences — the dominant m2p cost.
+  /// skipping the harmonic recurrence (the fresh kernel evaluates no
+  /// transcendentals either).
   /// The trade is memory ~ O(plan entries * terms), bounded by the
   /// session's basis budget; entries past the budget fall back to m2p().
   std::vector<double> basis;

@@ -1,8 +1,6 @@
 #include "multipole/harmonics.hpp"
 
-#include <array>
 #include <cassert>
-#include <cmath>
 #include <vector>
 
 namespace treecode {
@@ -21,15 +19,27 @@ const std::array<double, kFactTableSize>& factorial_table() {
   return table;
 }
 
-/// e^{i m phi} for m = 0..p, computed by repeated multiplication.
-void eval_phases(int p, double phi, std::vector<Complex>& e) {
-  e.resize(static_cast<std::size_t>(p) + 1);
-  const Complex step{std::cos(phi), std::sin(phi)};
-  e[0] = Complex{1.0, 0.0};
-  for (int m = 1; m <= p; ++m) e[static_cast<std::size_t>(m)] = e[static_cast<std::size_t>(m - 1)] * step;
+}  // namespace
+
+namespace detail {
+
+const HarmonicTables& harmonic_tables() noexcept {
+  static const HarmonicTables tables = [] {
+    HarmonicTables t{};
+    for (int n = 0; n <= kMaxDegree; ++n) {
+      for (int m = 0; m <= n; ++m) {
+        const std::size_t i = tri_index(n, m);
+        t.norm[i] = std::sqrt(factorial(n - m) / factorial(n + m));
+        t.a[i] = n - m >= 2 ? static_cast<double>(2 * n - 1) / (n - m) : 0.0;
+        t.b[i] = n - m >= 2 ? static_cast<double>(n + m - 1) / (n - m) : 0.0;
+      }
+    }
+    return t;
+  }();
+  return tables;
 }
 
-}  // namespace
+}  // namespace detail
 
 double factorial(int k) noexcept {
   assert(k >= 0 && k < kFactTableSize);
@@ -45,7 +55,7 @@ double a_coeff(int n, int m) noexcept {
 
 double y_norm(int n, int m) noexcept {
   assert(0 <= m && m <= n && n <= kMaxDegree);
-  return std::sqrt(factorial(n - m) / factorial(n + m));
+  return detail::harmonic_tables().norm[tri_index(n, m)];
 }
 
 Complex ipow(int k) noexcept {
@@ -63,48 +73,33 @@ Complex ipow(int k) noexcept {
   }
 }
 
-void eval_harmonics(int p, double theta, double phi, std::span<Complex> Y) {
+void eval_harmonics(int p, const Direction& u, std::span<Complex> Y) {
   assert(p >= 0 && p <= kMaxDegree);
   assert(Y.size() >= tri_size(p));
-  const double x = std::cos(theta);
-  const double s = std::sin(theta);
-  thread_local std::vector<double> P;
-  thread_local std::vector<Complex> phase;
-  P.resize(tri_size(p));
-  legendre_all(p, x, s, P);
-  eval_phases(p, phi, phase);
-  for (int n = 0; n <= p; ++n) {
-    for (int m = 0; m <= n; ++m) {
-      const std::size_t i = tri_index(n, m);
-      Y[i] = y_norm(n, m) * P[i] * phase[static_cast<std::size_t>(m)];
-    }
-  }
+  for_each_harmonic(p, u, [Y](int n, int m, Complex y) { Y[tri_index(n, m)] = y; });
 }
 
-void eval_harmonics_derivs(int p, double theta, double phi, std::span<Complex> Y,
+void eval_harmonics_derivs(int p, const Direction& u, std::span<Complex> Y,
                            std::span<Complex> dY, std::span<Complex> Ysin) {
   assert(p >= 0 && p <= kMaxDegree);
   assert(Y.size() >= tri_size(p));
   assert(dY.size() >= tri_size(p));
   assert(Ysin.size() >= tri_size(p));
-  const double x = std::cos(theta);
-  const double s = std::sin(theta);
   thread_local std::vector<double> P, T, U;
-  thread_local std::vector<Complex> phase;
   P.resize(tri_size(p));
   T.resize(tri_size(p));
   U.resize(tri_size(p));
-  legendre_all_derivs(p, x, s, P, T, U);
-  eval_phases(p, phi, phase);
-  for (int n = 0; n <= p; ++n) {
-    for (int m = 0; m <= n; ++m) {
+  legendre_all_derivs(p, u.cos_theta, u.sin_theta, P, T, U);
+  const double* norm = detail::harmonic_tables().norm.data();
+  Complex em{1.0, 0.0};  // e^{i m phi}
+  for (int m = 0; m <= p; ++m) {
+    for (int n = m; n <= p; ++n) {
       const std::size_t i = tri_index(n, m);
-      const Complex em = phase[static_cast<std::size_t>(m)];
-      const double norm = y_norm(n, m);
-      Y[i] = norm * P[i] * em;
-      dY[i] = norm * T[i] * em;
-      Ysin[i] = norm * U[i] * em;
+      Y[i] = norm[i] * P[i] * em;
+      dY[i] = norm[i] * T[i] * em;
+      Ysin[i] = norm[i] * U[i] * em;
     }
+    em *= u.eiphi;
   }
 }
 

@@ -4,26 +4,6 @@
 
 namespace treecode {
 
-void legendre_all(int p, double x, double s, std::span<double> P) {
-  assert(P.size() >= tri_size(p));
-  // Diagonal: P_m^m = (-1)^m (2m-1)!! s^m   (Condon-Shortley phase)
-  double pmm = 1.0;
-  for (int m = 0; m <= p; ++m) {
-    P[tri_index(m, m)] = pmm;
-    if (m + 1 <= p) {
-      // First subdiagonal: P_{m+1}^m = x (2m+1) P_m^m
-      P[tri_index(m + 1, m)] = x * (2 * m + 1) * pmm;
-      // Column recurrence: (n-m) P_n^m = x (2n-1) P_{n-1}^m - (n+m-1) P_{n-2}^m
-      for (int n = m + 2; n <= p; ++n) {
-        P[tri_index(n, m)] = (x * (2 * n - 1) * P[tri_index(n - 1, m)] -
-                              (n + m - 1) * P[tri_index(n - 2, m)]) /
-                             (n - m);
-      }
-    }
-    pmm *= -(2 * m + 1) * s;  // advance (-1)^m (2m-1)!! s^m to m+1
-  }
-}
-
 void legendre_all_derivs(int p, double x, double s, std::span<double> P, std::span<double> T,
                          std::span<double> U) {
   assert(P.size() >= tri_size(p));

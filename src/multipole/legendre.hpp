@@ -1,7 +1,7 @@
 #pragma once
 
 /// \file legendre.hpp
-/// Associated Legendre function recurrences.
+/// Associated Legendre function recurrences with theta-derivatives.
 ///
 /// Computes, for all 0 <= m <= n <= p, the values
 ///
@@ -12,7 +12,9 @@
 /// T and U are obtained by differentiating the three standard recurrences
 /// directly, so both are *pole-safe*: no 1/sin(theta) division ever occurs
 /// (P_n^m carries a sin^m factor, so P/sin is a polynomial in cos and sin for
-/// m >= 1). They feed the analytic gradients of multipole/local expansions.
+/// m >= 1). They feed the analytic gradients of multipole/local expansions;
+/// the plain P_n^m recurrence behind every other harmonic lives in
+/// for_each_harmonic() (harmonics.hpp).
 ///
 /// Storage is the packed triangular layout shared with the expansions:
 /// index (n, m) -> n*(n+1)/2 + m.
@@ -32,10 +34,6 @@ constexpr std::size_t tri_index(int n, int m) noexcept {
 constexpr std::size_t tri_size(int p) noexcept {
   return static_cast<std::size_t>(p + 1) * static_cast<std::size_t>(p + 2) / 2;
 }
-
-/// Evaluate P_n^m(cos theta) for all 0 <= m <= n <= p into `P`
-/// (size >= tri_size(p)).
-void legendre_all(int p, double cos_theta, double sin_theta, std::span<double> P);
 
 /// Evaluate P, T = dP/dtheta, and U = P/sin(theta) in one pass.
 /// All spans must have size >= tri_size(p). U[tri_index(n,0)] is set to 0.

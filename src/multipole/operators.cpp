@@ -20,6 +20,40 @@ void eval_powers(double rho, int p, std::vector<double>& powers) {
   for (int n = 1; n <= p; ++n) powers[static_cast<std::size_t>(n)] = powers[static_cast<std::size_t>(n - 1)] * rho;
 }
 
+/// Per-degree brackets of an expansion evaluated in direction u:
+///   bracket[n] = Re(C_n^0 Y_n^0) + 2 sum_{m>=1} Re(C_n^m Y_n^m),
+/// folded straight from the recurrence, with no Y array. Each bracket
+/// accumulates in ascending m with Re(C Y) = re*re - im*im, the products and
+/// order of m2p_apply_basis(), so on-the-fly and replayed M2P agree bitwise.
+/// Column m = 0 comes first and assigns every bracket[n], n <= degree, so
+/// callers pass an uninitialized array (zeroing it costs as much as a
+/// low-degree M2P).
+template <typename Expansion>
+void degree_brackets(const Expansion& e, const Direction& u, double* bracket) {
+  for_each_harmonic(e.degree(), u, [&e, bracket](int n, int m, Complex y) {
+    const Complex c = e.coeff(n, m);
+    const double t = c.real() * y.real() - c.imag() * y.imag();
+    if (m == 0) {
+      bracket[n] = t;
+    } else {
+      bracket[n] += 2.0 * t;
+    }
+  });
+}
+
+/// Local spherical unit vectors at direction u.
+struct SphericalFrame {
+  Vec3 rhat, that, phat;
+};
+
+SphericalFrame frame_of(const Direction& u) noexcept {
+  const double st = u.sin_theta;
+  const double ct = u.cos_theta;
+  const double cp = u.eiphi.real();
+  const double sp = u.eiphi.imag();
+  return {{st * cp, st * sp, ct}, {ct * cp, ct * sp, -st}, {-sp, cp, 0.0}};
+}
+
 /// When translating between coincident centers the operators degenerate to
 /// coefficient addition (degree-aware).
 template <typename Expansion>
@@ -37,21 +71,18 @@ void p2m(const Vec3& center, std::span<const Vec3> positions, std::span<const do
   assert(positions.size() == charges.size());
   const int p = out.degree();
   assert(p >= 0 && p <= kMaxDegree);
-  thread_local std::vector<Complex> Y;
-  thread_local std::vector<double> rho_pow;
-  Y.resize(tri_size(p));
+  double qr[kMaxDegree + 1] = {};  // q rho^n of the current source
   for (std::size_t i = 0; i < positions.size(); ++i) {
-    const Spherical s = to_spherical(positions[i] - center);
-    eval_harmonics(p, s.theta, s.phi, Y);
-    eval_powers(s.r, p, rho_pow);
-    const double q = charges[i];
+    const Direction u = direction_of(positions[i] - center);
+    double rho_n = 1.0;  // rho^n, advanced as p2m_basis stores it
     for (int n = 0; n <= p; ++n) {
-      const double qr = q * rho_pow[static_cast<std::size_t>(n)];
-      for (int m = 0; m <= n; ++m) {
-        // M_n^m += q rho^n Y_n^{-m} = q rho^n conj(Y_n^m)
-        out.coeff(n, m) += qr * std::conj(Y[tri_index(n, m)]);
-      }
+      qr[n] = charges[i] * rho_n;
+      rho_n *= u.r;
     }
+    // M_n^m += q rho^n Y_n^{-m} = q rho^n conj(Y_n^m)
+    for_each_harmonic(p, u, [&out, &qr](int n, int m, Complex y) {
+      out.coeff(n, m) += qr[n] * std::conj(y);
+    });
   }
 }
 
@@ -63,21 +94,23 @@ void p2m_basis(int p, const Vec3& center, std::span<const Vec3> positions,
                std::span<double> out) {
   assert(p >= 0 && p <= kMaxDegree);
   assert(out.size() >= p2m_basis_size(p, positions.size()));
-  thread_local std::vector<Complex> Y;
-  thread_local std::vector<double> rho_pow;
-  Y.resize(tri_size(p));
-  double* cursor = out.data();
+  double* rho = out.data();
   for (std::size_t i = 0; i < positions.size(); ++i) {
-    const Spherical s = to_spherical(positions[i] - center);
-    eval_harmonics(p, s.theta, s.phi, Y);
-    eval_powers(s.r, p, rho_pow);
-    for (int n = 0; n <= p; ++n) *cursor++ = rho_pow[static_cast<std::size_t>(n)];
-    for (std::size_t k = 0; k < Y.size(); ++k) {
+    const Direction u = direction_of(positions[i] - center);
+    double rho_n = 1.0;
+    for (int n = 0; n <= p; ++n) {
+      rho[n] = rho_n;
+      rho_n *= u.r;
+    }
+    double* Yc = rho + p + 1;
+    for_each_harmonic(p, u, [Yc](int n, int m, Complex y) {
       // Stored pre-conjugated: negation is exact, so the apply's
       // qr * stored_im reproduces qr * (-Y_im) bitwise.
-      *cursor++ = Y[k].real();
-      *cursor++ = -Y[k].imag();
-    }
+      const std::size_t k = 2 * tri_index(n, m);
+      Yc[k] = y.real();
+      Yc[k + 1] = -y.imag();
+    });
+    rho = Yc + 2 * tri_size(p);
   }
 }
 
@@ -111,19 +144,13 @@ void p2m_dipole(const Vec3& center, std::span<const Vec3> positions,
   dY.resize(tri_size(p));
   Ysin.resize(tri_size(p));
   for (std::size_t i = 0; i < positions.size(); ++i) {
-    const Spherical s = to_spherical(positions[i] - center);
-    eval_harmonics_derivs(p, s.theta, s.phi, Y, dY, Ysin);
-    const double st = std::sin(s.theta);
-    const double ct = std::cos(s.theta);
-    const double sp = std::sin(s.phi);
-    const double cp = std::cos(s.phi);
-    const Vec3 rhat{st * cp, st * sp, ct};
-    const Vec3 that{ct * cp, ct * sp, -st};
-    const Vec3 phat{-sp, cp, 0.0};
+    const Direction u = direction_of(positions[i] - center);
+    eval_harmonics_derivs(p, u, Y, dY, Ysin);
     // Components of the dipole moment in the local spherical frame.
-    const double dr = dot(moments[i], rhat);
-    const double dth = dot(moments[i], that);
-    const double dph = dot(moments[i], phat);
+    const SphericalFrame f = frame_of(u);
+    const double dr = dot(moments[i], f.rhat);
+    const double dth = dot(moments[i], f.that);
+    const double dph = dot(moments[i], f.phat);
     // M_n^m += d . grad_y [rho^n conj(Y_n^m)]; the n = 0 term is constant
     // in y, so dipoles contribute nothing there (zero net charge).
     double rp = 1.0;  // rho^(n-1)
@@ -137,7 +164,7 @@ void p2m_dipole(const Vec3& center, std::span<const Vec3> positions,
                   dph * Complex{0.0, -static_cast<double>(m)} * std::conj(Ysin[idx]));
         out.coeff(n, m) += grad_f;
       }
-      rp *= s.r;
+      rp *= u.r;
     }
   }
 }
@@ -146,17 +173,16 @@ void m2m(const MultipoleExpansion& src, const Vec3& src_center, MultipoleExpansi
          const Vec3& dst_center) {
   const int pd = dst.degree();
   assert(pd >= 0 && pd <= kMaxDegree);
-  const Vec3 d = src_center - dst_center;
-  const Spherical sp = to_spherical(d);
-  if (sp.r == 0.0) {
+  const Direction u = direction_of(src_center - dst_center);
+  if (u.r == 0.0) {
     add_coincident(src, dst);
     return;
   }
   thread_local std::vector<Complex> Y;
   thread_local std::vector<double> rho_pow;
   Y.resize(tri_size(pd));
-  eval_harmonics(pd, sp.theta, sp.phi, Y);
-  eval_powers(sp.r, pd, rho_pow);
+  eval_harmonics(pd, u, Y);
+  eval_powers(u.r, pd, rho_pow);
 
   for (int j = 0; j <= pd; ++j) {
     for (int k = 0; k <= j; ++k) {
@@ -186,19 +212,18 @@ void m2l(const MultipoleExpansion& src, const Vec3& src_center, LocalExpansion& 
   const int ps = src.degree();
   const int pd = dst.degree();
   assert(ps >= 0 && pd >= 0 && ps + pd <= kMaxDegree);
-  const Vec3 d = src_center - dst_center;
-  const Spherical sp = to_spherical(d);
-  assert(sp.r > 0.0 && "m2l requires separated centers");
+  const Direction u = direction_of(src_center - dst_center);
+  assert(u.r > 0.0 && "m2l requires separated centers");
   const int ptot = ps + pd;
   thread_local std::vector<Complex> Y;
   thread_local std::vector<double> inv_rho_pow;
   Y.resize(tri_size(ptot));
-  eval_harmonics(ptot, sp.theta, sp.phi, Y);
+  eval_harmonics(ptot, u, Y);
   // 1/rho^(j+n+1) for j+n in [0, ptot]
   inv_rho_pow.resize(static_cast<std::size_t>(ptot) + 2);
-  inv_rho_pow[0] = 1.0 / sp.r;
+  inv_rho_pow[0] = 1.0 / u.r;
   for (int n = 1; n <= ptot + 1; ++n) {
-    inv_rho_pow[static_cast<std::size_t>(n)] = inv_rho_pow[static_cast<std::size_t>(n - 1)] / sp.r;
+    inv_rho_pow[static_cast<std::size_t>(n)] = inv_rho_pow[static_cast<std::size_t>(n - 1)] / u.r;
   }
 
   for (int j = 0; j <= pd; ++j) {
@@ -228,17 +253,16 @@ void l2l(const LocalExpansion& src, const Vec3& src_center, LocalExpansion& dst,
   const int ps = src.degree();
   const int pd = dst.degree();
   assert(ps >= 0 && pd >= 0 && ps <= kMaxDegree);
-  const Vec3 d = src_center - dst_center;
-  const Spherical sp = to_spherical(d);
-  if (sp.r == 0.0) {
+  const Direction u = direction_of(src_center - dst_center);
+  if (u.r == 0.0) {
     add_coincident(src, dst);
     return;
   }
   thread_local std::vector<Complex> Y;
   thread_local std::vector<double> rho_pow;
   Y.resize(tri_size(ps));
-  eval_harmonics(ps, sp.theta, sp.phi, Y);
-  eval_powers(sp.r, ps, rho_pow);
+  eval_harmonics(ps, u, Y);
+  eval_powers(u.r, ps, rho_pow);
 
   for (int j = 0; j <= pd && j <= ps; ++j) {
     for (int k = 0; k <= j; ++k) {
@@ -266,20 +290,15 @@ void l2l(const LocalExpansion& src, const Vec3& src_center, LocalExpansion& dst,
 
 double m2p(const MultipoleExpansion& mexp, const Vec3& center, const Vec3& point) {
   const int p = mexp.degree();
-  const Spherical s = to_spherical(point - center);
-  assert(s.r > 0.0);
-  thread_local std::vector<Complex> Y;
-  Y.resize(tri_size(p));
-  eval_harmonics(p, s.theta, s.phi, Y);
-  const double inv_r = 1.0 / s.r;
+  const Direction u = direction_of(point - center);
+  assert(u.r > 0.0);
+  double bracket[kMaxDegree + 1];
+  degree_brackets(mexp, u, bracket);
+  const double inv_r = 1.0 / u.r;
   double phi = 0.0;
   double rpow = inv_r;  // 1/r^(n+1)
   for (int n = 0; n <= p; ++n) {
-    double bracket = (mexp.coeff(n, 0) * Y[tri_index(n, 0)]).real();
-    for (int m = 1; m <= n; ++m) {
-      bracket += 2.0 * (mexp.coeff(n, m) * Y[tri_index(n, m)]).real();
-    }
-    phi += bracket * rpow;
+    phi += bracket[n] * rpow;
     rpow *= inv_r;
   }
   return phi;
@@ -291,16 +310,15 @@ std::size_t m2p_basis_size(int p) noexcept {
 
 void m2p_basis(int p, const Vec3& center, const Vec3& point, std::span<double> out) {
   assert(out.size() >= m2p_basis_size(p));
-  const Spherical s = to_spherical(point - center);
-  assert(s.r > 0.0);
-  thread_local std::vector<Complex> Y;
-  Y.resize(tri_size(p));
-  eval_harmonics(p, s.theta, s.phi, Y);
-  out[0] = 1.0 / s.r;
-  for (std::size_t i = 0; i < Y.size(); ++i) {
-    out[1 + 2 * i] = Y[i].real();
-    out[2 + 2 * i] = Y[i].imag();
-  }
+  const Direction u = direction_of(point - center);
+  assert(u.r > 0.0);
+  out[0] = 1.0 / u.r;
+  double* Y = out.data() + 1;
+  for_each_harmonic(p, u, [Y](int n, int m, Complex y) {
+    const std::size_t k = 2 * tri_index(n, m);
+    Y[k] = y.real();
+    Y[k + 1] = y.imag();
+  });
 }
 
 double m2p_apply_basis(const MultipoleExpansion& mexp, const double* basis) noexcept {
@@ -310,9 +328,8 @@ double m2p_apply_basis(const MultipoleExpansion& mexp, const double* basis) noex
   double phi = 0.0;
   double rpow = inv_r;  // 1/r^(n+1)
   for (int n = 0; n <= p; ++n) {
-    // Each product below reproduces (coeff * Y).real() = re*re - im*im —
-    // the exact expression std::complex multiplication evaluates — on the
-    // stored Y doubles, keeping the accumulation bitwise-equal to m2p().
+    // The same products, in the same order, as m2p()'s degree_brackets on
+    // the stored Y doubles, keeping the accumulation bitwise-equal to m2p().
     const std::size_t i0 = 2 * tri_index(n, 0);
     const Complex c0 = mexp.coeff(n, 0);
     double bracket = c0.real() * Y[i0] - c0.imag() * Y[i0 + 1];
@@ -329,15 +346,15 @@ double m2p_apply_basis(const MultipoleExpansion& mexp, const double* basis) noex
 
 PotentialGrad m2p_grad(const MultipoleExpansion& mexp, const Vec3& center, const Vec3& point) {
   const int p = mexp.degree();
-  const Spherical s = to_spherical(point - center);
-  assert(s.r > 0.0);
+  const Direction u = direction_of(point - center);
+  assert(u.r > 0.0);
   thread_local std::vector<Complex> Y, dY, Ysin;
   Y.resize(tri_size(p));
   dY.resize(tri_size(p));
   Ysin.resize(tri_size(p));
-  eval_harmonics_derivs(p, s.theta, s.phi, Y, dY, Ysin);
+  eval_harmonics_derivs(p, u, Y, dY, Ysin);
 
-  const double inv_r = 1.0 / s.r;
+  const double inv_r = 1.0 / u.r;
   double phi = 0.0;
   double dphi_dr = 0.0;        // d/dr
   double dphi_dth_over_r = 0.0;  // (1/r) d/dtheta
@@ -359,46 +376,35 @@ PotentialGrad m2p_grad(const MultipoleExpansion& mexp, const Vec3& center, const
     dphi_az += baz * rpow * inv_r;
     rpow *= inv_r;
   }
-  const double st = std::sin(s.theta);
-  const double ct = std::cos(s.theta);
-  const double sp = std::sin(s.phi);
-  const double cp = std::cos(s.phi);
+  const SphericalFrame f = frame_of(u);
   PotentialGrad out;
   out.potential = phi;
-  const Vec3 rhat{st * cp, st * sp, ct};
-  const Vec3 that{ct * cp, ct * sp, -st};
-  const Vec3 phat{-sp, cp, 0.0};
-  out.gradient = dphi_dr * rhat + dphi_dth_over_r * that + dphi_az * phat;
+  out.gradient = dphi_dr * f.rhat + dphi_dth_over_r * f.that + dphi_az * f.phat;
   return out;
 }
 
 double l2p(const LocalExpansion& lexp, const Vec3& center, const Vec3& point) {
   const int p = lexp.degree();
-  const Spherical s = to_spherical(point - center);
-  thread_local std::vector<Complex> Y;
-  Y.resize(tri_size(p));
-  eval_harmonics(p, s.theta, s.phi, Y);
+  const Direction u = direction_of(point - center);
+  double bracket[kMaxDegree + 1];
+  degree_brackets(lexp, u, bracket);
   double phi = 0.0;
   double rpow = 1.0;  // r^n
   for (int n = 0; n <= p; ++n) {
-    double bracket = (lexp.coeff(n, 0) * Y[tri_index(n, 0)]).real();
-    for (int m = 1; m <= n; ++m) {
-      bracket += 2.0 * (lexp.coeff(n, m) * Y[tri_index(n, m)]).real();
-    }
-    phi += bracket * rpow;
-    rpow *= s.r;
+    phi += bracket[n] * rpow;
+    rpow *= u.r;
   }
   return phi;
 }
 
 PotentialGrad l2p_grad(const LocalExpansion& lexp, const Vec3& center, const Vec3& point) {
   const int p = lexp.degree();
-  const Spherical s = to_spherical(point - center);
+  const Direction u = direction_of(point - center);
   thread_local std::vector<Complex> Y, dY, Ysin;
   Y.resize(tri_size(p));
   dY.resize(tri_size(p));
   Ysin.resize(tri_size(p));
-  eval_harmonics_derivs(p, s.theta, s.phi, Y, dY, Ysin);
+  eval_harmonics_derivs(p, u, Y, dY, Ysin);
 
   double phi = 0.0;
   double dphi_dr = 0.0;
@@ -423,18 +429,12 @@ PotentialGrad l2p_grad(const LocalExpansion& lexp, const Vec3& center, const Vec
       dphi_az += baz * rpow_m1;
     }
     rpow_m1 = rpow;
-    rpow *= s.r;
+    rpow *= u.r;
   }
-  const double st = std::sin(s.theta);
-  const double ct = std::cos(s.theta);
-  const double sp = std::sin(s.phi);
-  const double cp = std::cos(s.phi);
+  const SphericalFrame f = frame_of(u);
   PotentialGrad out;
   out.potential = phi;
-  const Vec3 rhat{st * cp, st * sp, ct};
-  const Vec3 that{ct * cp, ct * sp, -st};
-  const Vec3 phat{-sp, cp, 0.0};
-  out.gradient = dphi_dr * rhat + dphi_dth_over_r * that + dphi_az * phat;
+  out.gradient = dphi_dr * f.rhat + dphi_dth_over_r * f.that + dphi_az * f.phat;
   return out;
 }
 

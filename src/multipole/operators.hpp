@@ -8,7 +8,9 @@
 ///      Phi(P) = sum_{n<=p} sum_{|m|<=n} M_n^m Y_n^m(theta,phi) / r^(n+1),
 ///      M_n^m = sum_i q_i rho_i^n Y_n^{-m}(alpha_i, beta_i),
 ///    where (rho_i, alpha_i, beta_i) are spherical coordinates of source i
-///    about c and (r, theta, phi) those of the evaluation point P.
+///    about c and (r, theta, phi) those of the evaluation point P. The
+///    operators never form these angles: every harmonic is evaluated from
+///    the Cartesian offset (direction_of() in harmonics.hpp).
 ///  * local expansion about center c:
 ///      Phi(P) = sum_{n<=p} sum_{|m|<=n} L_n^m Y_n^m(theta,phi) r^n.
 ///
@@ -75,16 +77,21 @@ struct PotentialGrad {
 };
 
 /// Evaluate the multipole expansion at `point` (outside the source sphere).
+/// Fused kernel: the harmonics are consumed as the recurrence produces them,
+/// with no Y array.
 double m2p(const MultipoleExpansion& m, const Vec3& center, const Vec3& point);
 
 // ---------------------------------------------------------------------------
 // Precomputed evaluation basis
 //
 // The m2p kernel factors into a charge-independent geometric basis
-// (1/r and the spherical harmonics Y_n^m of the target direction — the
-// expensive transcendentals and recurrences) and a cheap dot product with
-// the multipole coefficients. For repeated evaluations over fixed geometry
-// (compiled traversal plans), the basis can be computed once and replayed:
+// (1/r and the spherical harmonics Y_n^m of the target direction) and a
+// dot product with the multipole coefficients. m2p() itself runs the
+// harmonic recurrence on the fly and folds each Y_n^m into its degree's
+// bracket as it is produced; no transcendental is evaluated on either path,
+// so what a stored basis saves is only the recurrence and the normalization
+// multiplies. For repeated evaluations over fixed geometry (compiled
+// traversal plans), the basis can be computed once and replayed:
 // m2p_apply_basis performs the identical floating-point operations on the
 // identical stored doubles, so its result is bitwise-equal to m2p().
 

@@ -3,14 +3,15 @@
 #include <cmath>
 #include <vector>
 
+#include "multipole/harmonics.hpp"
 #include "multipole/legendre.hpp"
 
 namespace treecode {
 namespace {
 
 std::vector<double> eval_P(int p, double theta) {
-  std::vector<double> P(tri_size(p));
-  legendre_all(p, std::cos(theta), std::sin(theta), P);
+  std::vector<double> P(tri_size(p)), T(tri_size(p)), U(tri_size(p));
+  legendre_all_derivs(p, std::cos(theta), std::sin(theta), P, T, U);
   return P;
 }
 
@@ -120,16 +121,23 @@ TEST(Legendre, PoleValuesAreFinite) {
 }
 
 TEST(Legendre, ConsistentBetweenPlainAndDerivVersions) {
+  // The plain recurrence is the one inside for_each_harmonic(); at phi = 0
+  // it yields Y_n^m = y_norm(n, m) P_n^m.
   const int p = 9;
   const double theta = 1.234;
-  std::vector<double> P1(tri_size(p));
-  legendre_all(p, std::cos(theta), std::sin(theta), P1);
+  std::vector<Complex> Y(tri_size(p));
+  eval_harmonics(p, direction_of({std::sin(theta), 0.0, std::cos(theta)}), Y);
   std::vector<double> P2(tri_size(p)), T(tri_size(p)), U(tri_size(p));
   legendre_all_derivs(p, std::cos(theta), std::sin(theta), P2, T, U);
-  for (std::size_t i = 0; i < tri_size(p); ++i) {
-    // The two code paths order their arithmetic differently (the deriv
-    // version multiplies by a precomputed 1/(n-m)); allow ulp-level drift.
-    EXPECT_NEAR(P1[i], P2[i], 1e-13 * (1.0 + std::abs(P1[i])));
+  for (int n = 0; n <= p; ++n) {
+    for (int m = 0; m <= n; ++m) {
+      const std::size_t i = tri_index(n, m);
+      const double P1 = Y[i].real() / y_norm(n, m);
+      // The two code paths order their arithmetic differently (the plain
+      // one multiplies by tabulated (2n-1)/(n-m), (n+m-1)/(n-m), the deriv
+      // version by 1/(n-m)); allow ulp-level drift.
+      EXPECT_NEAR(P1, P2[i], 1e-13 * (1.0 + std::abs(P1)));
+    }
   }
 }
 

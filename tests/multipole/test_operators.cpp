@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <random>
 #include <vector>
 
@@ -362,6 +364,83 @@ TEST(P2P_Grad, PointChargeGradientSign) {
   EXPECT_NEAR(g.gradient.x, -0.25, 1e-15);
   EXPECT_NEAR(g.gradient.y, 0.0, 1e-15);
   EXPECT_NEAR(g.gradient.z, 0.0, 1e-15);
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+TEST(FusedM2P, EqualsBasisReplayBitwiseAtEveryDegree) {
+  // The fused kernel folds each Y_n^m into its bracket as the recurrence
+  // produces it; the replay reads the same Y from a stored basis. Both must
+  // perform the same products in the same order — including on the z axis,
+  // where sin(theta) = 0 and e^{i phi} = 1.
+  const Cloud c = make_cloud(9, {0.2, -0.1, 0.3}, 0.5, 24);
+  const std::vector<Vec3> points = {{2.5, 1.0, -0.7},  {-1.1, 0.4, 2.2}, {0.2, -0.1, 3.3},
+                                    {0.2, -0.1, -2.9}, {0.2, 2.1, 0.3},  {-3.0, -0.1, 0.3}};
+  std::vector<double> basis;
+  for (int p = 0; p <= kMaxDegree; ++p) {
+    MultipoleExpansion m(p);
+    p2m(c.center, c.pos, c.q, m);
+    basis.assign(m2p_basis_size(p), 0.0);
+    for (const Vec3& x : points) {
+      m2p_basis(p, c.center, x, basis);
+      const double fused = m2p(m, c.center, x);
+      ASSERT_TRUE(std::isfinite(fused)) << "p=" << p;
+      EXPECT_EQ(bits(fused), bits(m2p_apply_basis(m, basis.data())))
+          << "p=" << p << " point=" << x;
+    }
+  }
+}
+
+TEST(FusedP2M, EqualsBasisReplayBitwiseAtEveryDegree) {
+  // Sources include one exactly at the center (r = 0: the +z convention
+  // keeps its harmonics finite) and two on the z axis through it.
+  Cloud c = make_cloud(13, {-0.3, 0.1, 0.2}, 0.4, 20);
+  for (const Vec3& off : {Vec3{0, 0, 0}, Vec3{0, 0, 0.25}, Vec3{-0.0, 0.0, -0.3}}) {
+    c.pos.push_back(c.center + off);
+    c.q.push_back(0.7);
+  }
+  std::vector<double> basis;
+  for (int p = 0; p <= kMaxDegree; ++p) {
+    MultipoleExpansion fresh(p);
+    p2m(c.center, c.pos, c.q, fresh);
+    basis.assign(p2m_basis_size(p, c.pos.size()), 0.0);
+    p2m_basis(p, c.center, c.pos, basis);
+    MultipoleExpansion replayed(p);
+    p2m_apply_basis(c.q, basis.data(), replayed);
+    for (int n = 0; n <= p; ++n) {
+      for (int m = 0; m <= n; ++m) {
+        const Complex a = fresh.coeff(n, m);
+        const Complex b = replayed.coeff(n, m);
+        ASSERT_TRUE(std::isfinite(a.real()) && std::isfinite(a.imag()))
+            << "p=" << p << " n=" << n << " m=" << m;
+        EXPECT_EQ(bits(a.real()), bits(b.real())) << "p=" << p << " n=" << n << " m=" << m;
+        EXPECT_EQ(bits(a.imag()), bits(b.imag())) << "p=" << p << " n=" << n << " m=" << m;
+      }
+    }
+  }
+}
+
+TEST(FusedP2M, SourceAtTheCenterContributesOnlyTheMonopole) {
+  // r = 0: M_0^0 = q Y_0^0 = q and r^n = 0 zeroes every n >= 1 term.
+  const Vec3 center{0.4, -0.2, 0.9};
+  const std::vector<Vec3> pos = {center};
+  const std::vector<double> q = {-1.75};
+  for (int p : {0, 1, 4, kMaxDegree}) {
+    MultipoleExpansion m(p);
+    p2m(center, pos, q, m);
+    std::vector<double> basis(p2m_basis_size(p, 1));
+    p2m_basis(p, center, pos, basis);
+    MultipoleExpansion replayed(p);
+    p2m_apply_basis(q, basis.data(), replayed);
+    EXPECT_EQ(m.coeff(0, 0), (Complex{-1.75, 0.0}));
+    EXPECT_EQ(replayed.coeff(0, 0), (Complex{-1.75, 0.0}));
+    for (int n = 1; n <= p; ++n) {
+      for (int k = 0; k <= n; ++k) {
+        EXPECT_EQ(std::abs(m.coeff(n, k)), 0.0) << "p=" << p << " n=" << n << " m=" << k;
+        EXPECT_EQ(std::abs(replayed.coeff(n, k)), 0.0);
+      }
+    }
+  }
 }
 
 }  // namespace
