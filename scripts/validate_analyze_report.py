@@ -17,7 +17,7 @@ import os
 import sys
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from validate_report import validate  # noqa: E402
+from validate_report import load_schema, validate  # noqa: E402
 
 
 def validate_report_dict(report, schema):
@@ -114,7 +114,7 @@ def _self_test():
     r["counts"]["by_rule"]["governor-raii"] = 7
     cases.append((r, False))            # per-rule tally disagrees
 
-    schema = _load_schema(None)
+    schema = load_schema("analyze_report_schema.json")
     for i, (rep, expect_ok) in enumerate(cases):
         with tempfile.NamedTemporaryFile("w", suffix=".json",
                                          delete=False) as f:
@@ -130,14 +130,6 @@ def _self_test():
     return 0
 
 
-def _load_schema(schema_path):
-    if schema_path is None:
-        schema_path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                                   "analyze_report_schema.json")
-    with open(schema_path, encoding="utf-8") as f:
-        return json.load(f)
-
-
 def main(argv):
     if len(argv) == 2 and argv[1] == "--self-test":
         return _self_test()
@@ -145,7 +137,8 @@ def main(argv):
         print(__doc__.strip(), file=sys.stderr)
         return 1
     path = argv[1]
-    schema = _load_schema(argv[2] if len(argv) == 3 else None)
+    schema = load_schema("analyze_report_schema.json",
+                         argv[2] if len(argv) == 3 else None)
     errors = validate_file(path, schema)
     if errors:
         for e in errors[:20]:

@@ -87,17 +87,23 @@ def validate(value, schema, path="$", root=None):
     return errors
 
 
+def load_schema(filename, path=None):
+    """Load the schema at `path`, or `filename` next to this script."""
+    if path is None:
+        path = os.path.join(os.path.dirname(os.path.abspath(__file__)), filename)
+    with open(path, encoding="utf-8") as f:
+        return json.load(f)
+
+
 def main(argv):
     if len(argv) not in (2, 3):
         print(__doc__.strip(), file=sys.stderr)
         return 1
     report_path = argv[1]
-    schema_path = argv[2] if len(argv) == 3 else os.path.join(
-        os.path.dirname(os.path.abspath(__file__)), "bench_report_schema.json")
     with open(report_path, encoding="utf-8") as f:
         report = json.load(f)
-    with open(schema_path, encoding="utf-8") as f:
-        schema = json.load(f)
+    schema = load_schema("bench_report_schema.json",
+                         argv[2] if len(argv) == 3 else None)
     errors = validate(report, schema)
     if errors:
         for e in errors[:20]:

@@ -23,7 +23,7 @@ import os
 import sys
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from validate_report import validate  # noqa: E402
+from validate_report import load_schema, validate  # noqa: E402
 
 _APIS = {
     "compile", "compile_self", "update_charges", "update_charges_sorted",
@@ -150,7 +150,7 @@ def _self_test():
     cross_api["api"] = "service_submit"
     cases.append(([good_v2, cross_api], True))  # same trace, different api
 
-    schema = _load_schema(None)
+    schema = load_schema("telemetry_record_schema.json")
     for i, (lines, expect_ok) in enumerate(cases):
         with tempfile.NamedTemporaryFile("w", suffix=".jsonl",
                                          delete=False) as f:
@@ -167,14 +167,6 @@ def _self_test():
     return 0
 
 
-def _load_schema(schema_path):
-    if schema_path is None:
-        schema_path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                                   "telemetry_record_schema.json")
-    with open(schema_path, encoding="utf-8") as f:
-        return json.load(f)
-
-
 def main(argv):
     if len(argv) == 2 and argv[1] == "--self-test":
         return _self_test()
@@ -182,7 +174,8 @@ def main(argv):
         print(__doc__.strip(), file=sys.stderr)
         return 1
     path = argv[1]
-    schema = _load_schema(argv[2] if len(argv) == 3 else None)
+    schema = load_schema("telemetry_record_schema.json",
+                         argv[2] if len(argv) == 3 else None)
     errors = validate_file(path, schema)
     if errors:
         for e in errors[:20]:

@@ -38,7 +38,7 @@ import os
 import sys
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from validate_report import validate  # noqa: E402
+from validate_report import load_schema, validate  # noqa: E402
 
 _REASONS = {"error", "degraded", "deadline", "slo", "slow", "forced",
             "sampled"}
@@ -306,7 +306,7 @@ def _self_test():
     healthy["batch_seq"] = 0  # admission record: retention-only rule
     cases.append(([], [healthy], True))  # healthy + sampled out is fine
 
-    schema = _load_schema(None)
+    schema = load_schema("trace_schema.json")
     for i, (lines, tele, expect_ok) in enumerate(cases):
         with tempfile.NamedTemporaryFile("w", suffix=".jsonl",
                                          delete=False) as f:
@@ -332,14 +332,6 @@ def _self_test():
     return 0
 
 
-def _load_schema(schema_path):
-    if schema_path is None:
-        schema_path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                                   "trace_schema.json")
-    with open(schema_path, encoding="utf-8") as f:
-        return json.load(f)
-
-
 def main(argv):
     if len(argv) == 2 and argv[1] == "--self-test":
         return _self_test()
@@ -354,7 +346,7 @@ def main(argv):
         return 1
     path = args[0]
     telemetry_path = args[1] if len(args) == 2 else None
-    schema = _load_schema(schema_path)
+    schema = load_schema("trace_schema.json", schema_path)
     errors = validate_file(path, schema, telemetry_path)
     if errors:
         for e in errors[:20]:

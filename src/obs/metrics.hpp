@@ -50,6 +50,11 @@ inline constexpr unsigned kMetricShards = 64;
 /// monotonically increasing across the process).
 unsigned thread_index() noexcept;
 
+/// Microseconds on the steady clock since its (arbitrary) epoch. The
+/// recorder, telemetry and request-trace timestamps subtract their own
+/// enable-time epoch from this.
+std::int64_t steady_now_us() noexcept;
+
 namespace detail {
 /// One cache line per shard so concurrent add() never false-shares.
 struct alignas(64) PaddedU64 {

@@ -1,37 +1,18 @@
 #include "obs/recorder.hpp"
 
-#include <algorithm>
-#include <array>
-#include <chrono>
 #include <mutex>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
+#include "obs/seq_ring.hpp"
 
 namespace treecode::obs::recorder {
 
 namespace {
 
-/// One ring slot. All fields are atomics so concurrent write/read is a data
-/// race on values only in the benign seqlock sense: the begin/end stamps
-/// bracket the payload, and a reader discards any slot whose stamps do not
-/// match. Stamps store seq+1 so the zero-initialized state reads as empty.
-struct Slot {
-  std::atomic<std::uint64_t> begin{0};
-  std::atomic<std::uint64_t> end{0};
-  std::atomic<std::int64_t> ts_us{0};
-  std::atomic<std::uint32_t> tid{0};
-  std::atomic<std::uint8_t> category{0};
-  std::atomic<const char*> label{nullptr};
-  std::atomic<double> value{0.0};
-};
-
-static_assert((kCapacity & (kCapacity - 1)) == 0, "ring index uses a mask");
-
 struct State {
-  std::array<Slot, kCapacity> ring;
-  std::atomic<std::uint64_t> next_seq{0};
+  SeqRing<Event, kCapacity> ring;
   std::atomic<bool> enabled{false};
   std::atomic<std::int64_t> epoch_us{0};
   std::atomic<std::uint64_t> triggers{0};
@@ -44,12 +25,6 @@ struct State {
 State& state() {
   static State s;
   return s;
-}
-
-std::int64_t now_us() {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
 }
 
 }  // namespace
@@ -70,7 +45,7 @@ const char* category_name(Category c) {
 
 void start() {
   State& s = state();
-  s.epoch_us.store(now_us(), std::memory_order_relaxed);
+  s.epoch_us.store(steady_now_us(), std::memory_order_relaxed);
   s.enabled.store(true, std::memory_order_release);
 }
 
@@ -81,12 +56,7 @@ bool enabled() { return state().enabled.load(std::memory_order_relaxed); }
 void reset() {
   State& s = state();
   s.enabled.store(false, std::memory_order_release);
-  for (Slot& slot : s.ring) {
-    slot.begin.store(0, std::memory_order_relaxed);
-    slot.end.store(0, std::memory_order_relaxed);
-    slot.label.store(nullptr, std::memory_order_relaxed);
-  }
-  s.next_seq.store(0, std::memory_order_relaxed);
+  s.ring.clear();
   s.triggers.store(0, std::memory_order_relaxed);
   const std::scoped_lock lock(s.dump_mutex);
   s.dump_path.clear();
@@ -95,48 +65,26 @@ void reset() {
 void record(Category category, const char* label, double value) noexcept {
   State& s = state();
   if (!s.enabled.load(std::memory_order_relaxed)) return;
-  const std::uint64_t seq = s.next_seq.fetch_add(1, std::memory_order_relaxed);
-  Slot& slot = s.ring[seq & (kCapacity - 1)];
-  // Seqlock write: open the slot (begin != end marks it torn), fill the
-  // payload relaxed, then publish by matching the end stamp with release so
-  // a reader that acquires `end` sees the full payload.
-  slot.begin.store(seq + 1, std::memory_order_relaxed);
-  slot.ts_us.store(now_us() - s.epoch_us.load(std::memory_order_relaxed),
-                   std::memory_order_relaxed);
-  slot.tid.store(static_cast<std::uint32_t>(thread_index()), std::memory_order_relaxed);
-  slot.category.store(static_cast<std::uint8_t>(category), std::memory_order_relaxed);
-  slot.label.store(label, std::memory_order_relaxed);
-  slot.value.store(value, std::memory_order_relaxed);
-  slot.end.store(seq + 1, std::memory_order_release);
+  s.ring.push(Event{.ts_us = steady_now_us() - s.epoch_us.load(std::memory_order_relaxed),
+                    .tid = thread_index(),
+                    .category = category,
+                    .label = label,
+                    .value = value});
 }
 
 std::vector<Event> events() {
-  State& s = state();
+  const auto snapshot = state().ring.snapshot();
   std::vector<Event> out;
-  out.reserve(kCapacity);
-  for (const Slot& slot : s.ring) {
-    const std::uint64_t end = slot.end.load(std::memory_order_acquire);
-    if (end == 0) continue;  // never written
-    Event e;
-    e.ts_us = slot.ts_us.load(std::memory_order_relaxed);
-    e.tid = slot.tid.load(std::memory_order_relaxed);
-    e.category = static_cast<Category>(slot.category.load(std::memory_order_relaxed));
-    const char* label = slot.label.load(std::memory_order_relaxed);
-    e.value = slot.value.load(std::memory_order_relaxed);
-    const std::uint64_t begin = slot.begin.load(std::memory_order_relaxed);
-    if (begin != end) continue;  // torn: writer was mid-update
-    e.seq = end - 1;
-    e.label = label != nullptr ? label : "";
+  out.reserve(snapshot.size());
+  for (auto [seq, e] : snapshot) {
+    e.seq = seq;
+    if (e.label == nullptr) e.label = "";
     out.push_back(e);
   }
-  std::sort(out.begin(), out.end(),
-            [](const Event& a, const Event& b) { return a.seq < b.seq; });
   return out;
 }
 
-std::uint64_t recorded_count() {
-  return state().next_seq.load(std::memory_order_relaxed);
-}
+std::uint64_t recorded_count() { return state().ring.pushed(); }
 
 Json to_json(const std::string& reason) {
   const std::vector<Event> snapshot = events();

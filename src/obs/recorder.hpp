@@ -15,10 +15,10 @@
 ///
 /// Design constraints, in order:
 ///  - Recording must be safe from any thread at any time, including inside
-///    evaluator hot paths that run under the TSan stress suite. Every slot
-///    field is an atomic; a seqlock-style begin/end stamp pair makes torn
-///    reads detectable instead of undefined. There are no locks and no
-///    allocation on the record path.
+///    evaluator hot paths that run under the TSan stress suite. The ring is
+///    an obs::SeqRing (obs/seq_ring.hpp): records travel as atomic words
+///    between seqlock stamps, so torn reads are detectable instead of
+///    undefined. There are no locks and no allocation on the record path.
 ///  - Disabled (the default) must cost one relaxed atomic load and a
 ///    predicted branch, so the recorder can stay compiled into release
 ///    evaluators without showing up in benchmarks.
@@ -29,10 +29,11 @@
 ///    name.
 ///
 /// A slot being overwritten while a snapshot reader visits it yields a
-/// mismatched begin/end stamp and the slot is skipped; with a 4096-slot ring
-/// the writer would have to lap the reader for a stamp to false-match, which
-/// is acceptable for a diagnostic artifact (the snapshot is already "the
-/// recent past", not a consistent cut).
+/// mismatched begin/end stamp and the slot is skipped. Stamps are unique
+/// sequence numbers, so a reader lapped mid-snapshot cannot false-match
+/// either. Two writers N records apart on one slot (a stalled writer the
+/// ring laps) cannot tear it: the later one drops its event instead
+/// (obs/seq_ring.hpp).
 
 #include <atomic>
 #include <cstdint>

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <deque>
 #include <fstream>
@@ -14,6 +13,7 @@
 #include "obs/metric_names.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
+#include "obs/seq_ring.hpp"
 
 namespace treecode::obs::reqtrace {
 
@@ -45,10 +45,9 @@ std::string span_id_hex(std::uint64_t id) {
 
 namespace {
 
-/// Span slots per thread ring. Power of two so the slot index is a mask.
-constexpr std::size_t kSpanRingCapacity = 512;
-/// Thread rings; obs::thread_index() wraps past this (slots are still
-/// claimed atomically, two threads just share a ring).
+/// Thread rings of 512 span slots; obs::thread_index() wraps past 64
+/// (slots are still claimed atomically, two threads just share a ring).
+using ThreadRing = SeqRing<SpanRecord, 512>;
 constexpr std::size_t kMaxThreadRings = 64;
 
 constexpr std::uint64_t kGolden = 0x9E3779B97F4A7C15ULL;
@@ -63,34 +62,6 @@ std::uint64_t mix64(std::uint64_t z) {
   z ^= z >> 31;
   return z;
 }
-
-/// One ring slot, seqlock-stamped exactly like the flight recorder's
-/// (obs/recorder.cpp): begin/end bracket the payload, a reader discards
-/// any slot whose stamps disagree. Stamps store seq+1 so zero-initialized
-/// reads as empty.
-struct Slot {
-  std::atomic<std::uint64_t> begin{0};
-  std::atomic<std::uint64_t> end{0};
-  std::atomic<std::uint64_t> trace_hi{0};
-  std::atomic<std::uint64_t> trace_lo{0};
-  std::atomic<std::uint64_t> span_id{0};
-  std::atomic<std::uint64_t> parent_span_id{0};
-  std::atomic<const char*> name{nullptr};
-  std::atomic<std::uint8_t> kind{0};
-  std::atomic<std::uint32_t> tid{0};
-  std::atomic<std::int64_t> start_us{0};
-  std::atomic<std::int64_t> end_us{0};
-  std::atomic<std::uint32_t> flow_count{0};
-  std::array<std::atomic<std::uint64_t>, kMaxFlows> flows{};
-};
-
-static_assert((kSpanRingCapacity & (kSpanRingCapacity - 1)) == 0,
-              "ring index uses a mask");
-
-struct ThreadRing {
-  std::array<Slot, kSpanRingCapacity> slots;
-  std::atomic<std::uint64_t> next{0};
-};
 
 struct TraceId {
   std::uint64_t hi = 0;
@@ -110,7 +81,7 @@ struct State {
   std::atomic<std::uint64_t> seed{1};    ///< from SamplerConfig::seed
 
   // Rings are allocated on a thread's first span and kept for the process
-  // lifetime (readers hold bare pointers); reset() only clears stamps.
+  // lifetime (readers hold bare pointers); reset() only clears them.
   std::array<std::atomic<ThreadRing*>, kMaxThreadRings> rings{};
   std::mutex ring_alloc_mutex;
   std::vector<std::unique_ptr<ThreadRing>> owned_rings;
@@ -129,12 +100,6 @@ State& state() {
 }
 
 thread_local TraceContext tl_current{};
-
-std::int64_t steady_now_us() {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 /// Next id from the seeded deterministic stream. Never returns 0 (0 is the
 /// "no trace" sentinel).
@@ -210,27 +175,8 @@ void collect_spans(State& s, std::vector<RetainedTrace>& out) {
   for (std::size_t r = 0; r < kMaxThreadRings; ++r) {
     const ThreadRing* ring = s.rings[r].load(std::memory_order_acquire);
     if (ring == nullptr) continue;
-    for (const Slot& slot : ring->slots) {
-      const std::uint64_t end = slot.end.load(std::memory_order_acquire);
-      if (end == 0) continue;  // never written
-      SpanRecord record;
-      record.trace_hi = slot.trace_hi.load(std::memory_order_relaxed);
-      record.trace_lo = slot.trace_lo.load(std::memory_order_relaxed);
-      record.span_id = slot.span_id.load(std::memory_order_relaxed);
-      record.parent_span_id = slot.parent_span_id.load(std::memory_order_relaxed);
-      const char* name = slot.name.load(std::memory_order_relaxed);
-      record.kind = static_cast<SpanKind>(slot.kind.load(std::memory_order_relaxed));
-      record.tid = slot.tid.load(std::memory_order_relaxed);
-      record.start_us = slot.start_us.load(std::memory_order_relaxed);
-      record.end_us = slot.end_us.load(std::memory_order_relaxed);
-      record.flow_count = std::min<std::uint32_t>(
-          slot.flow_count.load(std::memory_order_relaxed), kMaxFlows);
-      for (std::size_t f = 0; f < kMaxFlows; ++f) {
-        record.flows[f] = slot.flows[f].load(std::memory_order_relaxed);
-      }
-      const std::uint64_t begin = slot.begin.load(std::memory_order_relaxed);
-      if (begin != end) continue;  // torn: writer was mid-update
-      record.name = name != nullptr ? name : "";
+    for (auto& [seq, record] : ring->snapshot()) {
+      if (record.name == nullptr) record.name = "";
       const auto it = index.find(record.trace_lo);
       if (it == index.end()) continue;
       for (const std::size_t i : it->second) {
@@ -290,13 +236,7 @@ void reset() {
   s.enabled.store(false, std::memory_order_release);
   for (std::size_t r = 0; r < kMaxThreadRings; ++r) {
     ThreadRing* ring = s.rings[r].load(std::memory_order_acquire);
-    if (ring == nullptr) continue;
-    for (Slot& slot : ring->slots) {
-      slot.begin.store(0, std::memory_order_relaxed);
-      slot.end.store(0, std::memory_order_relaxed);
-      slot.name.store(nullptr, std::memory_order_relaxed);
-    }
-    ring->next.store(0, std::memory_order_relaxed);
+    if (ring != nullptr) ring->clear();
   }
   s.draws.store(0, std::memory_order_relaxed);
   const std::scoped_lock lock(s.sampler_mutex);
@@ -341,26 +281,19 @@ void record_span(const TraceContext& ctx, const char* name, SpanKind kind,
                  std::span<const std::uint64_t> flows) noexcept {
   State& s = state();
   if (!s.enabled.load(std::memory_order_relaxed) || !ctx.valid()) return;
-  ThreadRing& ring = ring_for_thread(s);
-  const std::uint64_t seq = ring.next.fetch_add(1, std::memory_order_relaxed);
-  Slot& slot = ring.slots[seq & (kSpanRingCapacity - 1)];
-  slot.begin.store(seq + 1, std::memory_order_relaxed);
-  slot.trace_hi.store(ctx.trace_hi, std::memory_order_relaxed);
-  slot.trace_lo.store(ctx.trace_lo, std::memory_order_relaxed);
-  slot.span_id.store(ctx.span_id, std::memory_order_relaxed);
-  slot.parent_span_id.store(ctx.parent_span_id, std::memory_order_relaxed);
-  slot.name.store(name, std::memory_order_relaxed);
-  slot.kind.store(static_cast<std::uint8_t>(kind), std::memory_order_relaxed);
-  slot.tid.store(thread_index(), std::memory_order_relaxed);
-  slot.start_us.store(start_us, std::memory_order_relaxed);
-  slot.end_us.store(end_us, std::memory_order_relaxed);
-  const std::uint32_t count =
-      static_cast<std::uint32_t>(std::min(flows.size(), kMaxFlows));
-  slot.flow_count.store(count, std::memory_order_relaxed);
-  for (std::size_t f = 0; f < kMaxFlows; ++f) {
-    slot.flows[f].store(f < count ? flows[f] : 0, std::memory_order_relaxed);
-  }
-  slot.end.store(seq + 1, std::memory_order_release);
+  SpanRecord record{.trace_hi = ctx.trace_hi,
+                    .trace_lo = ctx.trace_lo,
+                    .span_id = ctx.span_id,
+                    .parent_span_id = ctx.parent_span_id,
+                    .name = name,
+                    .kind = kind,
+                    .tid = thread_index(),
+                    .start_us = start_us,
+                    .end_us = end_us,
+                    .flow_count = static_cast<std::uint32_t>(
+                        std::min(flows.size(), kMaxFlows))};
+  std::copy_n(flows.begin(), record.flow_count, record.flows.begin());
+  ring_for_thread(s).push(record);
   registry().counter(metric::kTraceSpans).add(1);
 }
 

@@ -17,9 +17,9 @@
 /// active trace automatically.
 ///
 /// Design constraints:
-///  - Span writes follow the flight-recorder discipline (obs/recorder.cpp):
-///    per-thread fixed-size rings of seqlock-stamped slots, torn reads
-///    detected and skipped, no locks on the record path.
+///  - Span writes go to per-thread obs::SeqRing rings (obs/seq_ring.hpp,
+///    the flight recorder's ring): torn reads detected and skipped, no
+///    locks on the record path.
 ///  - IDs come from splitmix64 over one seeded global counter — no wall
 ///    clock, no std::random_device — so a replayed workload mints the same
 ///    ids and the retained-trace set is bitwise-deterministic for a fixed

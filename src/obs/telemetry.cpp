@@ -1,8 +1,5 @@
 #include "obs/telemetry.hpp"
 
-#include <algorithm>
-#include <array>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -13,44 +10,14 @@
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "obs/reqtrace.hpp"
+#include "obs/seq_ring.hpp"
 
 namespace treecode::obs::telemetry {
 
 namespace {
 
-/// One ring slot, seqlock-stamped exactly like the flight recorder's
-/// (obs/recorder.cpp): begin/end bracket the payload, a reader discards any
-/// slot whose stamps disagree. Stamps store seq+1 so zero-initialized reads
-/// as empty.
-struct Slot {
-  std::atomic<std::uint64_t> begin{0};
-  std::atomic<std::uint64_t> end{0};
-  std::atomic<std::int64_t> ts_us{0};
-  std::atomic<std::uint8_t> api{0};
-  std::atomic<std::uint64_t> plan_key{0};
-  std::atomic<std::int8_t> rung{-1};
-  std::atomic<std::uint8_t> outcome{0};
-  std::atomic<const char*> outcome_name{nullptr};
-  std::atomic<bool> ok{true};
-  std::atomic<double> wall_seconds{0.0};
-  std::atomic<std::uint64_t> targets{0};
-  std::atomic<std::uint64_t> plan_bytes{0};
-  std::atomic<std::uint64_t> basis_bytes{0};
-  std::atomic<double> deadline_slack_seconds{0.0};
-  std::atomic<double> audit_max_tightness{0.0};
-  std::atomic<std::uint32_t> threads{0};
-  std::atomic<std::uint32_t> batch_width{0};
-  std::atomic<std::uint64_t> trace_hi{0};
-  std::atomic<std::uint64_t> trace_lo{0};
-  std::atomic<double> queue_wait_seconds{0.0};
-  std::atomic<std::uint64_t> batch_seq{0};
-};
-
-static_assert((kRingCapacity & (kRingCapacity - 1)) == 0, "ring index uses a mask");
-
 struct State {
-  std::array<Slot, kRingCapacity> ring;
-  std::atomic<std::uint64_t> next_seq{0};
+  SeqRing<RequestRecord, kRingCapacity> ring;
   std::atomic<bool> enabled{false};
   std::atomic<std::int64_t> epoch_us{0};
   // Sink state is cold relative to the ring (one line per finished request);
@@ -66,12 +33,6 @@ struct State {
 State& state() {
   static State s;
   return s;
-}
-
-std::int64_t now_us() {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
 }
 
 /// Degradation-ladder rung names, matching core ServeRung's enumerator
@@ -150,7 +111,7 @@ const char* api_name(Api api) {
 
 void enable() {
   State& s = state();
-  s.epoch_us.store(now_us(), std::memory_order_relaxed);
+  s.epoch_us.store(steady_now_us(), std::memory_order_relaxed);
   s.enabled.store(true, std::memory_order_release);
 }
 
@@ -161,12 +122,7 @@ bool enabled() { return state().enabled.load(std::memory_order_relaxed); }
 void reset() {
   State& s = state();
   s.enabled.store(false, std::memory_order_release);
-  for (Slot& slot : s.ring) {
-    slot.begin.store(0, std::memory_order_relaxed);
-    slot.end.store(0, std::memory_order_relaxed);
-    slot.outcome_name.store(nullptr, std::memory_order_relaxed);
-  }
-  s.next_seq.store(0, std::memory_order_relaxed);
+  s.ring.clear();
   const std::scoped_lock lock(s.sink_mutex);
   if (s.sink.is_open()) s.sink.close();
   s.sink_path.clear();
@@ -200,36 +156,8 @@ void close_sink() {
 void emit(RequestRecord record) {
   State& s = state();
   if (!s.enabled.load(std::memory_order_relaxed)) return;
-  record.seq = s.next_seq.fetch_add(1, std::memory_order_relaxed);
-  record.ts_us = now_us() - s.epoch_us.load(std::memory_order_relaxed);
-
-  // Seqlock write (see obs/recorder.cpp): open the slot, fill relaxed,
-  // publish with a release store of the matching end stamp.
-  Slot& slot = s.ring[record.seq & (kRingCapacity - 1)];
-  slot.begin.store(record.seq + 1, std::memory_order_relaxed);
-  slot.ts_us.store(record.ts_us, std::memory_order_relaxed);
-  slot.api.store(static_cast<std::uint8_t>(record.api), std::memory_order_relaxed);
-  slot.plan_key.store(record.plan_key, std::memory_order_relaxed);
-  slot.rung.store(record.rung, std::memory_order_relaxed);
-  slot.outcome.store(record.outcome, std::memory_order_relaxed);
-  slot.outcome_name.store(record.outcome_name, std::memory_order_relaxed);
-  slot.ok.store(record.ok, std::memory_order_relaxed);
-  slot.wall_seconds.store(record.wall_seconds, std::memory_order_relaxed);
-  slot.targets.store(record.targets, std::memory_order_relaxed);
-  slot.plan_bytes.store(record.plan_bytes, std::memory_order_relaxed);
-  slot.basis_bytes.store(record.basis_bytes, std::memory_order_relaxed);
-  slot.deadline_slack_seconds.store(record.deadline_slack_seconds,
-                                    std::memory_order_relaxed);
-  slot.audit_max_tightness.store(record.audit_max_tightness,
-                                 std::memory_order_relaxed);
-  slot.threads.store(record.threads, std::memory_order_relaxed);
-  slot.batch_width.store(record.batch_width, std::memory_order_relaxed);
-  slot.trace_hi.store(record.trace_hi, std::memory_order_relaxed);
-  slot.trace_lo.store(record.trace_lo, std::memory_order_relaxed);
-  slot.queue_wait_seconds.store(record.queue_wait_seconds,
-                                std::memory_order_relaxed);
-  slot.batch_seq.store(record.batch_seq, std::memory_order_relaxed);
-  slot.end.store(record.seq + 1, std::memory_order_release);
+  record.ts_us = steady_now_us() - s.epoch_us.load(std::memory_order_relaxed);
+  record.seq = s.ring.push(record);
 
   Registry& reg = registry();
   reg.counter(metric::kTelemetryRequests).add(1);
@@ -242,47 +170,18 @@ void emit(RequestRecord record) {
 }
 
 std::vector<RequestRecord> records() {
-  State& s = state();
+  const auto snapshot = state().ring.snapshot();
   std::vector<RequestRecord> out;
-  out.reserve(kRingCapacity);
-  for (const Slot& slot : s.ring) {
-    const std::uint64_t end = slot.end.load(std::memory_order_acquire);
-    if (end == 0) continue;  // never written
-    RequestRecord r;
-    r.ts_us = slot.ts_us.load(std::memory_order_relaxed);
-    r.api = static_cast<Api>(slot.api.load(std::memory_order_relaxed));
-    r.plan_key = slot.plan_key.load(std::memory_order_relaxed);
-    r.rung = slot.rung.load(std::memory_order_relaxed);
-    r.outcome = slot.outcome.load(std::memory_order_relaxed);
-    const char* name = slot.outcome_name.load(std::memory_order_relaxed);
-    r.ok = slot.ok.load(std::memory_order_relaxed);
-    r.wall_seconds = slot.wall_seconds.load(std::memory_order_relaxed);
-    r.targets = slot.targets.load(std::memory_order_relaxed);
-    r.plan_bytes = slot.plan_bytes.load(std::memory_order_relaxed);
-    r.basis_bytes = slot.basis_bytes.load(std::memory_order_relaxed);
-    r.deadline_slack_seconds =
-        slot.deadline_slack_seconds.load(std::memory_order_relaxed);
-    r.audit_max_tightness = slot.audit_max_tightness.load(std::memory_order_relaxed);
-    r.threads = slot.threads.load(std::memory_order_relaxed);
-    r.batch_width = slot.batch_width.load(std::memory_order_relaxed);
-    r.trace_hi = slot.trace_hi.load(std::memory_order_relaxed);
-    r.trace_lo = slot.trace_lo.load(std::memory_order_relaxed);
-    r.queue_wait_seconds = slot.queue_wait_seconds.load(std::memory_order_relaxed);
-    r.batch_seq = slot.batch_seq.load(std::memory_order_relaxed);
-    const std::uint64_t begin = slot.begin.load(std::memory_order_relaxed);
-    if (begin != end) continue;  // torn: writer was mid-update
-    r.seq = end - 1;
-    r.outcome_name = name != nullptr ? name : "ok";
+  out.reserve(snapshot.size());
+  for (auto [seq, r] : snapshot) {
+    r.seq = seq;
+    if (r.outcome_name == nullptr) r.outcome_name = "ok";
     out.push_back(r);
   }
-  std::sort(out.begin(), out.end(),
-            [](const RequestRecord& a, const RequestRecord& b) { return a.seq < b.seq; });
   return out;
 }
 
-std::uint64_t emitted_count() {
-  return state().next_seq.load(std::memory_order_relaxed);
-}
+std::uint64_t emitted_count() { return state().ring.pushed(); }
 
 Json to_json(const RequestRecord& record) {
   char key_hex[19];

@@ -14,10 +14,10 @@
 /// tuple at every EvalSession try_* exit, success or failure.
 ///
 /// Design constraints mirror the flight recorder (obs/recorder.hpp):
-///  - emit() must be safe from any thread: ring slots are seqlock-stamped
-///    atomics, torn reads are detected and skipped, no allocation on the
-///    ring path. The JSONL sink is mutex-serialized (requests finish at
-///    call granularity, never inside kernel loops).
+///  - emit() must be safe from any thread: the ring is an obs::SeqRing
+///    (obs/seq_ring.hpp), so torn reads are detected and skipped and the
+///    ring path never allocates. The JSONL sink is mutex-serialized
+///    (requests finish at call granularity, never inside kernel loops).
 ///  - Disabled (the default) costs one relaxed load and a branch.
 ///  - This layer lives in obs and cannot see engine/core types: the serving
 ///    rung travels as a small integer (matching core ServeRung values) and
