@@ -52,6 +52,24 @@ void BM_P2M(benchmark::State& state) {
 }
 BENCHMARK(BM_P2M)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
 
+// The refresh half of replayed P2M, beside BM_P2M: the same 64 sources
+// applied from a stored p2m basis (bitwise-equal to p2m()).
+void BM_P2M_ApplyBasis(benchmark::State& state) {
+  const Fixture f;
+  const int p = static_cast<int>(state.range(0));
+  std::vector<double> basis(p2m_basis_size(p, f.pos.size()));
+  p2m_basis(p, f.center, f.pos, basis);
+  MultipoleExpansion m(p);
+  for (auto _ : state) {
+    m.clear();
+    p2m_apply_basis(f.q, basis.data(), m);
+    benchmark::DoNotOptimize(m.data().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<long long>(f.pos.size()));
+}
+BENCHMARK(BM_P2M_ApplyBasis)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
+
 void BM_M2P(benchmark::State& state) {
   const Fixture f;
   const int p = static_cast<int>(state.range(0));
@@ -92,6 +110,31 @@ void BM_M2P_ApplyBasis(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_M2P_ApplyBasis)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
+
+// One stored basis applied to K = 8 expansions at once (the batch replay's
+// column width): per iteration, the work of eight BM_M2P_ApplyBasis.
+void BM_M2P_ApplyBasisBatch(benchmark::State& state) {
+  constexpr std::size_t kColumns = 8;
+  const Fixture f;
+  const int p = static_cast<int>(state.range(0));
+  std::vector<MultipoleExpansion> m;
+  for (std::size_t c = 0; c < kColumns; ++c) {
+    std::vector<double> q = f.q;
+    for (double& x : q) x *= static_cast<double>(c + 1);
+    m.emplace_back(p);
+    p2m(f.center, f.pos, q, m.back());
+  }
+  std::vector<double> basis(m2p_basis_size(p));
+  m2p_basis(p, f.center, {3.0, 2.0, 1.0}, basis);
+  double out[kColumns];
+  for (auto _ : state) {
+    m2p_apply_basis_batch(m, basis.data(), out);
+    benchmark::DoNotOptimize(out);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<long long>(kColumns));
+}
+BENCHMARK(BM_M2P_ApplyBasisBatch)->Arg(4)->Arg(8);
 
 void BM_M2P_Grad(benchmark::State& state) {
   const Fixture f;

@@ -518,34 +518,37 @@ Expected<std::shared_ptr<const EvalPlan>> EvalSession::try_compile_impl(
                             std::to_string(plan_core_bytes) + " bytes)");
   }
 
-  // Precompute the charge-independent m2p evaluation basis (1/r and the
-  // Y_n^m harmonics per entry), so replay pays only the coefficient dot
-  // product. Offsets are laid out serially in schedule order, the fill is
-  // parallel. Gradient plans skip it (m2p_grad has no basis form). The
-  // budget is clamped to the governor's remaining bytes: a tight session
-  // budget yields a thinner basis (or none: rung 1), never a failed compile.
+  // Precompute the charge-independent m2p evaluation basis (1/r, e^{i phi}
+  // and the scaled Legendre values per entry), so replay skips the Legendre
+  // recurrence. Slots are laid out serially in schedule order, one start
+  // per target; the basis is the prefix of slots that fits the budget (slot
+  // ends increase, so the largest end within budget closes the prefix).
+  // The fill is parallel. Gradient plans skip it (m2p_grad has no basis
+  // form). The budget is clamped to the governor's remaining bytes: a tight
+  // session budget yields a thinner basis (or none: rung 1), never a failed
+  // compile.
   if (options_.basis_budget_bytes > 0 && !config_.compute_gradient && total > 0) {
-    plan->basis_offset.assign(total, EvalPlan::kNoBasis);
     std::uint64_t budget_bytes = options_.basis_budget_bytes;
     if (governor_.enabled()) {
-      const std::size_t offsets_bytes = static_cast<std::size_t>(total) *
-                                        sizeof(std::uint64_t);
+      const std::size_t starts_bytes = (n + 1) * sizeof(std::uint64_t);
       const std::size_t rem = governor_.remaining();
       budget_bytes = std::min<std::uint64_t>(
-          budget_bytes, rem > offsets_bytes ? rem - offsets_bytes : 0);
+          budget_bytes, rem > starts_bytes ? rem - starts_bytes : 0);
     }
     const std::uint64_t budget_doubles = budget_bytes / sizeof(double);
+    plan->basis_offset.assign(n + 1, 0);
+    std::uint64_t slot = 0;
     std::uint64_t basis_total = 0;
-    for (std::uint64_t idx = 0; idx < total; ++idx) {
-      const std::int32_t e = plan->entries[idx];
-      if (EvalPlan::is_p2p(e)) continue;
-      const auto nu = static_cast<std::size_t>(EvalPlan::node_of(e));
-      const auto need =
-          static_cast<std::uint64_t>(m2p_basis_size(degrees_.degree[nu]));
-      if (basis_total + need > budget_doubles) break;
-      plan->basis_offset[idx] = basis_total;
-      basis_total += need;
+    for (std::size_t i = 0; i < n; ++i) {
+      plan->basis_offset[i] = slot;
+      for (std::uint64_t idx = plan->offsets[i]; idx < plan->offsets[i + 1]; ++idx) {
+        const std::int32_t e = plan->entries[idx];
+        if (EvalPlan::is_p2p(e)) continue;
+        slot += m2p_basis_size(degrees_.degree[static_cast<std::size_t>(EvalPlan::node_of(e))]);
+        if (slot <= budget_doubles) basis_total = slot;
+      }
     }
+    plan->basis_offset[n] = slot;
     if (basis_total == 0) {
       plan->basis_offset.clear();
     } else {
@@ -565,16 +568,18 @@ Expected<std::shared_ptr<const EvalPlan>> EvalSession::try_compile_impl(
             pool_, n, config_.block_size,
             [&](std::size_t block_begin, std::size_t block_end, unsigned) {
               for (std::size_t i = block_begin; i < block_end; ++i) {
+                std::uint64_t off = plan->basis_offset[i];
                 for (std::uint64_t idx = plan->offsets[i]; idx < plan->offsets[i + 1];
                      ++idx) {
-                  const std::uint64_t off = plan->basis_offset[idx];
-                  if (off == EvalPlan::kNoBasis) continue;
-                  const auto nu =
-                      static_cast<std::size_t>(EvalPlan::node_of(plan->entries[idx]));
+                  const std::int32_t e = plan->entries[idx];
+                  if (EvalPlan::is_p2p(e)) continue;
+                  const auto nu = static_cast<std::size_t>(EvalPlan::node_of(e));
                   const int deg = degrees_.degree[nu];
+                  const std::size_t need = m2p_basis_size(deg);
+                  if (off + need > basis_total) break;  // past the covered prefix
                   m2p_basis(deg, nodes[nu].center, targets[i],
-                            std::span<double>(plan->basis.data() + off,
-                                              m2p_basis_size(deg)));
+                            std::span<double>(plan->basis.data() + off, need));
+                  off += need;
                 }
               }
             },
@@ -647,7 +652,7 @@ Expected<void> EvalSession::try_ensure_refreshed(const EvalPlan& plan) {
       } else {
         m.clear();
       }
-      build_multipole(nu, sorted_charges_.data(), m);
+      build_node_multipoles(nu, sorted_charges_.data(), 0, {&m, 1});
       node_epoch_[nu] = charge_epoch_;
     });
   } catch (const std::exception& e) {
@@ -659,17 +664,23 @@ Expected<void> EvalSession::try_ensure_refreshed(const EvalPlan& plan) {
   return {};
 }
 
-void EvalSession::build_multipole(std::size_t nu, const double* sorted_charges,
-                                  MultipoleExpansion& m) const {
+void EvalSession::build_node_multipoles(std::size_t nu, const double* sorted_charges,
+                                        std::size_t stride,
+                                        std::span<MultipoleExpansion> out) const {
   const TreeNode& node = tree_.node(nu);
-  const std::span<const double> pq(sorted_charges + node.begin, node.count());
-  const std::uint64_t off =
-      p2m_basis_offset_.empty() ? EvalPlan::kNoBasis : p2m_basis_offset_[nu];
-  if (off != EvalPlan::kNoBasis) {
-    p2m_apply_basis(pq, p2m_basis_pool_.data() + off, m);
+  auto column = [&](std::size_t c) {
+    return std::span<const double>(sorted_charges + c * stride + node.begin, node.count());
+  };
+  const std::uint64_t off = p2m_basis_offset_.empty() ? kNoBasis : p2m_basis_offset_[nu];
+  if (off == kNoBasis) {
+    const std::span<const Vec3> ppos(tree_.positions().data() + node.begin, node.count());
+    for (std::size_t c = 0; c < out.size(); ++c) p2m(node.center, ppos, column(c), out[c]);
+  } else if (out.size() == 1) {
+    p2m_apply_basis(column(0), p2m_basis_pool_.data() + off, out[0]);
   } else {
-    p2m(node.center, std::span<const Vec3>(tree_.positions().data() + node.begin, node.count()),
-        pq, m);
+    std::vector<std::span<const double>> columns(out.size());
+    for (std::size_t c = 0; c < out.size(); ++c) columns[c] = column(c);
+    p2m_apply_basis_batch(columns, p2m_basis_pool_.data() + off, out);
   }
 }
 
@@ -678,7 +689,7 @@ void EvalSession::cover_p2m_basis(std::span<const std::int32_t> node_ids) {
   const auto& nodes = tree_.nodes();
   const auto& pos = tree_.positions();
   if (p2m_basis_offset_.empty()) {
-    p2m_basis_offset_.assign(nodes.size(), EvalPlan::kNoBasis);
+    p2m_basis_offset_.assign(nodes.size(), kNoBasis);
   }
   // Offsets are assigned serially (the pool layout must not depend on
   // thread timing). Geometry and degrees are frozen, so a node's basis is
@@ -690,7 +701,7 @@ void EvalSession::cover_p2m_basis(std::span<const std::int32_t> node_ids) {
   std::vector<std::int32_t> fresh;
   for (const std::int32_t ni : node_ids) {
     const auto nu = static_cast<std::size_t>(ni);
-    if (p2m_basis_offset_[nu] != EvalPlan::kNoBasis) continue;
+    if (p2m_basis_offset_[nu] != kNoBasis) continue;
     const auto need = static_cast<std::uint64_t>(
         p2m_basis_size(degrees_.degree[nu], nodes[nu].count()));
     if (pool_size + need > budget_doubles) continue;
@@ -704,7 +715,7 @@ void EvalSession::cover_p2m_basis(std::span<const std::int32_t> node_ids) {
   // kernel produces identical coefficients, just slower.
   auto roll_back = [&] {
     for (const std::int32_t ni : fresh) {
-      p2m_basis_offset_[static_cast<std::size_t>(ni)] = EvalPlan::kNoBasis;
+      p2m_basis_offset_[static_cast<std::size_t>(ni)] = kNoBasis;
     }
   };
   const std::size_t growth_bytes =
@@ -774,7 +785,6 @@ Expected<void> EvalSession::replay_columns(const EvalPlan& plan, const Columns& 
   const bool want_bounds = config_.track_error_bounds || config_.enforce_budget;
   const bool want_grad = config_.compute_gradient;  // single-RHS only
   const bool auditing = config_.audit_samples > 0;  // single-RHS only
-  const bool have_basis = !plan.basis_offset.empty();
   const auto& nodes = tree_.nodes();
   const auto& pos = tree_.positions();
   const double softening2 = config_.softening * config_.softening;
@@ -788,6 +798,9 @@ Expected<void> EvalSession::replay_columns(const EvalPlan& plan, const Columns& 
                                    double& bound, Vec3& grad, obs::audit::Reservoir* audit) {
     const Vec3 x = plan.targets[i];
     const double* q = columns.charges + c0 * columns.stride;
+    // Target i's basis slots follow its M2P entries from its start; a slot
+    // holds a basis iff it ends within the pool (the covered prefix).
+    std::uint64_t slot = plan.basis_offset.empty() ? 0 : plan.basis_offset[i];
     std::uint64_t audit_ord = 0;
     for (std::uint64_t idx = plan.offsets[i]; idx < plan.offsets[i + 1]; ++idx) {
       const std::int32_t e = plan.entries[idx];
@@ -817,7 +830,9 @@ Expected<void> EvalSession::replay_columns(const EvalPlan& plan, const Columns& 
       }
       const std::size_t s = batch ? static_cast<std::size_t>(columns.slot[nu]) : nu;
       const MultipoleExpansion* m = columns.multipoles + s * k + c0;
-      const std::uint64_t off = have_basis ? plan.basis_offset[idx] : EvalPlan::kNoBasis;
+      const std::uint64_t slot_end = slot + m2p_basis_size(m->degree());
+      const double* basis = slot_end <= plan.basis.size() ? plan.basis.data() + slot : nullptr;
+      slot = slot_end;
       // Bounds are charge-independent: accumulated by the first block only.
       if (c0 == 0 && want_bounds) bound += plan.entry_bounds[idx];
       if constexpr (K == 1) {
@@ -827,8 +842,7 @@ Expected<void> EvalSession::replay_columns(const EvalPlan& plan, const Columns& 
           contribution = pg.potential;
           grad += pg.gradient;
         } else {
-          contribution = off != EvalPlan::kNoBasis ? m2p_apply_basis(*m, plan.basis.data() + off)
-                                                   : m2p(*m, node.center, x);
+          contribution = basis != nullptr ? m2p_apply_basis(*m, basis) : m2p(*m, node.center, x);
         }
         acc[0] += contribution;
         // M2P entries sit in per-target DFS acceptance order, so the
@@ -846,9 +860,12 @@ Expected<void> EvalSession::replay_columns(const EvalPlan& plan, const Columns& 
         }
         ++audit_ord;
       } else {
-        for (std::size_t w = 0; w < K; ++w) {
-          acc[w] += off != EvalPlan::kNoBasis ? m2p_apply_basis(m[w], plan.basis.data() + off)
-                                              : m2p(m[w], node.center, x);
+        if (basis != nullptr) {
+          double out[K];
+          m2p_apply_basis_batch({m, K}, basis, out);
+          for (std::size_t w = 0; w < K; ++w) acc[w] += out[w];
+        } else {
+          for (std::size_t w = 0; w < K; ++w) acc[w] += m2p(m[w], node.center, x);
         }
       }
     }
@@ -1108,11 +1125,9 @@ Expected<std::vector<EvalResult>> EvalSession::try_evaluate_batch_impl(
     for_each_node(&pool_, num_m2p, obs::span::kEngineRefreshWorker, [&](std::size_t j) {
       const auto nu = static_cast<std::size_t>(plan.m2p_nodes[j]);
       m2p_slot[nu] = static_cast<std::int32_t>(j);
-      for (std::size_t c = 0; c < k; ++c) {
-        MultipoleExpansion& m = batch_m[j * k + c];
-        m.reset(degrees_.degree[nu]);
-        build_multipole(nu, sorted.data() + c * np, m);
-      }
+      const std::span<MultipoleExpansion> out(batch_m.data() + j * k, k);
+      for (MultipoleExpansion& m : out) m.reset(degrees_.degree[nu]);
+      build_node_multipoles(nu, sorted.data(), np, out);
     });
   } catch (const std::exception& e) {
     return engine_error(ErrorCode::kInternal,

@@ -259,10 +259,12 @@ class EvalSession {
   /// session's pool (shared by the refresh and the batch). Never fails:
   /// uncovered nodes rebuild through the full kernel.
   void cover_p2m_basis(std::span<const std::int32_t> node_ids);
-  /// Build node `nu`'s (reset or cleared) expansion from tree-sorted
-  /// charges, through the p2m basis when covered — bitwise the same either way.
-  void build_multipole(std::size_t nu, const double* sorted_charges,
-                       MultipoleExpansion& m) const;
+  /// Build node `nu`'s (reset or cleared) expansions: out[c] from the
+  /// tree-sorted charge column at sorted_charges + c * stride, through the
+  /// p2m basis when covered (one basis pass for every column) — bitwise the
+  /// single-RHS p2m() either way.
+  void build_node_multipoles(std::size_t nu, const double* sorted_charges, std::size_t stride,
+                             std::span<MultipoleExpansion> out) const;
   /// The replay prologue: kInvalidArgument unless this session compiled `plan`.
   Expected<void> check_owned(const EvalPlan& plan);
   /// The one replay body behind rungs 0-1 and the batch: the K-templated
@@ -299,9 +301,11 @@ class EvalSession {
   std::vector<std::uint64_t> node_epoch_;  ///< 0 = never built
   std::uint64_t charge_epoch_ = 1;
   std::vector<std::int32_t> stale_;  ///< refresh scratch, reused across evaluates
-  /// Per-node offset into the pooled p2m refresh basis (EvalPlan::kNoBasis
-  /// = not covered; assigned on first refresh, budget-gated, then frozen —
-  /// the basis depends only on geometry and the node's frozen degree).
+  /// Absent-basis sentinel of p2m_basis_offset_.
+  static constexpr std::uint64_t kNoBasis = ~std::uint64_t{0};
+  /// Per-node offset into the pooled p2m refresh basis (kNoBasis = not
+  /// covered; assigned on first refresh, budget-gated, then frozen — the
+  /// basis depends only on geometry and the node's frozen degree).
   std::vector<std::uint64_t> p2m_basis_offset_;
   std::vector<double> p2m_basis_pool_;
   /// Budget reservations backing the two durable session pools above

@@ -12,9 +12,11 @@
 /// Harmonics are evaluated for the direction of a Cartesian offset d, with
 /// cos(theta), sin(theta) and e^{i phi} read straight from its components
 /// (see Direction) — no acos, atan2, sin or cos anywhere. One m-outer
-/// recurrence, for_each_harmonic(), produces every Y_n^m; its consumers
-/// either store the values (eval_harmonics) or fold them into a running sum
-/// as they are produced (the on-the-fly M2P/L2P kernels).
+/// recurrence, for_each_scaled_legendre(), produces every v_n^m =
+/// y_norm(n, m) P_n^m; for_each_harmonic() phases it into Y_n^m, whose
+/// consumers either store the values (eval_harmonics) or fold them into a
+/// running sum as they are produced (the on-the-fly M2P/L2P kernels). The
+/// precomputed evaluation bases store v_n^m unphased (operators.hpp).
 ///
 /// Also provides the factorial table and the A_n^m = (-1)^n / sqrt((n-m)!(n+m)!)
 /// combinatorial coefficients of the translation operators.
@@ -89,44 +91,64 @@ const HarmonicTables& harmonic_tables() noexcept;
 
 }  // namespace detail
 
-/// Visit Y_n^m(u) for every 0 <= m <= n <= p in m-outer order (m = 0..p,
-/// then n = m..p), calling f(n, m, Y_n^m). Each column runs the Legendre
-/// recurrence (n-m) P_n^m = (2n-1) x P_{n-1}^m - (n+m-1) P_{n-2}^m from the
-/// diagonal P_m^m = (-1)^m (2m-1)!! sin^m, scales by the norm table and by
-/// e^{i m phi}, which advances by one complex multiply per column.
-template <typename F>
-void for_each_harmonic(int p, const Direction& u, F&& f) {
+/// Visit the scaled Legendre values v_n^m = y_norm(n, m) P_n^m(cos theta)
+/// for every 0 <= m <= n <= p in m-outer order (m = 0..p, then n = m..p),
+/// calling f(n, m, v) per value and end_column() after each column. Each
+/// column runs the recurrence (n-m) P_n^m = (2n-1) x P_{n-1}^m -
+/// (n+m-1) P_{n-2}^m from the diagonal P_m^m = (-1)^m (2m-1)!! sin^m.
+/// Y_n^m = v_n^m e^{i m phi}: this is the one recurrence behind every
+/// harmonic, stored (the evaluation bases) or phased (for_each_harmonic).
+template <typename F, typename G>
+void for_each_scaled_legendre(int p, const Direction& u, F&& f, G&& end_column) {
   const detail::HarmonicTables& t = detail::harmonic_tables();
   const double x = u.cos_theta;
-  const double c = u.eiphi.real();
-  const double s = u.eiphi.imag();
   double pmm = 1.0;  // P_m^m
-  double er = 1.0;   // e^{i m phi}
-  double ei = 0.0;
   for (int m = 0; m <= p; ++m) {
     std::size_t i = tri_index(m, m);
-    double v = t.norm[i] * pmm;
-    f(m, m, Complex{v * er, v * ei});
+    f(m, m, t.norm[i] * pmm);
     if (m < p) {
       double p2 = pmm;
       double p1 = x * (2 * m + 1) * pmm;
       i += static_cast<std::size_t>(m) + 1;  // tri_index(m + 1, m)
-      v = t.norm[i] * p1;
-      f(m + 1, m, Complex{v * er, v * ei});
+      f(m + 1, m, t.norm[i] * p1);
       for (int n = m + 2; n <= p; ++n) {
         i += static_cast<std::size_t>(n);  // tri_index(n, m)
         const double pn = t.a[i] * x * p1 - t.b[i] * p2;
-        v = t.norm[i] * pn;
-        f(n, m, Complex{v * er, v * ei});
+        f(n, m, t.norm[i] * pn);
         p2 = p1;
         p1 = pn;
       }
     }
     pmm *= -(2 * m + 1) * u.sin_theta;
+    end_column();
+  }
+}
+
+/// e^{i m phi} for m = 0, 1, 2, ...: starts at 1 and advances by one
+/// complex multiply with e^{i phi} per step. for_each_harmonic and the
+/// basis replays (operators.cpp) share this chain, so a phase rebuilt from
+/// a stored e^{i phi} is bitwise the recurrence's.
+struct PhaseChain {
+  double c;         ///< cos phi
+  double s;         ///< sin phi
+  double er = 1.0;  ///< Re e^{i m phi}
+  double ei = 0.0;  ///< Im e^{i m phi}
+
+  void advance() noexcept {
     const double er_next = er * c - ei * s;
     ei = er * s + ei * c;
     er = er_next;
   }
+};
+
+/// Visit Y_n^m(u) = v_n^m e^{i m phi} for every 0 <= m <= n <= p in
+/// for_each_scaled_legendre's order, calling f(n, m, Y_n^m).
+template <typename F>
+void for_each_harmonic(int p, const Direction& u, F&& f) {
+  PhaseChain e{u.eiphi.real(), u.eiphi.imag()};
+  for_each_scaled_legendre(
+      p, u, [&f, &e](int n, int m, double v) { f(n, m, Complex{v * e.er, v * e.ei}); },
+      [&e] { e.advance(); });
 }
 
 /// Store Y_n^m(u) for all 0 <= m <= n <= p into `Y`

@@ -14,7 +14,7 @@
 /// (P_n^m carries a sin^m factor, so P/sin is a polynomial in cos and sin for
 /// m >= 1). They feed the analytic gradients of multipole/local expansions;
 /// the plain P_n^m recurrence behind every other harmonic lives in
-/// for_each_harmonic() (harmonics.hpp).
+/// for_each_scaled_legendre() (harmonics.hpp).
 ///
 /// Storage is the packed triangular layout shared with the expansions:
 /// index (n, m) -> n*(n+1)/2 + m.

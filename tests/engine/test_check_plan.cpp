@@ -98,7 +98,6 @@ TEST(CheckPlan, DetectsCoverageGap) {
   c.plan.entries.erase(c.plan.entries.begin() +
                        static_cast<std::ptrdiff_t>(c.plan.offsets[1]) - 1);
   if (!c.plan.entry_bounds.empty()) c.plan.entry_bounds.pop_back();
-  if (!c.plan.basis_offset.empty()) c.plan.basis_offset.pop_back();
   for (std::size_t i = 1; i < c.plan.offsets.size(); ++i) c.plan.offsets[i] -= 1;
   const analysis::InvariantReport report = c.check();
   EXPECT_FALSE(report.ok());
@@ -132,29 +131,32 @@ TEST(CheckPlan, DetectsTargetCostTampering) {
 TEST(CheckPlan, DetectsCorruptedBasis) {
   Compiled c(1500, 37);
   ASSERT_FALSE(c.plan.basis.empty()) << "expected a precomputed basis by default";
-  // First basis slot of the first covered entry holds 1/r; corrupt it.
-  std::size_t idx = 0;
-  while (idx < c.plan.basis_offset.size() &&
-         c.plan.basis_offset[idx] == engine::EvalPlan::kNoBasis) {
-    ++idx;
-  }
-  ASSERT_LT(idx, c.plan.basis_offset.size());
-  c.plan.basis[c.plan.basis_offset[idx]] *= 1.0000001;
+  // The first M2P entry's slot starts the pool, and its first double holds
+  // 1/r; corrupt it.
+  c.plan.basis[0] *= 1.0000001;
   const analysis::InvariantReport report = c.check();
   EXPECT_FALSE(report.ok());
   EXPECT_NE(report.summary().find("inv_r"), std::string::npos) << report.summary();
 }
 
-TEST(CheckPlan, DetectsBasisOffsetOnP2PEntry) {
+TEST(CheckPlan, DetectsBasisStartMismatch) {
   Compiled c(1500, 41);
-  ASSERT_FALSE(c.plan.basis_offset.empty());
-  for (std::size_t i = 0; i < c.plan.entries.size(); ++i) {
-    if (engine::EvalPlan::is_p2p(c.plan.entries[i])) {
-      c.plan.basis_offset[i] = 0;
-      break;
-    }
-  }
-  EXPECT_FALSE(c.check().ok());
+  ASSERT_EQ(c.plan.basis_offset.size(), c.plan.num_targets() + 1);
+  // Target 1's slots no longer start where target 0's end.
+  c.plan.basis_offset[1] += 1;
+  const analysis::InvariantReport report = c.check();
+  EXPECT_FALSE(report.ok());
+  EXPECT_NE(report.summary().find("basis slots end"), std::string::npos) << report.summary();
+}
+
+TEST(CheckPlan, DetectsBasisPoolEndingInsideASlot) {
+  Compiled c(1500, 47);
+  ASSERT_FALSE(c.plan.basis.empty());
+  // A pool one double short leaves its last slot partially stored.
+  c.plan.basis.pop_back();
+  const analysis::InvariantReport report = c.check();
+  EXPECT_FALSE(report.ok());
+  EXPECT_NE(report.summary().find("inside the slot"), std::string::npos) << report.summary();
 }
 
 TEST(CheckPlan, AssertMacroThrowsWithContext) {

@@ -420,6 +420,103 @@ TEST(FusedP2M, EqualsBasisReplayBitwiseAtEveryDegree) {
   }
 }
 
+TEST(FusedM2P, BatchApplyEqualsSingleAppliesBitwise) {
+  // K columns share one basis: each column must get the bits of its own
+  // m2p_apply_basis() and of m2p(). The points include both z-axis
+  // directions (e^{i phi} = 1) and offsets with a -0.0 component, which
+  // put signed zeros into e^{i phi} and so into every phase product.
+  constexpr std::size_t kColumns = 8;
+  const Vec3 center{0.0, 0.0, 0.0};
+  const Cloud c = make_cloud(21, center, 0.5, 24);
+  const std::vector<Vec3> points = {{2.5, 1.0, -0.7}, {0.0, 0.0, 3.3},   {-0.0, 0.0, -2.9},
+                                    {-0.0, 2.1, 0.3}, {1.5, -0.0, -2.0}, {-3.0, -0.0, 0.0}};
+  std::vector<double> basis;
+  for (int p = 0; p <= kMaxDegree; ++p) {
+    std::vector<MultipoleExpansion> m;
+    for (std::size_t k = 0; k < kColumns; ++k) {
+      std::vector<double> q = c.q;
+      const double scale = (k % 2 == 0 ? 1.0 : -1.0) + 0.25 * static_cast<double>(k);
+      for (double& x : q) x *= scale;
+      m.emplace_back(p);
+      p2m(c.center, c.pos, q, m.back());
+    }
+    basis.assign(m2p_basis_size(p), 0.0);
+    for (const Vec3& x : points) {
+      m2p_basis(p, c.center, x, basis);
+      for (std::size_t k = 1; k <= kColumns; ++k) {
+        double out[kColumns];
+        m2p_apply_basis_batch({m.data(), k}, basis.data(), {out, k});
+        for (std::size_t col = 0; col < k; ++col) {
+          const double single = m2p_apply_basis(m[col], basis.data());
+          ASSERT_TRUE(std::isfinite(single)) << "p=" << p << " col=" << col;
+          EXPECT_EQ(bits(out[col]), bits(single))
+              << "p=" << p << " K=" << k << " col=" << col << " point=" << x;
+          EXPECT_EQ(bits(out[col]), bits(m2p(m[col], c.center, x)))
+              << "p=" << p << " K=" << k << " col=" << col << " point=" << x;
+        }
+      }
+    }
+  }
+}
+
+TEST(FusedP2M, BatchApplyEqualsSingleAppliesBitwise) {
+  // K charge columns over one basis: column c's expansion must carry the
+  // bits of its own p2m_apply_basis() and of p2m(). Sources include one at
+  // the center, two on the z axis and two with a -0.0 offset component.
+  constexpr std::size_t kColumns = 8;
+  Cloud c = make_cloud(27, {0.0, 0.0, 0.0}, 0.4, 16);
+  for (const Vec3& off : {Vec3{0, 0, 0}, Vec3{0, 0, 0.25}, Vec3{-0.0, 0.0, -0.3},
+                          Vec3{-0.0, 0.2, 0.1}, Vec3{0.15, -0.0, -0.05}}) {
+    c.pos.push_back(c.center + off);
+    c.q.push_back(0.7);
+  }
+  std::vector<std::vector<double>> q(kColumns, c.q);
+  for (std::size_t k = 0; k < kColumns; ++k) {
+    const double scale = (k % 3 == 0 ? -1.0 : 1.0) + 0.5 * static_cast<double>(k);
+    for (double& x : q[k]) x *= scale;
+  }
+  std::vector<double> basis;
+  for (int p = 0; p <= kMaxDegree; ++p) {
+    basis.assign(p2m_basis_size(p, c.pos.size()), 0.0);
+    p2m_basis(p, c.center, c.pos, basis);
+    for (std::size_t k = 1; k <= kColumns; ++k) {
+      std::vector<std::span<const double>> columns(q.begin(), q.begin() + static_cast<long>(k));
+      std::vector<MultipoleExpansion> batch(k, MultipoleExpansion(p));
+      p2m_apply_basis_batch(columns, basis.data(), batch);
+      for (std::size_t col = 0; col < k; ++col) {
+        MultipoleExpansion single(p);
+        p2m_apply_basis(q[col], basis.data(), single);
+        MultipoleExpansion fresh(p);
+        p2m(c.center, c.pos, q[col], fresh);
+        for (int n = 0; n <= p; ++n) {
+          for (int m = 0; m <= n; ++m) {
+            const Complex b = batch[col].coeff(n, m);
+            ASSERT_TRUE(std::isfinite(b.real()) && std::isfinite(b.imag()))
+                << "p=" << p << " n=" << n << " m=" << m;
+            for (const Complex want : {single.coeff(n, m), fresh.coeff(n, m)}) {
+              EXPECT_EQ(bits(b.real()), bits(want.real()))
+                  << "p=" << p << " K=" << k << " col=" << col << " n=" << n << " m=" << m;
+              EXPECT_EQ(bits(b.imag()), bits(want.imag()))
+                  << "p=" << p << " K=" << k << " col=" << col << " n=" << n << " m=" << m;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(EvalBasis, SizeContracts) {
+  // A basis entry is a three-double header ([1/r or rho, cos phi, sin phi])
+  // plus one scaled Legendre value per (n, m >= 0).
+  for (int p = 0; p <= kMaxDegree; ++p) {
+    EXPECT_EQ(m2p_basis_size(p), 3 + tri_size(p)) << "p=" << p;
+    for (const std::size_t count : {std::size_t{0}, std::size_t{1}, std::size_t{37}}) {
+      EXPECT_EQ(p2m_basis_size(p, count), count * (3 + tri_size(p))) << "p=" << p;
+    }
+  }
+}
+
 TEST(FusedP2M, SourceAtTheCenterContributesOnlyTheMonopole) {
   // r = 0: M_0^0 = q Y_0^0 = q and r^n = 0 zeroes every n >= 1 term.
   const Vec3 center{0.4, -0.2, 0.9};
