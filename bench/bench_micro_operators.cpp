@@ -18,7 +18,7 @@
 #include "multipole/rotation.hpp"
 #include "obs/instrument.hpp"
 #include "obs/report.hpp"
-#include "obs/trace.hpp"
+#include "obs/reqtrace.hpp"
 #include "tree/octree.hpp"
 
 namespace {
@@ -241,7 +241,7 @@ void BM_HilbertKey(benchmark::State& state) {
 BENCHMARK(BM_HilbertKey);
 
 // Observability overhead check: the same M2P hot-loop body with and without
-// the per-event instrumentation the evaluators use (a TraceSpan plus
+// the per-event instrumentation the evaluators use (a PhaseSpan plus
 // count_slot into thread-private arrays, flushed once per batch). With
 // -DTREECODE_TRACING=OFF the two must agree to <2% (ISSUE 2 acceptance);
 // with tracing compiled in but not started the span costs one relaxed load.
@@ -268,7 +268,7 @@ void BM_ObsOverhead_Instrumented(benchmark::State& state) {
   obs::DegreeCounts degree_used{};
   obs::LevelCounts m2p_by_level{};
   for (auto _ : state) {
-    const obs::TraceSpan span("micro.m2p");
+    const obs::reqtrace::PhaseSpan span("micro.m2p");
     benchmark::DoNotOptimize(m2p(m, f.center, point));
     terms += 25;
     obs::count_slot(degree_used, 4);

@@ -10,7 +10,6 @@
 #include "obs/reqtrace.hpp"
 #include "obs/slo.hpp"
 #include "obs/telemetry.hpp"
-#include "obs/trace.hpp"
 #include "util/stats.hpp"
 #include "util/timer.hpp"
 
@@ -148,7 +147,6 @@ std::vector<std::string> with_obs_flags(std::vector<std::string> known) {
   known.emplace_back("openmetrics-out");
   known.emplace_back("telemetry-out");
   known.emplace_back("trace-requests-out");
-  known.emplace_back("trace-requests");
   known.emplace_back("trace-sample-rate");
   known.emplace_back("telemetry");
   known.emplace_back("slo");
@@ -166,7 +164,6 @@ ObsOptions obs_options_from(const CliFlags& flags) {
   opts.openmetrics_out = flags.get_string("openmetrics-out", "");
   opts.telemetry_out = flags.get_string("telemetry-out", "");
   opts.trace_requests_out = flags.get_string("trace-requests-out", "");
-  opts.trace_requests = flags.get_bool("trace-requests");
   opts.trace_sample_rate = flags.get_double("trace-sample-rate", 1.0);
   opts.telemetry = flags.get_bool("telemetry");
   opts.slo = flags.get_bool("slo");
@@ -175,7 +172,13 @@ ObsOptions obs_options_from(const CliFlags& flags) {
     // so the emitted report describes this run alone.
     obs::registry().reset_values();
     obs::drain_warnings();
-    obs::trace::start();
+    // Seed 1 after a reset: the id stream — and so the retained-trace set —
+    // is reproducible run to run for the same workload.
+    obs::reqtrace::reset();
+    obs::reqtrace::SamplerConfig config;
+    config.seed = 1;
+    config.sample_rate = opts.trace_sample_rate;
+    obs::reqtrace::enable(config);
   }
   if (!opts.recorder_out.empty()) {
     obs::recorder::reset();
@@ -187,21 +190,12 @@ ObsOptions obs_options_from(const CliFlags& flags) {
     obs::telemetry::enable();
     if (!opts.telemetry_out.empty()) obs::telemetry::set_sink(opts.telemetry_out);
   }
-  if (!opts.trace_requests_out.empty() || opts.trace_requests) {
-    // Fixed seed 1 after a reset: the id stream — and so the retained-trace
-    // set — is reproducible run to run for the same workload.
-    obs::reqtrace::reset();
-    obs::reqtrace::SamplerConfig config;
-    config.seed = 1;
-    config.sample_rate = opts.trace_sample_rate;
-    obs::reqtrace::enable(config);
-  }
   return opts;
 }
 
 void emit_reports(const ObsOptions& opts, const obs::RunReport& report) {
   if (!opts.active()) return;
-  obs::trace::stop();
+  obs::reqtrace::disable();
   if (!opts.recorder_out.empty()) {
     obs::recorder::stop();
     obs::recorder::dump(opts.recorder_out, "run complete");
@@ -220,7 +214,7 @@ void emit_reports(const ObsOptions& opts, const obs::RunReport& report) {
     watchdog.check(obs::registry().snapshot());
   }
   if (!opts.json_out.empty()) report.write(opts.json_out);
-  if (!opts.trace_out.empty()) obs::trace::write_chrome_json(opts.trace_out);
+  if (!opts.trace_out.empty()) obs::reqtrace::write_chrome_json(opts.trace_out);
   if (!opts.metrics_out.empty()) {
     obs::write_json_file(opts.metrics_out,
                          obs::metrics_json(obs::registry().snapshot()));

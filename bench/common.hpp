@@ -122,16 +122,16 @@ obs::Json repeat_stats_json(const RepeatStats& stats);
 /// Parsed observability flags for one run.
 struct ObsOptions {
   std::string json_out;         ///< structured report path ("" = off)
-  std::string trace_out;        ///< Chrome trace-event path ("" = off)
+  /// Chrome trace-event path ("" = off): every span the tracer still holds,
+  /// the newest 512 per thread.
+  std::string trace_out;
   std::string recorder_out;     ///< flight-recorder snapshot path ("" = off)
   std::string metrics_out;      ///< MetricsSnapshot JSON path ("" = off)
   std::string openmetrics_out;  ///< OpenMetrics exposition path ("" = off)
   std::string telemetry_out;    ///< request-telemetry JSONL path ("" = off)
-  /// Retained request-trace JSONL path ("" = off). Arms reqtrace with
-  /// sampler seed 1; healthy-trace keep rate from --trace-sample-rate.
+  /// Retained request-trace JSONL path ("" = off).
   std::string trace_requests_out;
-  bool trace_requests = false;  ///< arm reqtrace without an output file
-  double trace_sample_rate = 1.0;
+  double trace_sample_rate = 1.0;  ///< healthy request-trace keep rate
   bool telemetry = false;       ///< ring-only telemetry, no JSONL sink
   bool slo = false;             ///< check default engine SLO rules at exit
 
@@ -139,25 +139,28 @@ struct ObsOptions {
     return !json_out.empty() || !trace_out.empty() || !recorder_out.empty() ||
            !metrics_out.empty() || !openmetrics_out.empty() ||
            !telemetry_out.empty() || !trace_requests_out.empty() ||
-           trace_requests || telemetry || slo;
+           telemetry || slo;
   }
 };
 
 /// Append the shared flag names ("json-out", "trace-out", "recorder-out",
 /// "metrics-out", "openmetrics-out", "telemetry-out", "trace-requests-out",
-/// "trace-requests", "trace-sample-rate", "telemetry", "slo", "repeat",
-/// "warmup") to a binary's known-flags list.
+/// "trace-sample-rate", "telemetry", "slo", "repeat", "warmup") to a
+/// binary's known-flags list.
 std::vector<std::string> with_obs_flags(std::vector<std::string> known);
 
-/// Read the shared observability flags. Resets registry values (so the
-/// report covers this run only) and starts trace collection when any output
-/// is active; --telemetry-out additionally enables per-request telemetry
-/// with a JSONL sink at that path.
+/// Read the shared observability flags. When any output is active, resets
+/// registry values (so the report covers this run only) and arms the
+/// tracer (obs/reqtrace.hpp) with sampler seed 1 after a reset, so the id
+/// stream and the retained-trace set repeat run to run; the healthy-trace
+/// keep rate comes from --trace-sample-rate. --telemetry-out additionally
+/// enables per-request telemetry with a JSONL sink at that path.
 ObsOptions obs_options_from(const CliFlags& flags);
 
 /// Write the requested outputs: the report to json_out, the Chrome
-/// trace-event file to trace_out, the metrics snapshot (JSON / OpenMetrics
-/// text) to metrics_out / openmetrics_out. Stops trace collection and closes
+/// trace-event file to trace_out, the retained request traces to
+/// trace_requests_out, the metrics snapshot (JSON / OpenMetrics text) to
+/// metrics_out / openmetrics_out. Stops trace collection and closes
 /// the telemetry sink. With `slo`, checks the default engine SLO rules
 /// against the final snapshot first, so the report records `slo.*` counters
 /// and any breach warnings. None of these flags enter report.config() —

@@ -10,9 +10,10 @@ Rules (suppress a finding with a same-line ``// lint-allow: <rule>``):
                          src/multipole/). Use ipow() (multipole/ipow.hpp):
                          std::pow with an integer exponent routes through the
                          general exp/log machinery per accepted interaction.
-  span-registry          Every obs::TraceSpan / ScopedTimer / reqtrace
-                         RequestScope / PhaseSpan name argument, every
-                         reqtrace::record_span name (second) argument, and
+  span-registry          Every ScopedTimer / reqtrace RequestScope /
+                         PhaseSpan name argument, every
+                         reqtrace::record_span name (second) argument, every
+                         record_timeline_span name (first) argument, and
                          every parallel_for(_blocked) trailing trace-name
                          argument is a constant from src/obs/spans.hpp
                          (obs::span::kFoo), so a typo'd span name cannot
@@ -80,11 +81,11 @@ HOT_ATOMIC_FILES = ("src/obs/metrics.hpp", "src/parallel/")
 POW_HOT_DIRS = ("src/core/", "src/multipole/")
 
 # Exempt from span-registry: the registry itself, the headers that *define*
-# TraceSpan / ScopedTimer / RequestScope / PhaseSpan / record_span
+# ScopedTimer / RequestScope / PhaseSpan / record_span / record_timeline_span
 # (constructor declarations and name_-forwarding bodies are not call sites),
 # and parallel_for's implementation, which forwards its caller's trace_name
 # and supplies the registry fallback for anonymous sweeps.
-SPAN_EXEMPT_FILES = ("src/obs/spans.hpp", "src/obs/trace.hpp", "src/util/timer.hpp",
+SPAN_EXEMPT_FILES = ("src/obs/spans.hpp", "src/util/timer.hpp",
                      "src/obs/reqtrace.hpp", "src/obs/reqtrace.cpp",
                      "src/parallel/parallel_for.hpp", "src/parallel/parallel_for.cpp")
 
@@ -120,10 +121,10 @@ ALLOC_CALL_RE = re.compile(r"\b(?:malloc|calloc|realloc|free)\s*\(")
 
 POW_RE = re.compile(r"\bstd::pow\s*\(")
 SPAN_RE = re.compile(
-    r"\b(?:obs::|reqtrace::)*(?:TraceSpan|ScopedTimer|RequestScope|PhaseSpan)"
+    r"\b(?:obs::|reqtrace::)*(?:ScopedTimer|RequestScope|PhaseSpan)"
     r"\s+\w+\s*(\()|"
-    r"\b(?:obs::|reqtrace::)*(?:TraceSpan|ScopedTimer|RequestScope|PhaseSpan)"
-    r"\s*(\()")
+    r"\b(?:obs::|reqtrace::)*(?:ScopedTimer|RequestScope|PhaseSpan|"
+    r"record_timeline_span)\s*(\()")
 # reqtrace::record_span(ctx, name, ...): the span name is the SECOND argument.
 RECORD_SPAN_RE = re.compile(r"\brecord_span\s*(\()")
 PARALLEL_FOR_RE = re.compile(r"\bparallel_for(?:_blocked)?\s*(\()")
@@ -344,7 +345,7 @@ class Linter:
             for m in SPAN_RE.finditer(code):
                 paren = m.start(1) if m.group(1) else m.start(2)
                 check_span_arg(extract_first_arg(code, paren), m.start(),
-                               "TraceSpan/ScopedTimer/RequestScope/PhaseSpan name")
+                               "PhaseSpan/ScopedTimer/RequestScope/record_timeline_span name")
             for m in RECORD_SPAN_RE.finditer(code):
                 args = extract_args(code, m.start(1))
                 if len(args) >= 2:

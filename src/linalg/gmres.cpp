@@ -6,7 +6,7 @@
 
 #include "obs/metric_names.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/reqtrace.hpp"
 #include "util/timer.hpp"
 #include "obs/spans.hpp"
 
@@ -113,7 +113,7 @@ GmresResult gmres(const LinearOperator& A, std::span<const double> b, std::span<
   // subspace and make no further progress.
   while (result.iterations < options.max_iterations && !stagnated &&
          !result.happy_breakdown) {
-    const obs::TraceSpan cycle_span(obs::span::kGmresCycle);
+    const obs::reqtrace::PhaseSpan cycle_span(obs::span::kGmresCycle);
     // r = b - A x
     A.apply(x, r);
     for (std::size_t i = 0; i < n; ++i) r[i] = b[i] - r[i];

@@ -144,8 +144,9 @@ inline constexpr const char* kTelemetryRequestSeconds = "telemetry.request_secon
 inline constexpr const char* kTelemetrySinkRotations = "telemetry.sink_rotations";
 inline constexpr const char* kTelemetrySinkErrors = "telemetry.sink_errors";
 
-// -- request tracing (obs/reqtrace.hpp) --------------------------------------
-inline constexpr const char* kTraceSpans = "reqtrace.spans";
+// -- tracing (obs/reqtrace.hpp) ----------------------------------------------
+/// Spans recorded, request and timeline alike.
+inline constexpr const char* kTraceRecordedSpans = "reqtrace.spans";
 inline constexpr const char* kTraceRequests = "reqtrace.requests";
 inline constexpr const char* kTraceRetained = "reqtrace.retained";
 inline constexpr const char* kTraceSampledOut = "reqtrace.sampled_out";

@@ -8,7 +8,7 @@
 #include <mutex>
 
 #include "obs/recorder.hpp"
-#include "obs/trace.hpp"
+#include "obs/reqtrace.hpp"
 
 namespace treecode::obs {
 
@@ -73,12 +73,12 @@ Json metrics_json(const MetricsSnapshot& snapshot) {
 
 Json spans_json() {
   Json arr = Json::array();
-  for (const TraceEvent& e : trace::events()) {
+  for (const reqtrace::SpanRecord& s : reqtrace::spans()) {
     Json span = Json::object();
-    span["name"] = e.name;
-    span["tid"] = static_cast<std::uint64_t>(e.tid);
-    span["ts_us"] = e.ts_us;
-    span["dur_us"] = e.dur_us;
+    span["name"] = s.name;
+    span["tid"] = static_cast<std::uint64_t>(s.tid);
+    span["ts_us"] = static_cast<double>(s.start_ns) * 1e-3;
+    span["dur_us"] = static_cast<double>(s.end_ns - s.start_ns) * 1e-3;
     arr.push_back(std::move(span));
   }
   return arr;

@@ -38,9 +38,10 @@ std::vector<std::string> drain_warnings();
 ///    "series": {name: [...]}}
 [[nodiscard]] Json metrics_json(const MetricsSnapshot& snapshot);
 
-/// Serialize the current trace events:
+/// Serialize every readable span of the tracer (obs/reqtrace.hpp), request
+/// and timeline alike, in start order:
 ///   [{"name": ..., "tid": ..., "ts_us": ..., "dur_us": ...}, ...]
-/// Empty array when tracing is off or compiled out.
+/// Empty array when nothing was traced or tracing is compiled out.
 [[nodiscard]] Json spans_json();
 
 /// Builder for the report document. Fill config() and results(), then

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <deque>
 #include <fstream>
@@ -76,7 +77,7 @@ struct Retained {
 
 struct State {
   std::atomic<bool> enabled{false};
-  std::atomic<std::int64_t> epoch_us{0};
+  std::atomic<std::int64_t> epoch_ns{0};
   std::atomic<std::uint64_t> draws{0};   ///< id-stream position
   std::atomic<std::uint64_t> seed{1};    ///< from SamplerConfig::seed
 
@@ -100,6 +101,12 @@ State& state() {
 }
 
 thread_local TraceContext tl_current{};
+
+std::int64_t steady_now_ns() noexcept {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
 
 /// Next id from the seeded deterministic stream. Never returns 0 (0 is the
 /// "no trace" sentinel).
@@ -165,32 +172,10 @@ void add_forced_locked(State& s, const TraceId& id) {
   registry().counter(metric::kTraceForcedKeeps).add(1);
 }
 
-/// Collect every readable span, appending those whose trace is retained to
-/// its RetainedTrace. `index` maps trace id -> position in `out`.
-void collect_spans(State& s, std::vector<RetainedTrace>& out) {
-  std::unordered_map<std::uint64_t, std::vector<std::size_t>> index;
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    index[out[i].trace_lo].push_back(i);
-  }
-  for (std::size_t r = 0; r < kMaxThreadRings; ++r) {
-    const ThreadRing* ring = s.rings[r].load(std::memory_order_acquire);
-    if (ring == nullptr) continue;
-    for (auto& [seq, record] : ring->snapshot()) {
-      if (record.name == nullptr) record.name = "";
-      const auto it = index.find(record.trace_lo);
-      if (it == index.end()) continue;
-      for (const std::size_t i : it->second) {
-        if (out[i].trace_hi == record.trace_hi) out[i].spans.push_back(record);
-      }
-    }
-  }
-  for (RetainedTrace& trace : out) {
-    std::sort(trace.spans.begin(), trace.spans.end(),
-              [](const SpanRecord& a, const SpanRecord& b) {
-                return a.start_us != b.start_us ? a.start_us < b.start_us
-                                                : a.span_id < b.span_id;
-              });
-  }
+/// Append one span to the calling thread's ring. Caller checked enabled().
+void push_span(State& s, const SpanRecord& record) noexcept {
+  ring_for_thread(s).push(record);
+  registry().counter(metric::kTraceRecordedSpans).add(1);
 }
 
 Json span_json(const SpanRecord& span) {
@@ -200,8 +185,8 @@ Json span_json(const SpanRecord& span) {
   doc["span_id"] = span_id_hex(span.span_id);
   doc["parent_span_id"] = span_id_hex(span.parent_span_id);
   doc["tid"] = static_cast<std::uint64_t>(span.tid);
-  doc["start_us"] = span.start_us;
-  doc["end_us"] = span.end_us;
+  doc["start_us"] = span.start_ns / 1000;
+  doc["end_us"] = span.end_ns / 1000;
   Json flows = Json::array();
   for (std::uint32_t f = 0; f < span.flow_count; ++f) {
     flows.push_back(span_id_hex(span.flows[f]));
@@ -221,7 +206,7 @@ void enable(const SamplerConfig& config) {
     if (s.config.retain_capacity == 0) s.config.retain_capacity = 1;
   }
   s.seed.store(config.seed, std::memory_order_relaxed);
-  s.epoch_us.store(steady_now_us(), std::memory_order_relaxed);
+  s.epoch_ns.store(steady_now_ns(), std::memory_order_relaxed);
   s.enabled.store(true, std::memory_order_release);
 }
 
@@ -244,10 +229,10 @@ void reset() {
   s.forced.clear();
 }
 
-std::int64_t now_us() noexcept {
+std::int64_t now_ns() noexcept {
   State& s = state();
-  const std::int64_t epoch = s.epoch_us.load(std::memory_order_relaxed);
-  return epoch == 0 ? 0 : steady_now_us() - epoch;
+  const std::int64_t epoch = s.epoch_ns.load(std::memory_order_relaxed);
+  return epoch == 0 ? 0 : steady_now_ns() - epoch;
 }
 
 TraceContext mint_request() noexcept {
@@ -277,7 +262,7 @@ const TraceContext& current() noexcept { return tl_current; }
 void set_current(const TraceContext& ctx) noexcept { tl_current = ctx; }
 
 void record_span(const TraceContext& ctx, const char* name, SpanKind kind,
-                 std::int64_t start_us, std::int64_t end_us,
+                 std::int64_t start_ns, std::int64_t end_ns,
                  std::span<const std::uint64_t> flows) noexcept {
   State& s = state();
   if (!s.enabled.load(std::memory_order_relaxed) || !ctx.valid()) return;
@@ -288,13 +273,22 @@ void record_span(const TraceContext& ctx, const char* name, SpanKind kind,
                     .name = name,
                     .kind = kind,
                     .tid = thread_index(),
-                    .start_us = start_us,
-                    .end_us = end_us,
+                    .start_ns = start_ns,
+                    .end_ns = end_ns,
                     .flow_count = static_cast<std::uint32_t>(
                         std::min(flows.size(), kMaxFlows))};
   std::copy_n(flows.begin(), record.flow_count, record.flows.begin());
-  ring_for_thread(s).push(record);
-  registry().counter(metric::kTraceSpans).add(1);
+  push_span(s, record);
+}
+
+void record_timeline_span(const char* name, std::int64_t start_ns,
+                          std::int64_t end_ns) noexcept {
+  State& s = state();
+  if (!s.enabled.load(std::memory_order_relaxed)) return;
+  push_span(s, SpanRecord{.name = name,
+                          .tid = thread_index(),
+                          .start_ns = start_ns,
+                          .end_ns = end_ns});
 }
 
 void finish_request(const TraceContext& ctx, const Verdict& verdict,
@@ -345,6 +339,23 @@ bool is_retained(const TraceContext& ctx) {
   return false;
 }
 
+std::vector<SpanRecord> spans() {
+  State& s = state();
+  std::vector<SpanRecord> out;
+  for (std::size_t r = 0; r < kMaxThreadRings; ++r) {
+    const ThreadRing* ring = s.rings[r].load(std::memory_order_acquire);
+    if (ring == nullptr) continue;
+    for (auto& [seq, record] : ring->snapshot()) {
+      if (record.name == nullptr) record.name = "";
+      out.push_back(record);
+    }
+  }
+  std::sort(out.begin(), out.end(), [](const SpanRecord& a, const SpanRecord& b) {
+    return a.start_ns != b.start_ns ? a.start_ns < b.start_ns : a.span_id < b.span_id;
+  });
+  return out;
+}
+
 std::vector<RetainedTrace> retained() {
   State& s = state();
   std::vector<RetainedTrace> out;
@@ -359,7 +370,17 @@ std::vector<RetainedTrace> retained() {
       out.push_back(std::move(trace));
     }
   }
-  collect_spans(s, out);
+  // Low trace-id word -> positions in `out`; the high word is checked below.
+  std::unordered_map<std::uint64_t, std::vector<std::size_t>> index;
+  for (std::size_t i = 0; i < out.size(); ++i) index[out[i].trace_lo].push_back(i);
+  for (const SpanRecord& span : spans()) {
+    if (span.timeline()) continue;
+    const auto it = index.find(span.trace_lo);
+    if (it == index.end()) continue;
+    for (const std::size_t i : it->second) {
+      if (out[i].trace_hi == span.trace_hi) out[i].spans.push_back(span);
+    }
+  }
   return out;
 }
 
@@ -387,62 +408,60 @@ std::string jsonl(std::size_t max_traces) {
 }
 
 std::string chrome_json() {
-  const std::vector<RetainedTrace> traces = retained();
-  // Flow sources are looked up across all exported traces: the batch span
-  // links to request spans that live in other (member) traces.
+  const std::vector<SpanRecord> all = spans();
+  // Flow sources are looked up across every span: the batch span links to
+  // request spans that live in other (member) traces.
   std::unordered_map<std::uint64_t, const SpanRecord*> by_span_id;
-  for (const RetainedTrace& trace : traces) {
-    for (const SpanRecord& span : trace.spans) {
-      by_span_id.emplace(span.span_id, &span);
-    }
+  for (const SpanRecord& span : all) {
+    if (!span.timeline()) by_span_id.emplace(span.span_id, &span);
   }
+  // Chrome timestamps are microseconds; doubles keep the ns resolution.
+  const auto us = [](std::int64_t ns) { return static_cast<double>(ns) * 1e-3; };
   Json events = Json::array();
-  for (const RetainedTrace& trace : traces) {
-    const std::string trace_id = trace_id_hex(trace.trace_hi, trace.trace_lo);
-    for (const SpanRecord& span : trace.spans) {
-      Json event = Json::object();
-      event["name"] = span.name;
-      event["cat"] = span_kind_name(span.kind);
-      event["ph"] = "X";
-      event["ts"] = span.start_us;
-      event["dur"] = span.end_us - span.start_us;
-      event["pid"] = 0;
-      event["tid"] = static_cast<std::uint64_t>(span.tid);
+  for (const SpanRecord& span : all) {
+    Json event = Json::object();
+    event["name"] = span.name;
+    event["cat"] = span_kind_name(span.kind);
+    event["ph"] = "X";
+    event["ts"] = us(span.start_ns);
+    event["dur"] = us(span.end_ns - span.start_ns);
+    event["pid"] = 0;
+    event["tid"] = static_cast<std::uint64_t>(span.tid);
+    if (!span.timeline()) {
       Json args = Json::object();
-      args["trace_id"] = trace_id;
+      args["trace_id"] = trace_id_hex(span.trace_hi, span.trace_lo);
       args["span_id"] = span_id_hex(span.span_id);
       args["parent_span_id"] = span_id_hex(span.parent_span_id);
-      args["reason"] = trace.reason;
       event["args"] = std::move(args);
-      events.push_back(std::move(event));
-      for (std::uint32_t f = 0; f < span.flow_count; ++f) {
-        const auto it = by_span_id.find(span.flows[f]);
-        if (it == by_span_id.end()) continue;
-        const SpanRecord& source = *it->second;
-        // Flow start must sit inside the source slice for Perfetto to bind
-        // the arrow; clamp the batch start into the source's window.
-        const std::int64_t start_ts = std::clamp(span.start_us, source.start_us,
-                                                 source.end_us);
-        Json flow_start = Json::object();
-        flow_start["name"] = "batch.fanin";
-        flow_start["cat"] = "flow";
-        flow_start["ph"] = "s";
-        flow_start["id"] = span_id_hex(source.span_id);
-        flow_start["ts"] = start_ts;
-        flow_start["pid"] = 0;
-        flow_start["tid"] = static_cast<std::uint64_t>(source.tid);
-        events.push_back(std::move(flow_start));
-        Json flow_end = Json::object();
-        flow_end["name"] = "batch.fanin";
-        flow_end["cat"] = "flow";
-        flow_end["ph"] = "f";
-        flow_end["bp"] = "e";
-        flow_end["id"] = span_id_hex(source.span_id);
-        flow_end["ts"] = span.start_us;
-        flow_end["pid"] = 0;
-        flow_end["tid"] = static_cast<std::uint64_t>(span.tid);
-        events.push_back(std::move(flow_end));
-      }
+    }
+    events.push_back(std::move(event));
+    for (std::uint32_t f = 0; f < span.flow_count; ++f) {
+      const auto it = by_span_id.find(span.flows[f]);
+      if (it == by_span_id.end()) continue;
+      const SpanRecord& source = *it->second;
+      // Flow start must sit inside the source slice for Perfetto to bind
+      // the arrow; clamp the batch start into the source's window.
+      const std::int64_t start_ns =
+          std::clamp(span.start_ns, source.start_ns, source.end_ns);
+      Json flow_start = Json::object();
+      flow_start["name"] = "batch.fanin";
+      flow_start["cat"] = "flow";
+      flow_start["ph"] = "s";
+      flow_start["id"] = span_id_hex(source.span_id);
+      flow_start["ts"] = us(start_ns);
+      flow_start["pid"] = 0;
+      flow_start["tid"] = static_cast<std::uint64_t>(source.tid);
+      events.push_back(std::move(flow_start));
+      Json flow_end = Json::object();
+      flow_end["name"] = "batch.fanin";
+      flow_end["cat"] = "flow";
+      flow_end["ph"] = "f";
+      flow_end["bp"] = "e";
+      flow_end["id"] = span_id_hex(source.span_id);
+      flow_end["ts"] = us(span.start_ns);
+      flow_end["pid"] = 0;
+      flow_end["tid"] = static_cast<std::uint64_t>(span.tid);
+      events.push_back(std::move(flow_end));
     }
   }
   return events.dump(0);

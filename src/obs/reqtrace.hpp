@@ -1,41 +1,47 @@
 #pragma once
 
 /// \file reqtrace.hpp
-/// Request-scoped causal tracing with tail-based sampling.
+/// The one span tracer: request-scoped causal traces with tail-based
+/// sampling, and the process timeline of phase spans, in one set of rings
+/// behind one enable switch, one epoch and one Chrome exporter.
 ///
-/// The phase tracer (obs/trace.hpp) answers "where does wall time go,
-/// process-wide"; the telemetry ring (obs/telemetry.hpp) answers "what did
-/// request N look like at its exit". Neither links the two: once the
-/// service coalesces k tenant requests into one batched replay, a slow or
-/// degraded request can only be explained by following *its* path — queue
-/// wait, batch placement, replay phases — across threads. This layer mints
-/// a TraceContext (128-bit trace id + 64-bit span ids) at every service
-/// submission and every direct engine entry, propagates it through the
-/// scheduler queue and the coalesced batch (the batch span carries *flow
-/// links* back to each member request span, so Perfetto renders the
-/// fan-in), and lets the engine's existing ScopedTimer phases join the
-/// active trace automatically.
+/// Two kinds of span share the rings:
+///  - *Request spans* belong to a trace. A TraceContext (128-bit trace id +
+///    64-bit span ids) is minted at every service submission and every
+///    direct engine entry, propagated through the scheduler queue and the
+///    coalesced batch (the batch span carries *flow links* back to each
+///    member request span, so Perfetto renders the fan-in), and the
+///    engine's ScopedTimer phases join the active trace as child spans.
+///  - *Timeline spans* have no trace: a PhaseSpan opened with no request
+///    context installed (tree builds, solver cycles, every parallel
+///    region's per-worker span). They carry zero ids and never draw from
+///    the id stream.
 ///
 /// Design constraints:
 ///  - Span writes go to per-thread obs::SeqRing rings (obs/seq_ring.hpp,
 ///    the flight recorder's ring): torn reads detected and skipped, no
-///    locks on the record path.
+///    locks on the record path. A ring keeps its thread's newest 512 spans.
 ///  - IDs come from splitmix64 over one seeded global counter — no wall
 ///    clock, no std::random_device — so a replayed workload mints the same
 ///    ids and the retained-trace set is bitwise-deterministic for a fixed
-///    seed regardless of worker thread count (only driver threads mint).
+///    seed regardless of worker thread count (only submitting and scheduling
+///    threads mint; parallel regions run detached from the request, see
+///    parallel_for).
 ///  - Sampling is **tail-based**: the keep/drop decision happens at request
 ///    completion, when the verdict (error, served rung, deadline, latency)
 ///    is known. Errored, degraded (rung > basis replay), deadline-missed,
 ///    SLO-breaching and over-threshold-slow requests are always kept; the
 ///    healthy rest is sampled at SamplerConfig::sample_rate by hashing the
 ///    trace id (schedule-independent).
+///  - Timestamps are nanoseconds since enable(), so the Chrome timeline
+///    keeps sub-microsecond slices.
 ///  - Compile time: with -DTREECODE_TRACING=OFF every type and call here
-///    collapses to an empty inline stub, same as obs/trace.hpp.
+///    collapses to an empty inline stub; spans compile to nothing.
 ///
-/// Exports: `treecode-trace/v1` JSONL (one retained trace per line,
-/// validated by scripts/validate_trace.py) and Chrome trace-event JSON with
-/// flow events (loadable in Perfetto).
+/// Exports: `treecode-trace/v1` JSONL of the retained request traces (one
+/// trace per line, validated by scripts/validate_trace.py) and Chrome
+/// trace-event JSON of every readable span, timeline included, with flow
+/// events (loadable in Perfetto at https://ui.perfetto.dev).
 
 #include <array>
 #include <cstdint>
@@ -61,7 +67,7 @@ enum class SpanKind : std::uint8_t {
   kRequest = 0,  ///< root span of a request trace (or batch trace)
   kQueue,        ///< time spent queued between admission and batch pickup
   kBatch,        ///< one coalesced batched replay; carries flow links
-  kPhase,        ///< engine phase / nested scope inside a request
+  kPhase,        ///< phase inside a request, or a timeline span
 };
 
 /// Stable name for a SpanKind ("request", "queue", "batch", "phase").
@@ -71,7 +77,8 @@ const char* span_kind_name(SpanKind kind);
 /// caps batch width at 8, so a batch span fans in from at most 8 requests.
 inline constexpr std::size_t kMaxFlows = 8;
 
-/// One completed span, as read back from the rings.
+/// One completed span, as read back from the rings. A timeline span has
+/// all four ids zero.
 struct SpanRecord {
   std::uint64_t trace_hi = 0;
   std::uint64_t trace_lo = 0;
@@ -80,10 +87,12 @@ struct SpanRecord {
   const char* name = "";  ///< static string from obs/spans.hpp
   SpanKind kind = SpanKind::kPhase;
   std::uint32_t tid = 0;  ///< obs::thread_index() of the recording thread
-  std::int64_t start_us = 0;  ///< microseconds since enable()
-  std::int64_t end_us = 0;
+  std::int64_t start_ns = 0;  ///< nanoseconds since enable()
+  std::int64_t end_ns = 0;
   std::uint32_t flow_count = 0;
   std::array<std::uint64_t, kMaxFlows> flows{};  ///< linked request span ids
+
+  [[nodiscard]] bool timeline() const noexcept { return (trace_hi | trace_lo) == 0; }
 };
 
 /// Tail-sampler policy. All fields participate in the deterministic keep
@@ -131,18 +140,18 @@ std::string span_id_hex(std::uint64_t id);
 /// clean, replay-deterministic id stream.
 void enable(const SamplerConfig& config = {});
 
-/// Stop recording. Retained traces stay readable.
+/// Stop recording. Recorded spans and retained traces stay readable.
 void disable();
 
 /// Whether spans are being recorded. One relaxed load.
 bool enabled() noexcept;
 
-/// Clear rings, retained traces, counters and the id counter. Not safe
-/// concurrently with recording; intended for test setup.
+/// Disable, then clear rings, retained traces and the id counter. Not safe
+/// concurrently with recording; intended for run and test setup.
 void reset();
 
-/// Microseconds since enable() (0 before the first enable()).
-[[nodiscard]] std::int64_t now_us() noexcept;
+/// Nanoseconds since enable() (0 before the first enable()).
+[[nodiscard]] std::int64_t now_ns() noexcept;
 
 /// Mint a new root context: fresh 128-bit trace id, fresh root span id,
 /// parent 0. Returns an invalid context while disabled. Call only from
@@ -161,12 +170,18 @@ void reset();
 /// ContextGuard / RequestScope, which restore the previous context.
 void set_current(const TraceContext& ctx) noexcept;
 
-/// Record one completed span into the calling thread's ring. `name` must
-/// be a registry constant from obs/spans.hpp (it is stored by pointer).
-/// At most kMaxFlows flow links are kept.
+/// Record one completed request span into the calling thread's ring.
+/// `name` must be a registry constant from obs/spans.hpp (it is stored by
+/// pointer). At most kMaxFlows flow links are kept. No-op for an invalid
+/// context.
 void record_span(const TraceContext& ctx, const char* name, SpanKind kind,
-                 std::int64_t start_us, std::int64_t end_us,
+                 std::int64_t start_ns, std::int64_t end_ns,
                  std::span<const std::uint64_t> flows = {}) noexcept;
+
+/// Record one completed timeline span (no trace) into the calling thread's
+/// ring. PhaseSpan's path when no request context is installed.
+void record_timeline_span(const char* name, std::int64_t start_ns,
+                          std::int64_t end_ns) noexcept;
 
 /// Tail decision for a completed request trace. When the trace is kept and
 /// `force_keep_link` names another (not yet finished) trace — the batch a
@@ -183,16 +198,22 @@ void note_child_verdict(const TraceContext& ctx, const Verdict& verdict);
 /// Whether `ctx`'s trace is currently in the retained set.
 [[nodiscard]] bool is_retained(const TraceContext& ctx);
 
+/// Every readable span in every thread ring, request and timeline alike,
+/// in start order. Torn/overwritten slots are skipped.
+[[nodiscard]] std::vector<SpanRecord> spans();
+
 /// Snapshot the retained traces (oldest first), each with its readable
-/// spans gathered from every thread ring. Torn/overwritten slots skipped.
+/// spans gathered from every thread ring.
 [[nodiscard]] std::vector<RetainedTrace> retained();
 
 /// Retained traces as `treecode-trace/v1` JSONL, one trace per line,
 /// newest last. `max_traces` 0 = all.
 [[nodiscard]] std::string jsonl(std::size_t max_traces = 0);
 
-/// Retained traces as a Chrome trace-event JSON array with flow events
-/// ("s"/"f" pairs) from each member request span into its batch span.
+/// Every readable span as a Chrome trace-event JSON array: one "X" slice
+/// per span (request spans carry their trace and span ids in `args`), plus
+/// flow events ("s"/"f" pairs) from each member request span into its
+/// batch span.
 [[nodiscard]] std::string chrome_json();
 
 /// Write jsonl() / chrome_json() to `path`; false on I/O failure (warns).
@@ -205,7 +226,7 @@ inline void enable(const SamplerConfig& = {}) {}
 inline void disable() {}
 [[nodiscard]] inline bool enabled() noexcept { return false; }
 inline void reset() {}
-[[nodiscard]] inline std::int64_t now_us() noexcept { return 0; }
+[[nodiscard]] inline std::int64_t now_ns() noexcept { return 0; }
 [[nodiscard]] inline TraceContext mint_request() noexcept { return {}; }
 [[nodiscard]] inline TraceContext child_of(const TraceContext&) noexcept {
   return {};
@@ -218,10 +239,12 @@ inline void set_current(const TraceContext&) noexcept {}
 inline void record_span(const TraceContext&, const char*, SpanKind,
                         std::int64_t, std::int64_t,
                         std::span<const std::uint64_t> = {}) noexcept {}
+inline void record_timeline_span(const char*, std::int64_t, std::int64_t) noexcept {}
 inline void finish_request(const TraceContext&, const Verdict&,
                            const TraceContext* = nullptr) {}
 inline void note_child_verdict(const TraceContext&, const Verdict&) {}
 [[nodiscard]] inline bool is_retained(const TraceContext&) { return false; }
+[[nodiscard]] inline std::vector<SpanRecord> spans() { return {}; }
 [[nodiscard]] inline std::vector<RetainedTrace> retained() { return {}; }
 [[nodiscard]] inline std::string jsonl(std::size_t = 0) { return {}; }
 [[nodiscard]] inline std::string chrome_json() { return "[]"; }
@@ -255,7 +278,7 @@ class RequestScope {
     prev_ = active;
     installed_ = true;
     set_current(ctx_);
-    start_us_ = now_us();
+    start_ns_ = now_ns();
   }
 
   ~RequestScope() {
@@ -271,7 +294,7 @@ class RequestScope {
     if (!ctx_.valid() || done_) return;
     done_ = true;
     record_span(ctx_, name_, root_ ? SpanKind::kRequest : SpanKind::kPhase,
-                start_us_, now_us());
+                start_ns_, now_ns());
     if (root_) {
       finish_request(ctx_, verdict);
     } else {
@@ -289,34 +312,37 @@ class RequestScope {
 
   [[nodiscard]] TraceContext context() const noexcept { return ctx_; }
   [[nodiscard]] bool root() const noexcept { return root_; }
-  [[nodiscard]] std::int64_t start_us() const noexcept { return start_us_; }
+  [[nodiscard]] std::int64_t start_ns() const noexcept { return start_ns_; }
 
  private:
   TraceContext ctx_{};
   TraceContext prev_{};
   const char* name_;
-  std::int64_t start_us_ = 0;
+  std::int64_t start_ns_ = 0;
   bool root_ = false;
   bool installed_ = false;
   bool done_ = false;
 };
 
-/// RAII phase span: a child of the thread's current context, recorded on
-/// destruction. Inert (one branch) when no context is active — this is the
-/// hook ScopedTimer uses, so engine phases join whatever request trace is
-/// running without touching evaluator code.
+/// RAII span, recorded on destruction: a child of the thread's current
+/// context when one is installed (so engine phases join whatever request
+/// trace is running without touching evaluator code), a timeline span
+/// otherwise. One relaxed load while tracing is off. Pass a registry
+/// constant from obs/spans.hpp (the name is stored by pointer).
 class PhaseSpan {
  public:
   explicit PhaseSpan(const char* name) noexcept : name_(name) {
     if (!enabled()) return;
-    const TraceContext& active = current();
-    if (!active.valid()) return;
-    ctx_ = child_of(active);
-    start_us_ = now_us();
+    ctx_ = child_of(current());
+    start_ns_ = now_ns();
+    armed_ = true;
   }
   ~PhaseSpan() {
+    if (!armed_) return;
     if (ctx_.valid()) {
-      record_span(ctx_, name_, SpanKind::kPhase, start_us_, now_us());
+      record_span(ctx_, name_, SpanKind::kPhase, start_ns_, now_ns());
+    } else {
+      record_timeline_span(name_, start_ns_, now_ns());
     }
   }
   PhaseSpan(const PhaseSpan&) = delete;
@@ -325,11 +351,13 @@ class PhaseSpan {
  private:
   TraceContext ctx_{};
   const char* name_;
-  std::int64_t start_us_ = 0;
+  std::int64_t start_ns_ = 0;
+  bool armed_ = false;
 };
 
 /// RAII install/restore of the thread's current context — how the service
-/// scheduler lends the batch context to the engine for one evaluation.
+/// scheduler lends the batch context to the engine for one evaluation, and
+/// how parallel_for detaches its region from the caller's request.
 class ContextGuard {
  public:
   explicit ContextGuard(const TraceContext& ctx) noexcept : prev_(current()) {
@@ -354,7 +382,7 @@ class RequestScope {
   TraceContext release() noexcept { return {}; }
   [[nodiscard]] TraceContext context() const noexcept { return {}; }
   [[nodiscard]] bool root() const noexcept { return false; }
-  [[nodiscard]] std::int64_t start_us() const noexcept { return 0; }
+  [[nodiscard]] std::int64_t start_ns() const noexcept { return 0; }
 };
 
 class PhaseSpan {

@@ -3,16 +3,16 @@
 /// \file spans.hpp
 /// Central registry of every trace-span / phase name in the library.
 ///
-/// Span names identify phases across three consumers at once: the Chrome
-/// trace-event export (obs/trace.hpp), the `time.*_ns` phase counters
+/// Span names identify phases across three consumers at once: the tracer's
+/// spans and exports (obs/reqtrace.hpp), the `time.*_ns` phase counters
 /// (util/timer.hpp ScopedTimer), and the flight recorder's phase events
 /// (obs/recorder.hpp). A typo'd literal at any one call site silently
 /// fragments all three — the span records under a name nothing else
 /// aggregates. Every call site therefore names its span through one of
 /// these constants; scripts/treecode_lint.py (rule `span-registry`)
-/// rejects raw string literals at TraceSpan / ScopedTimer /
-/// parallel_for(_blocked) call sites and any constant here whose value
-/// duplicates another's.
+/// rejects raw string literals at PhaseSpan / ScopedTimer / RequestScope /
+/// record_span / record_timeline_span / parallel_for(_blocked) call sites
+/// and any constant here whose value duplicates another's.
 ///
 /// Naming convention: `time.<subsystem>_<phase>` for ScopedTimer phases
 /// (the `_ns` counter suffix is appended by ScopedTimer), and

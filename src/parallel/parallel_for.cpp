@@ -3,9 +3,9 @@
 #include <exception>
 #include <mutex>
 
-#include "obs/trace.hpp"
-#include "util/timer.hpp"
+#include "obs/reqtrace.hpp"
 #include "obs/spans.hpp"
+#include "util/timer.hpp"
 
 namespace treecode {
 
@@ -30,10 +30,15 @@ WorkStats parallel_for_blocked(ThreadPool& pool, std::size_t n, std::size_t bloc
 
   std::atomic<std::size_t> next{0};
   pool.run_on_all([&](unsigned t) {
-    // Callers forward string literals per the parallel_for contract; the
-    // fallback makes this the one non-literal span site.
-    const obs::TraceSpan span(trace_name != nullptr ? trace_name
-                                                    : obs::span::kParallelFor);
+    // The region runs detached from the caller's request: at width 1 the
+    // task runs on the caller thread, and a span joining its request there
+    // would draw ids that wider pools never draw, breaking the
+    // thread-count-independent id stream. Callers forward registry
+    // constants per the parallel_for contract; the fallback makes this the
+    // one non-constant span site.
+    const obs::reqtrace::ContextGuard detached{obs::reqtrace::TraceContext{}};
+    const obs::reqtrace::PhaseSpan span(trace_name != nullptr ? trace_name
+                                                              : obs::span::kParallelFor);
     Timer timer;
     std::uint64_t my_work = 0;
     while (!token->cancelled()) {

@@ -202,13 +202,13 @@ EvalService::~EvalService() {
 
 void EvalService::cancel_pending(std::vector<Request>& pending,
                                  const char* message) {
-  const std::int64_t now = obs::reqtrace::now_us();
+  const std::int64_t now = obs::reqtrace::now_ns();
   for (Request& request : pending) {
     // Close the root span at cancellation and run the tail decision with
     // an error verdict: every cancelled request's trace is retained.
     obs::reqtrace::record_span(request.trace, obs::span::kServiceRequest,
                                obs::reqtrace::SpanKind::kRequest,
-                               request.submit_us, now);
+                               request.submit_ns, now);
     obs::reqtrace::Verdict verdict;
     verdict.ok = false;
     verdict.error_code = static_cast<std::uint8_t>(ErrorCode::kCancelled);
@@ -369,15 +369,15 @@ Expected<EvalService::Ticket> EvalService::try_submit_impl(
     request.charges.assign(charges.begin(), charges.end());
     request.state = state;
     request.trace = rscope.context();
-    request.submit_us = rscope.start_us();
-    request.enqueue_us = obs::reqtrace::now_us();
+    request.submit_ns = rscope.start_ns();
+    request.enqueue_ns = obs::reqtrace::now_ns();
     request.submitted_at = std::chrono::steady_clock::now();
     // Admission is a child slice; the root span (submit -> fulfill) is
     // recorded by the scheduler, which takes over the tail decision.
     obs::reqtrace::record_span(obs::reqtrace::child_of(request.trace),
                                obs::span::kReqServiceSubmit,
                                obs::reqtrace::SpanKind::kPhase,
-                               request.submit_us, request.enqueue_us);
+                               request.submit_ns, request.enqueue_ns);
     (void)rscope.release();
     tenant.queue.push_back(std::move(request));
     ++tenant.submitted;
@@ -498,13 +498,13 @@ std::size_t EvalService::run_round() {
   // Queue-wait spans close at pickup, and the batch trace is minted here —
   // on the scheduling thread, never inside workers, so the id stream (and
   // the retained set) is independent of the session pool's schedule.
-  const std::int64_t pickup_us = obs::reqtrace::now_us();
+  const std::int64_t pickup_ns = obs::reqtrace::now_ns();
   const auto pickup_at = std::chrono::steady_clock::now();
   for (const Request& request : batch) {
     obs::reqtrace::record_span(obs::reqtrace::child_of(request.trace),
                                obs::span::kServiceQueueWait,
                                obs::reqtrace::SpanKind::kQueue,
-                               request.enqueue_us, pickup_us);
+                               request.enqueue_ns, pickup_ns);
   }
   const obs::reqtrace::TraceContext batch_ctx = obs::reqtrace::mint_request();
 
@@ -555,7 +555,7 @@ std::size_t EvalService::run_round() {
   // tail decision (a retained member force-keeps the batch trace so its
   // flow links resolve), feed the tenant latency histograms, emit the
   // kServiceServe record, wake the waiter.
-  const std::int64_t done_us = obs::reqtrace::now_us();
+  const std::int64_t done_ns = obs::reqtrace::now_ns();
   const auto done_at = std::chrono::steady_clock::now();
   obs::Registry& reg = obs::registry();
   bool any_deadline = false;
@@ -586,7 +586,7 @@ std::size_t EvalService::run_round() {
 
     obs::reqtrace::record_span(request.trace, obs::span::kServiceRequest,
                                obs::reqtrace::SpanKind::kRequest,
-                               request.submit_us, done_us);
+                               request.submit_ns, done_ns);
     obs::reqtrace::finish_request(request.trace, verdict, &batch_ctx);
     if (obs::reqtrace::is_retained(request.trace)) {
       flows.push_back(request.trace.span_id);
@@ -637,8 +637,8 @@ std::size_t EvalService::run_round() {
   batch_verdict.wall_seconds =
       std::chrono::duration<double>(done_at - pickup_at).count();
   obs::reqtrace::record_span(batch_ctx, obs::span::kServiceBatch,
-                             obs::reqtrace::SpanKind::kBatch, pickup_us,
-                             done_us, flows);
+                             obs::reqtrace::SpanKind::kBatch, pickup_ns,
+                             done_ns, flows);
   obs::reqtrace::finish_request(batch_ctx, batch_verdict);
   return width;
 }

@@ -202,8 +202,8 @@ class EvalService {
     std::vector<double> charges;
     std::shared_ptr<detail::RequestState> state;
     obs::reqtrace::TraceContext trace;  ///< minted at try_submit admission
-    std::int64_t submit_us = 0;   ///< reqtrace clock at submit entry
-    std::int64_t enqueue_us = 0;  ///< reqtrace clock at queue push
+    std::int64_t submit_ns = 0;   ///< reqtrace clock at submit entry
+    std::int64_t enqueue_ns = 0;  ///< reqtrace clock at queue push
     /// Wall clock at admission, for latency/queue-wait metrics (valid even
     /// when tracing is compiled out).
     std::chrono::steady_clock::time_point submitted_at;

@@ -10,7 +10,6 @@
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
 #include "obs/reqtrace.hpp"
-#include "obs/trace.hpp"
 
 namespace treecode {
 
@@ -45,17 +44,17 @@ double time_seconds(F&& f) {
 
 /// RAII phase timer wired into the observability layer: on destruction it
 /// accumulates the elapsed nanoseconds into the obs counter
-/// `<metric>_ns`, records a trace span named `metric` (when tracing is
-/// active), joins the calling thread's active request trace as a phase
-/// span (when one is installed — this is how engine replay phases appear
-/// inside service batch traces), and optionally stores the elapsed seconds
-/// for callers that keep their own bookkeeping (the evaluators' build/eval
-/// seconds). `metric` must be a string literal or otherwise outlive the
-/// timer.
+/// `<metric>_ns`, records one span named `metric` when tracing is active
+/// (a phase of the calling thread's request trace when one is installed —
+/// this is how engine replay phases appear inside service batch traces —
+/// and a timeline span otherwise), and optionally stores the elapsed
+/// seconds for callers that keep their own bookkeeping (the evaluators'
+/// build/eval seconds). `metric` must be a string literal or otherwise
+/// outlive the timer.
 class ScopedTimer {
  public:
   explicit ScopedTimer(const char* metric, double* out_seconds = nullptr) noexcept
-      : metric_(metric), out_(out_seconds), span_(metric), req_span_(metric) {}
+      : metric_(metric), out_(out_seconds), span_(metric) {}
 
   ~ScopedTimer() {
     const double s = timer_.seconds();
@@ -76,8 +75,7 @@ class ScopedTimer {
   Timer timer_;
   const char* metric_;
   double* out_;
-  obs::TraceSpan span_;
-  obs::reqtrace::PhaseSpan req_span_;
+  obs::reqtrace::PhaseSpan span_;
 };
 
 }  // namespace treecode

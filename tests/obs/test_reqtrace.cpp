@@ -1,18 +1,23 @@
-// Request-trace unit tests: deterministic id minting for a fixed seed,
-// tail-based keep rules and their reason precedence, identity-hashed
-// sampling (schedule-independent), forced-keep linkage from a retained
-// member to its batch trace, ring wraparound (newest spans win), retained
-// FIFO eviction, and the JSONL / Chrome export shapes. Concurrent
+// Tracer unit tests: deterministic id minting for a fixed seed, tail-based
+// keep rules and their reason precedence, identity-hashed sampling
+// (schedule-independent), forced-keep linkage from a retained member to its
+// batch trace, ring wraparound (newest spans win), retained FIFO eviction,
+// the JSONL / Chrome export shapes, and the process timeline: a disabled
+// tracer records nothing, nested spans nest, reset drops stale spans,
+// worker spans outlive their pool, a ScopedTimer records exactly once, and
+// parallel regions never draw request ids at any pool width. Concurrent
 // record/finish stress lives in tests/parallel/test_stress.cpp (TSan).
 // With -DTREECODE_TRACING=OFF every check degrades to the no-op contract.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -21,6 +26,9 @@
 #include "obs/metrics.hpp"
 #include "obs/reqtrace.hpp"
 #include "obs/spans.hpp"
+#include "parallel/parallel_for.hpp"
+#include "parallel/thread_pool.hpp"
+#include "util/timer.hpp"
 
 namespace treecode {
 namespace {
@@ -258,25 +266,20 @@ TEST_F(ReqTraceTest, NoteChildVerdictForcesEnclosingTrace) {
 }
 
 TEST_F(ReqTraceTest, RingWraparoundKeepsNewestSpans) {
-  rt::SamplerConfig config = keep_nothing();
-  config.sample_rate = 1.0;
-  ENABLE_OR_SKIP(config);
-  const rt::TraceContext root = rt::mint_request();
-  // Overfill this thread's 512-slot ring; the oldest 100 spans must be
-  // overwritten, the newest 512 all readable.
+  ENABLE_OR_SKIP(keep_nothing());
+  // Overfill this thread's 512-slot ring with timeline spans; the oldest
+  // 100 must be overwritten, the newest 512 all readable.
   const std::int64_t total = 512 + 100;
   for (std::int64_t i = 0; i < total; ++i) {
-    rt::record_span(rt::child_of(root), obs::span::kEngineReplay,
-                    rt::SpanKind::kPhase, i, i + 1);
+    rt::record_timeline_span(obs::span::kEngineReplay, i, i + 1);
   }
-  rt::finish_request(root, rt::Verdict{});
-  const std::vector<rt::RetainedTrace> retained = rt::retained();
-  ASSERT_EQ(retained.size(), 1u);
-  ASSERT_EQ(retained[0].spans.size(), 512u);
+  const std::vector<rt::SpanRecord> spans = rt::spans();
+  ASSERT_EQ(spans.size(), 512u);
   // Spans come back sorted by start time; the survivors are exactly the
   // newest 512 writes.
-  EXPECT_EQ(retained[0].spans.front().start_us, total - 512);
-  EXPECT_EQ(retained[0].spans.back().start_us, total - 1);
+  EXPECT_EQ(spans.front().start_ns, total - 512);
+  EXPECT_EQ(spans.back().start_ns, total - 1);
+  EXPECT_TRUE(spans.front().timeline());
 }
 
 TEST_F(ReqTraceTest, RetainedSetEvictsOldestBeyondCapacity) {
@@ -405,6 +408,159 @@ TEST_F(ReqTraceTest, WriteJsonlRoundTripsThroughAFile) {
   ASSERT_TRUE(std::getline(in, line));
   EXPECT_EQ(obs::Json::parse(line).at("schema").as_string(), "treecode-trace/v1");
   std::remove(path.c_str());
+}
+
+// ---- process timeline ------------------------------------------------------
+
+TEST_F(ReqTraceTest, DisabledTracerRecordsNothing) {
+  {
+    const rt::PhaseSpan span(obs::span::kTreeBuild);
+    const ScopedTimer timer(obs::span::kBhP2m);
+  }
+  // Enabling afterwards must not surface spans constructed while disabled.
+  rt::enable(keep_nothing());
+  EXPECT_TRUE(rt::spans().empty());
+}
+
+TEST_F(ReqTraceTest, NestedTimelineSpansNest) {
+  ENABLE_OR_SKIP(keep_nothing());
+  {
+    const rt::PhaseSpan outer(obs::span::kTreeBuild);
+    const rt::PhaseSpan inner(obs::span::kBhP2m);
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  const std::vector<rt::SpanRecord> spans = rt::spans();
+  ASSERT_EQ(spans.size(), 2u);
+  const rt::SpanRecord& outer = spans[0];
+  const rt::SpanRecord& inner = spans[1];
+  EXPECT_STREQ(outer.name, obs::span::kTreeBuild);
+  EXPECT_STREQ(inner.name, obs::span::kBhP2m);
+  // No request installed: both are timeline spans, and no id was drawn.
+  EXPECT_TRUE(outer.timeline());
+  EXPECT_TRUE(inner.timeline());
+  EXPECT_EQ(outer.span_id, 0u);
+  EXPECT_EQ(outer.tid, inner.tid);
+  EXPECT_GE(outer.start_ns, 0);
+  EXPECT_LE(outer.start_ns, inner.start_ns);
+  EXPECT_GE(outer.end_ns, inner.end_ns);
+  EXPECT_GE(inner.end_ns - inner.start_ns, 1'000'000);  // slept >= 2 ms
+}
+
+TEST_F(ReqTraceTest, ResetDropsStaleSpans) {
+  ENABLE_OR_SKIP(keep_nothing());
+  { const rt::PhaseSpan span(obs::span::kTreeBuild); }
+  rt::reset();
+  rt::enable(keep_nothing());
+  { const rt::PhaseSpan span(obs::span::kBhP2m); }
+  const std::vector<rt::SpanRecord> spans = rt::spans();
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_STREQ(spans[0].name, obs::span::kBhP2m);
+}
+
+TEST_F(ReqTraceTest, WorkerSpansSurviveThreadPoolDestruction) {
+  ENABLE_OR_SKIP(keep_nothing());
+  {
+    ThreadPool pool(4);
+    parallel_for(
+        pool, 1'000, 64, [](std::size_t, std::size_t, unsigned) {}, nullptr,
+        obs::span::kBhTraverseWorker);
+  }  // pool threads join here; their rings must outlive them
+  int worker_spans = 0;
+  for (const rt::SpanRecord& span : rt::spans()) {
+    if (std::string(span.name) != obs::span::kBhTraverseWorker) continue;
+    EXPECT_TRUE(span.timeline());
+    ++worker_spans;
+  }
+  EXPECT_EQ(worker_spans, 4);
+}
+
+TEST_F(ReqTraceTest, ChromeTimelineIsParseableWithSubMicrosecondTimes) {
+  rt::enable(keep_nothing());
+  if (!rt::enabled()) {
+    // Compiled out: the stub must still emit a valid (empty) JSON array.
+    EXPECT_TRUE(obs::Json::parse(rt::chrome_json()).is_array());
+    ASSERT_FALSE(tracing_compiled_in());
+    GTEST_SKIP() << "tracing compiled out (TREECODE_TRACING=OFF)";
+  }
+  // A quoted, backslashed name must not corrupt the document.
+  const char* const name = "test.chrome \"quoted\\name";
+  rt::record_timeline_span(name, 1500, 2750);
+  const obs::Json events = obs::Json::parse(rt::chrome_json());
+  ASSERT_EQ(events.size(), 1u);
+  const obs::Json& e = events.at(0);
+  EXPECT_EQ(e.at("name").as_string(), name);
+  EXPECT_EQ(e.at("ph").as_string(), "X");
+  EXPECT_DOUBLE_EQ(e.at("ts").as_double(), 1.5);    // microseconds
+  EXPECT_DOUBLE_EQ(e.at("dur").as_double(), 1.25);
+  EXPECT_TRUE(e.contains("pid"));
+  EXPECT_TRUE(e.contains("tid"));
+  EXPECT_FALSE(e.contains("args"));  // a timeline span carries no trace ids
+}
+
+TEST_F(ReqTraceTest, ScopedTimerInsideRequestScopeIsRecordedOnce) {
+  ENABLE_OR_SKIP(keep_nothing());
+  rt::TraceContext root;
+  {
+    rt::RequestScope scope(obs::span::kReqEngineEvaluatePlan);
+    root = scope.context();
+    const ScopedTimer timer(obs::span::kEngineReplay);
+  }
+  const obs::Json events = obs::Json::parse(rt::chrome_json());
+  int replay_slices = 0;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const obs::Json& e = events.at(i);
+    if (e.at("name").as_string() != obs::span::kEngineReplay) continue;
+    ++replay_slices;
+    EXPECT_EQ(e.at("args").at("trace_id").as_string(),
+              rt::trace_id_hex(root.trace_hi, root.trace_lo));
+  }
+  EXPECT_EQ(replay_slices, 1);
+}
+
+TEST_F(ReqTraceTest, PoolWidthDoesNotChangeIds) {
+  rt::SamplerConfig config = keep_nothing();
+  config.sample_rate = 1.0;
+  ENABLE_OR_SKIP(config);
+  // The same request around a parallel region, on pools of width 1, 2 and
+  // 4. At width 1 the region runs on the caller thread, which holds the
+  // request context; the region must still draw no ids and add no spans
+  // to the request, or the id stream would depend on the pool width.
+  struct Run {
+    std::vector<std::uint64_t> ids;
+    std::vector<std::string> names;
+  };
+  const auto run = [&](unsigned width) {
+    rt::reset();
+    rt::enable(config);
+    ThreadPool pool(width);
+    {
+      rt::RequestScope scope(obs::span::kReqEngineEvaluatePlan);
+      parallel_for(
+          pool, 256, 16,
+          [](std::size_t, std::size_t, unsigned) {
+            const rt::PhaseSpan block(obs::span::kBhTraverse);
+          },
+          nullptr, obs::span::kBhTraverseWorker);
+    }
+    Run r;
+    const rt::TraceContext next = rt::mint_request();
+    r.ids = {next.trace_hi, next.trace_lo, next.span_id};
+    const std::vector<rt::RetainedTrace> retained = rt::retained();
+    EXPECT_EQ(retained.size(), 1u);
+    for (const rt::RetainedTrace& trace : retained) {
+      r.ids.push_back(trace.trace_lo);
+      for (const rt::SpanRecord& span : trace.spans) r.names.emplace_back(span.name);
+    }
+    return r;
+  };
+  const Run base = run(1);
+  EXPECT_EQ(base.names,
+            std::vector<std::string>{obs::span::kReqEngineEvaluatePlan});
+  for (const unsigned width : {2u, 4u}) {
+    const Run other = run(width);
+    EXPECT_EQ(other.ids, base.ids) << "width=" << width;
+    EXPECT_EQ(other.names, base.names) << "width=" << width;
+  }
 }
 
 }  // namespace

@@ -522,11 +522,12 @@ TEST(TelemetryStress, ConcurrentEmittersWithSinkAndReaders) {
 }
 
 TEST(ReqTraceStress, ConcurrentSpanWritersFinishersAndReaders) {
-  // Same seqlock contract for the request-trace span rings: 6 writer
-  // threads hammer record_span (with periodic finish_request calls so the
-  // sampler mutex runs concurrently too) while 2 readers snapshot
-  // retained(). Writers stamp a per-span relation (end == start + 1,
-  // parent == span_id ^ mask); a torn slot surfacing in a snapshot would
+  // Same seqlock contract for the tracer's span rings: 6 writer threads
+  // hammer record_span and, every 16th span, record_timeline_span (with
+  // periodic finish_request calls so the sampler mutex runs concurrently
+  // too) while 2 readers snapshot retained() and spans(). Writers stamp a
+  // per-span relation (request: end == start + 1, parent == span_id ^ mask;
+  // timeline: end == start + 2); a torn slot surfacing in a snapshot would
   // break it — TSan certifies the slots race-free, the relation certifies
   // the torn-read filter works even in plain builds.
   namespace rt = obs::reqtrace;
@@ -557,9 +558,13 @@ TEST(ReqTraceStress, ConcurrentSpanWritersFinishersAndReaders) {
         for (const rt::RetainedTrace& trace : rt::retained()) {
           for (const rt::SpanRecord& span : trace.spans) {
             if (span.kind != rt::SpanKind::kPhase) continue;
-            ASSERT_EQ(span.end_us, span.start_us + 1);
+            ASSERT_EQ(span.end_ns, span.start_ns + 1);
             ASSERT_EQ(span.parent_span_id, span.span_id ^ kParentMask);
           }
+        }
+        for (const rt::SpanRecord& span : rt::spans()) {
+          if (!span.timeline()) continue;
+          ASSERT_EQ(span.end_ns, span.start_ns + 2);
         }
         snapshots.fetch_add(1, std::memory_order_relaxed);
       }
@@ -573,6 +578,10 @@ TEST(ReqTraceStress, ConcurrentSpanWritersFinishersAndReaders) {
       rt::record_span(ctx, "stress.span", rt::SpanKind::kPhase,
                       static_cast<std::int64_t>(i),
                       static_cast<std::int64_t>(i) + 1);
+      if ((i & 15) == 0) {
+        rt::record_timeline_span("stress.timeline", static_cast<std::int64_t>(i),
+                                 static_cast<std::int64_t>(i) + 2);
+      }
       if ((i & 2047) == 0) {
         rt::finish_request(rt::mint_request(), rt::Verdict{.ok = false});
       }
@@ -585,10 +594,17 @@ TEST(ReqTraceStress, ConcurrentSpanWritersFinishersAndReaders) {
   for (const rt::RetainedTrace& trace : rt::retained()) {
     for (const rt::SpanRecord& span : trace.spans) {
       if (span.kind != rt::SpanKind::kPhase) continue;
-      EXPECT_EQ(span.end_us, span.start_us + 1);
+      EXPECT_EQ(span.end_ns, span.start_ns + 1);
       EXPECT_EQ(span.parent_span_id, span.span_id ^ kParentMask);
     }
   }
+  std::size_t timeline_spans = 0;
+  for (const rt::SpanRecord& span : rt::spans()) {
+    if (!span.timeline()) continue;
+    EXPECT_EQ(span.end_ns, span.start_ns + 2);
+    ++timeline_spans;
+  }
+  EXPECT_GT(timeline_spans, 0u);
   rt::reset();
 }
 

@@ -141,8 +141,8 @@ TEST_F(ServiceTraceTest, UnhealthyRequestsRetainTheFullCausalPath) {
     EXPECT_EQ(root->kind, rt::SpanKind::kRequest);
     // Children sit inside the root window.
     for (const rt::SpanRecord& span : member->spans) {
-      EXPECT_GE(span.start_us, root->start_us);
-      EXPECT_LE(span.end_us, root->end_us);
+      EXPECT_GE(span.start_ns, root->start_ns);
+      EXPECT_LE(span.end_ns, root->end_ns);
     }
   }
 

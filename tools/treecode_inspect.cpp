@@ -20,10 +20,10 @@
 // occupancy, per-tenant governor ledgers; --slo then also checks the
 // service's per-tenant rules.
 //
-// Request tracing is armed for the whole run (sampler seed 1, healthy-keep
-// rate --trace-sample-rate): --traces-out writes the retained traces as
-// treecode-trace/v1 JSONL, --trace-chrome-out as a Chrome/Perfetto
-// trace-event file. --serve PORT (requires --service; 0 = ephemeral) starts
+// Tracing is armed for the whole run (sampler seed 1, healthy-keep rate
+// --trace-sample-rate): --traces-out writes the retained request traces as
+// treecode-trace/v1 JSONL, --trace-chrome-out every span the tracer holds,
+// phase timeline included, as a Chrome/Perfetto trace-event file. --serve PORT (requires --service; 0 = ephemeral) starts
 // the service's live observability endpoint — GET /metrics /healthz /state
 // /traces — prints `serving on http://127.0.0.1:<port>`, and holds the
 // process for --serve-seconds after the demo so a scraper can probe it.
