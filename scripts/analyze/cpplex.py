@@ -1,4 +1,5 @@
-"""A small C++ lexer (stdlib only) for the token frontend.
+"""A small C++ lexer (stdlib only) for the token frontend and the
+lexical pass.
 
 Produces a flat token stream with line numbers; comments are consumed
 (suppression comments are collected on the way), string and character
@@ -23,6 +24,9 @@ _IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 _IDENT_CONT = _IDENT_START | set("0123456789")
 _FUSED = ("::", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "->",
           "<<=", ">>=", "==", "!=", "<=", ">=", "&&", "||", "++", "--")
+_FUSED_BY_FIRST: dict[str, list[str]] = {}
+for _op in _FUSED:
+    _FUSED_BY_FIRST.setdefault(_op[0], []).append(_op)
 
 SUPPRESS_RE = re.compile(
     r"//\s*analyze-allow\(\s*([a-z0-9*-]+(?:\s*,\s*[a-z0-9*-]+)*)\s*\)")
@@ -116,7 +120,7 @@ def lex(text: str) -> tuple[list[Token], dict[int, set[str]]]:
             line_has_code = True
             i += m.end()
         else:
-            for op in _FUSED:
+            for op in _FUSED_BY_FIRST.get(c, ()):
                 if text.startswith(op, i):
                     tokens.append(Token(PUNCT, op, line))
                     i += len(op)

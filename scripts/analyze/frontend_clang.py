@@ -18,7 +18,6 @@ import os
 
 from model import (AccumEvent, CallEvent, FileFacts, FuncFacts, LockEvent,
                    ReturnEvent, ThrowEvent)
-from cpplex import SUPPRESS_RE
 
 GUARD_TYPES = ("lock_guard", "unique_lock", "scoped_lock", "shared_lock")
 MUTEX_TYPES = ("std::mutex", "std::shared_mutex", "std::recursive_mutex",
@@ -70,16 +69,10 @@ def available() -> tuple[bool, str]:
         except Exception as e:
             return False, f"libclang not loadable (tried {lib}): {e}"
     _cindex = cindex
-    ver = getattr(cindex.conf.lib, "clang_getClangVersion", None)
-    detail = "libclang"
-    if ver is not None:
-        try:
-            detail = cindex.conf.lib.clang_getClangVersion()
-            if not isinstance(detail, str):
-                detail = str(detail)
-        except Exception:
-            detail = "libclang"
-    return True, detail
+    try:
+        return True, str(cindex.conf.lib.clang_getClangVersion())
+    except Exception:  # bindings without the version entry point
+        return True, "libclang"
 
 
 def _compile_args(build_dir: str, path: str) -> list[str]:
@@ -111,22 +104,6 @@ def _compile_args(build_dir: str, path: str) -> list[str]:
             continue  # the source file itself
         args.append(w)
     return args
-
-
-def _suppressions_from_source(text: str) -> dict[int, set[str]]:
-    """Same comment-coverage contract as the token frontend: a suppression
-    covers its own line, and the next line when the comment stands alone."""
-    import re
-    out: dict[int, set[str]] = {}
-    for lineno, line in enumerate(text.split("\n"), 1):
-        m = SUPPRESS_RE.search(line)
-        if not m:
-            continue
-        rules = set(re.split(r"\s*,\s*", m.group(1).strip()))
-        out.setdefault(lineno, set()).update(rules)
-        if line.lstrip().startswith("//"):
-            out.setdefault(lineno + 1, set()).update(rules)
-    return out
 
 
 class _Walker:
@@ -452,16 +429,15 @@ class _Walker:
             outside_parallel=outside_parallel, in_unordered_loop=unordered))
 
 
-def extract(path: str, text: str, rel: str, build_dir: str) -> FileFacts:
-    """Parse one file with libclang. `text` is used for suppression
-    comments (libclang drops them); the AST comes from disk + the
-    compilation database in `build_dir`."""
+def extract(path: str, rel: str, build_dir: str) -> FileFacts:
+    """Parse one file with libclang; the AST comes from disk + the
+    compilation database in `build_dir`. Suppression comments (which
+    libclang drops) come from the lexical pass."""
     ok, detail = available()
     if not ok:
         raise RuntimeError(detail)
     args = _compile_args(build_dir, path)
     tu = _index.parse(path, args=args)
     walker = _Walker(path, rel)
-    walker.facts.suppressions = _suppressions_from_source(text)
     walker.top(tu.cursor)
     return walker.facts

@@ -48,23 +48,15 @@ PARALLEL_FNS = {"parallel_for", "parallel_for_blocked"}
 ATOMIC_ARITH = {"fetch_add", "fetch_sub"}
 GOVERNOR_METHODS = {"try_reserve", "reserve", "release"}
 
-_DIRECTIVE_RE = re.compile(r"^[ \t]*#.*$", re.MULTILINE)
+# A directive line plus its backslash-continued lines.
+_DIRECTIVE_RE = re.compile(r"^[ \t]*#(?:[^\n]*\\[ \t\r\f\v]*\n)*[^\n]*",
+                           re.MULTILINE)
 
 
 def _blank_directives(text: str) -> str:
     """Blank preprocessor directives (with backslash continuations),
     keeping every newline so line numbers survive."""
-    lines = text.split("\n")
-    out = []
-    in_directive = False
-    for line in lines:
-        if in_directive or re.match(r"^[ \t]*#", line):
-            in_directive = line.rstrip().endswith("\\")
-            out.append("")
-        else:
-            in_directive = False
-            out.append(line)
-    return "\n".join(out)
+    return _DIRECTIVE_RE.sub(lambda m: "\n" * m.group(0).count("\n"), text)
 
 
 @dataclass
@@ -82,10 +74,9 @@ class _Scope:
 class _Parser:
     def __init__(self, path: str, text: str):
         self.path = path
-        tokens, suppressions = lex(_blank_directives(text))
-        self.toks = tokens
-        self.n = len(tokens)
-        self.facts = FileFacts(path=path, suppressions=suppressions)
+        self.toks = lex(_blank_directives(text))[0]
+        self.n = len(self.toks)
+        self.facts = FileFacts(path=path)
         self.scopes: list[_Scope] = [_Scope("ns", name="")]
         self.fn_stack: list[FuncFacts] = []
         self.pending: _Scope | None = None   # scope to push at the next '{'
@@ -353,6 +344,11 @@ class _Parser:
             if t.kind == PUNCT:
                 if text in ("+=", "-=", "*=", "/="):
                     self._compound_assign(i)
+                elif text == "[" and self.text_at(i + 1) == "[":
+                    # Attribute-specifier sequence ([[nodiscard]], ...):
+                    # skip it so the definition it heads still matches.
+                    i = match_forward(self.toks, i, "[", "]") + 1
+                    continue
                 elif text == "[":
                     li = self._try_lambda(i)
                     if li is not None:
@@ -791,7 +787,7 @@ class _Parser:
             outside_parallel=outside_parallel, in_unordered_loop=in_unordered))
 
 
-def extract(path: str, text: str, rel: str) -> FileFacts:
+def extract(rel: str, text: str) -> FileFacts:
     """Parse one file's text into FileFacts. `rel` is the repo-relative
     path recorded in facts and findings."""
     return _Parser(rel, text).run()

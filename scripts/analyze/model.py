@@ -3,9 +3,11 @@
 A frontend reduces one source file to a ``FileFacts``: the functions it
 defines (with their call, throw, lock, return and accumulation events in
 source order) plus file-level facts (class member types, atomic-FP
-arithmetic, unordered-container iteration). Rules consume a list of
-``FileFacts`` — they never read source text, so rule behaviour is
-identical under both frontends; only fact *precision* differs.
+arithmetic, unordered-container iteration). The lexical pass
+(lexical.py) then adds the same ``LexicalFacts`` and suppressions under
+either frontend. Rules consume a list of ``FileFacts`` — they never read
+source text, so rule behaviour is identical under both frontends; only
+fact *precision* differs.
 
 Mutex identity: a lock event names its mutex with a stable id — for a
 bare member (``mu_``) the id is ``EnclosingClass::mu_``; for a member
@@ -84,6 +86,35 @@ class FuncFacts:
 
 
 @dataclass
+class NameArg:
+    """The name argument at a span or metric call site."""
+    registry: str           # "span" or "metric"
+    callee: str             # ScopedTimer, record_span, parallel_for, counter, ...
+    line: int
+    text: str               # argument tokens joined, "" when absent
+    literal: bool = False   # the argument is one string literal
+
+
+@dataclass
+class LexicalFacts:
+    """Token-level facts the lexical pass extracts from raw source text."""
+    includes: list[tuple[str, int]] = field(default_factory=list)  # (<x> or "x", line)
+    pragma_once: bool = False
+    # (new | malloc | calloc | realloc | free, line); not placement/::new
+    allocs: list[tuple[str, int]] = field(default_factory=list)
+    # (exponent text, line) of every std::pow call with two arguments
+    pow_exponents: list[tuple[str, int]] = field(default_factory=list)
+    name_args: list[NameArg] = field(default_factory=list)
+    # (member op, line, statement names memory_order_relaxed)
+    atomic_ops: list[tuple[str, int, bool]] = field(default_factory=list)
+    throw_lines: list[int] = field(default_factory=list)  # `throw` keywords
+    # (kName, value, line) for `constexpr const char* kName = "value"`
+    registry_consts: list[tuple[str, str, int]] = field(default_factory=list)
+    evaluator_entry: bool = False  # defines a public evaluator entry point
+    validates: bool = False        # calls validate()/enforce_validation()/assign_degrees()
+
+
+@dataclass
 class FileFacts:
     """Everything a frontend extracted from one source file."""
     path: str               # repo-relative
@@ -106,6 +137,7 @@ class FileFacts:
     atomic_fp_ops: list[tuple[str, int]] = field(default_factory=list)
     # Direct ResourceGovernor reserve/release calls: (method, line).
     governor_calls: list[tuple[str, int]] = field(default_factory=list)
+    lexical: LexicalFacts = field(default_factory=LexicalFacts)
     # suppressed lines: {line -> set of rule names allowed on that line}
     suppressions: dict[int, set[str]] = field(default_factory=dict)
 
@@ -120,13 +152,3 @@ class Finding:
 
     def key(self) -> tuple:
         return (self.rule, self.file, self.line, self.message)
-
-
-def suppressed_at(facts_by_file: dict[str, "FileFacts"], rule: str, file: str,
-                  line: int) -> bool:
-    """Is `rule` allowed at file:line by an // analyze-allow comment?"""
-    ff = facts_by_file.get(file)
-    if ff is None:
-        return False
-    allowed = ff.suppressions.get(line)
-    return allowed is not None and (rule in allowed or "*" in allowed)

@@ -1,7 +1,7 @@
 """Rule engine: semantic checks over merged FileFacts.
 
-Four families, ten rules. Every rule consumes frontend-extracted facts
-(never raw text), so the token and libclang frontends are interchangeable.
+Five families, eighteen rules. Every rule consumes extracted facts (never
+raw text), so the token and libclang frontends are interchangeable.
 Findings carry ``suppressed=True`` when an ``// analyze-allow(rule)``
 comment covers the finding line — or, for the path-based rules
 (engine-throw-path, lock-order-cycle), any line of the reported
@@ -53,11 +53,26 @@ API-contract family:
                               obs::metric::kEngineRequests before its
                               first early return, so the SLO error-rate
                               denominator covers disabled-telemetry runs.
+
+Source-hygiene family — lexical facts (lexical.py); scopes below:
+  naked-new                   naked `new` or malloc/calloc/realloc/free.
+  pow-integer-exponent        integer-exponent std::pow in a hot kernel.
+  span-registry               a span name that is not a defined
+                              obs::span::k* constant; aliased constants.
+  metric-name-literal         a literal or undefined obs::metric::k*
+                              metric name; aliased constants.
+  non-relaxed-atomic          hot-path atomic op without memory_order_relaxed.
+  evaluator-validates         evaluator entry point without validation.
+  header-hygiene              header without #pragma once; duplicate #include.
+  engine-returns-expected     `throw` in src/engine/ or src/service/.
+Registry membership is checked only when the registry header is analyzed.
 """
 
 from __future__ import annotations
 
-from model import FileFacts, Finding, FuncFacts, suppressed_at
+import re
+
+from model import FileFacts, Finding, FuncFacts
 
 RULES: dict[str, str] = {
     "fp-unordered-accumulation":
@@ -75,6 +90,14 @@ RULES: dict[str, str] = {
     "try-telemetry-exit": "public try_* exit path without a telemetry record",
     "engine-request-count":
         "telemetry emit helper does not count engine.requests first",
+    "naked-new": "naked new or C allocation",
+    "pow-integer-exponent": "std::pow with an integer exponent in a hot kernel",
+    "span-registry": "span name that is not a span-registry constant",
+    "metric-name-literal": "metric name that is not a metric-registry constant",
+    "non-relaxed-atomic": "hot-path atomic op without memory_order_relaxed",
+    "evaluator-validates": "evaluator entry point without input validation",
+    "header-hygiene": "header without #pragma once, or a duplicate #include",
+    "engine-returns-expected": "raw throw in the engine/service layer",
 }
 
 # The parallel runtime itself orchestrates workers and rethrows their
@@ -91,6 +114,19 @@ EMIT_HELPERS = {"emit_request"}
 # service.requests. Either satisfies the count-before-gate contract.
 REQUEST_COUNTER_TOKENS = ("kEngineRequests", "kServiceRequests")
 _MAX_PATH = 40
+
+# Scopes of the source-hygiene rules.
+HOT_ATOMIC_FILES = ("src/obs/metrics.hpp", "src/parallel/")
+POW_HOT_DIRS = ("src/core/", "src/multipole/")
+EVALUATOR_DIRS = ("src/core/", "src/engine/", "src/service/")
+SPAN_REGISTRY = "src/obs/spans.hpp"
+METRIC_REGISTRY = "src/obs/metric_names.hpp"
+# Not call sites: the registry, the headers defining the span types and
+# functions, and parallel_for's implementation (forwards its caller's name).
+SPAN_EXEMPT_FILES = (SPAN_REGISTRY, "src/util/timer.hpp",
+                     "src/obs/reqtrace.hpp", "src/obs/reqtrace.cpp",
+                     "src/parallel/parallel_for.hpp",
+                     "src/parallel/parallel_for.cpp")
 
 # Member names that belong to STL containers/handles in practice. A member
 # call with an *unknown* receiver type never resolves to a repo class
@@ -163,7 +199,10 @@ class _Index:
         return same + free
 
     def suppressed(self, rule: str, file: str, line: int) -> bool:
-        return suppressed_at(self.by_file, rule, file, line)
+        """Is `rule` allowed at file:line by an // analyze-allow comment?"""
+        ff = self.by_file.get(file)
+        allowed = ff.suppressions.get(line, set()) if ff else set()
+        return rule in allowed or "*" in allowed
 
 
 def _finding(idx: _Index, rule: str, file: str, line: int, message: str,
@@ -541,6 +580,122 @@ def rule_engine_request_count(idx: _Index) -> list[Finding]:
     return out
 
 
+# --- source hygiene (lexical facts) ---------------------------------------
+
+def rule_naked_new(idx: _Index) -> list[Finding]:
+    return [_finding(idx, "naked-new", f.path, line,
+                     "naked `new`; use std::vector / std::make_unique"
+                     if kind == "new" else
+                     "manual C allocation; use RAII containers")
+            for f in idx.files for kind, line in f.lexical.allocs]
+
+
+def rule_pow_integer_exponent(idx: _Index) -> list[Finding]:
+    # Integer-looking: no decimal point, no float exponent marker.
+    return [_finding(idx, "pow-integer-exponent", f.path, line,
+                     f"std::pow with integer exponent `{exp}` in a hot "
+                     "kernel; use ipow() from multipole/ipow.hpp")
+            for f in idx.files if f.path.startswith(POW_HOT_DIRS)
+            for exp, line in f.lexical.pow_exponents
+            if "." not in exp and not re.search(r"\d[eE][-+]?\d", exp)]
+
+
+def _registry_names(idx: _Index, rule: str, path: str, kind: str,
+                    out: list[Finding]) -> set[str]:
+    """Constants the registry header `path` defines (none when it is not
+    analyzed); flags each constant aliasing an earlier one's string."""
+    ff = idx.by_file.get(path)
+    consts = ff.lexical.registry_consts if ff else []
+    seen: dict[str, str] = {}
+    for name, value, line in consts:
+        if seen.setdefault(value, name) != name:
+            out.append(_finding(
+                idx, rule, path, line, f"{name} duplicates {kind} string "
+                f"{value!r} already used by {seen[value]}"))
+    return {name for name, _value, _line in consts}
+
+
+def _registry_rule(idx: _Index, rule: str, kind: str, registry: str,
+                   exempt: tuple) -> list[Finding]:
+    """Every `kind` name argument is an obs::<kind>::k* constant defined
+    in `registry`. A metric name or a parallel_for trace name may also be
+    computed (or omitted): only literals and constants are checked there."""
+    out: list[Finding] = []
+    names = _registry_names(idx, rule, registry, kind, out)
+    const_re = re.compile(rf"(?:\w+::)*{kind}::(k\w+)")
+    for f in idx.files:
+        for arg in f.lexical.name_args:
+            if arg.registry != kind or f.path in exempt:
+                continue
+            const = const_re.fullmatch(arg.text)
+            if const is None and not arg.literal and (
+                    kind == "metric" or arg.callee in PARALLEL_FNS):
+                continue
+            if const is None:
+                msg = (f"{arg.callee} name must be a {kind}-registry "
+                       f"constant (obs::{kind}::kFoo from {registry})")
+            elif names and const.group(1) not in names:
+                msg = (f"{arg.callee} name references {kind}::"
+                       f"{const.group(1)}, which is not defined in {registry}")
+            else:
+                continue
+            out.append(_finding(idx, rule, f.path, arg.line, msg))
+    return out
+
+
+def rule_span_registry(idx: _Index) -> list[Finding]:
+    return _registry_rule(idx, "span-registry", "span", SPAN_REGISTRY,
+                          SPAN_EXEMPT_FILES)
+
+
+def rule_metric_name_literal(idx: _Index) -> list[Finding]:
+    return _registry_rule(idx, "metric-name-literal", "metric",
+                          METRIC_REGISTRY, (METRIC_REGISTRY,))
+
+
+def rule_non_relaxed_atomic(idx: _Index) -> list[Finding]:
+    return [_finding(idx, "non-relaxed-atomic", f.path, line,
+                     "atomic op on a hot path without explicit "
+                     "std::memory_order_relaxed")
+            for f in idx.files if f.path.startswith(HOT_ATOMIC_FILES)
+            for _op, line, relaxed in f.lexical.atomic_ops if not relaxed]
+
+
+def rule_evaluator_validates(idx: _Index) -> list[Finding]:
+    return [_finding(idx, "evaluator-validates", f.path, 1,
+                     "evaluator entry point without a validate()/"
+                     "enforce_validation()/assign_degrees() call")
+            for f in idx.files
+            if f.path.startswith(EVALUATOR_DIRS) and f.path.endswith(".cpp")
+            and f.lexical.evaluator_entry and not f.lexical.validates]
+
+
+def rule_header_hygiene(idx: _Index) -> list[Finding]:
+    out = [_finding(idx, "header-hygiene", f.path, 1,
+                    "header missing `#pragma once`")
+           for f in idx.files
+           if f.path.endswith(".hpp") and not f.lexical.pragma_once]
+    for f in idx.files:
+        first: dict[str, int] = {}
+        for target, line in f.lexical.includes:
+            if first.setdefault(target, line) != line:
+                out.append(_finding(
+                    idx, "header-hygiene", f.path, line,
+                    f"duplicate #include {target} (first included at line "
+                    f"{first[target]})"))
+    return out
+
+
+def rule_engine_returns_expected(idx: _Index) -> list[Finding]:
+    # `throw` as a keyword only: value_or_throw / throw_error (util/) are
+    # the sanctioned escape hatches for legacy exception wrappers.
+    return [_finding(idx, "engine-returns-expected", f.path, line,
+                     "raw `throw` in the engine/service layer; return a "
+                     "typed Error via treecode::Expected instead")
+            for f in idx.files if f.path.startswith(ENTRY_FILE_PREFIX)
+            for line in f.lexical.throw_lines]
+
+
 _RULE_FNS = {
     "fp-unordered-accumulation": rule_fp_unordered,
     "fp-atomic-accumulation": rule_fp_atomic,
@@ -552,6 +707,14 @@ _RULE_FNS = {
     "lock-across-parallel": rule_lock_across_parallel,
     "try-telemetry-exit": rule_try_telemetry_exit,
     "engine-request-count": rule_engine_request_count,
+    "naked-new": rule_naked_new,
+    "pow-integer-exponent": rule_pow_integer_exponent,
+    "span-registry": rule_span_registry,
+    "metric-name-literal": rule_metric_name_literal,
+    "non-relaxed-atomic": rule_non_relaxed_atomic,
+    "evaluator-validates": rule_evaluator_validates,
+    "header-hygiene": rule_header_hygiene,
+    "engine-returns-expected": rule_engine_returns_expected,
 }
 
 

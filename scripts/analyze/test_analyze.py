@@ -4,10 +4,12 @@
 Every rule is exercised with a synthetic translation unit in three
 states — violating (the rule fires), clean (the idiomatic fix, no
 finding), suppressed (the violation plus an ``// analyze-allow`` comment,
-finding present but suppressed) — through the token frontend. The
-lock-order-cycle case is genuinely cross-TU: the A-before-B edge lives in
-one file, the B-before-A edge in another, and the cycle only exists in
-the merged acquisition graph.
+finding present but suppressed) — through the token frontend and the
+lexical pass. A rule may have several cases (``rule[variant]`` keys).
+The lock-order-cycle case is genuinely cross-TU: the A-before-B edge
+lives in one file, the B-before-A edge in another, and the cycle only
+exists in the merged acquisition graph. The registry rules carry a
+fixture registry header in their TU set.
 
 When the libclang frontend is importable the violating TUs are re-run
 through it as well, asserting the same rule fires: the two frontends must
@@ -19,6 +21,7 @@ Run directly or via ctest (analyze_rule_matrix).
 from __future__ import annotations
 
 import os
+import re
 import sys
 import tempfile
 import unittest
@@ -26,18 +29,27 @@ import unittest
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 import frontend_tokens  # noqa: E402
+import lexical  # noqa: E402
 import rules as rules_mod  # noqa: E402
 from model import Finding  # noqa: E402
 
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
+
 
 def _token_findings(sources: dict[str, str], rule: str) -> list[Finding]:
-    facts = [frontend_tokens.extract(rel, text, rel)
+    facts = [lexical.attach(frontend_tokens.extract(rel, text), text)
              for rel, text in sorted(sources.items())]
     return rules_mod.run_rules(facts, {rule})
 
 
+def _rule(case: str) -> str:
+    """Rule name of a MATRIX key (``rule`` or ``rule[variant]``)."""
+    return case.split("[", 1)[0]
+
+
 # --- the per-rule TU matrix -----------------------------------------------
-# rule -> {"bad": {rel: text}, "clean": {rel: text}, "suppressed": {rel: text}}
+# case -> {"bad": {rel: text}, "clean": {rel: text}, "suppressed": {rel: text}}
 
 FP_UNORDERED_BAD = """
 #include <unordered_map>
@@ -331,6 +343,259 @@ COUNT_SUPPRESSED = COUNT_BAD.replace(
     "void emit_request() {",
     "// analyze-allow(engine-request-count)\nvoid emit_request() {")
 
+
+# A [[noreturn]] helper is still a function definition: its throw must
+# reach the entry point.
+THROW_NORETURN_BAD = """
+#include <stdexcept>
+class FakeEngine {
+ public:
+  bool try_run() {
+    fail_hard();
+    return true;
+  }
+ private:
+  [[noreturn]] static void fail_hard() { throw std::runtime_error("bad"); }
+};
+"""
+
+THROW_NORETURN_CLEAN = THROW_NORETURN_BAD.replace(
+    "    fail_hard();\n    return true;",
+    "    try {\n      fail_hard();\n    } catch (...) {\n      return false;\n"
+    "    }\n    return true;")
+
+THROW_NORETURN_SUPPRESSED = THROW_NORETURN_BAD.replace(
+    "    fail_hard();",
+    "    // analyze-allow(engine-throw-path)\n    fail_hard();")
+
+# --- source-hygiene rules (lexical facts) ---------------------------------
+
+NEW_BAD = """
+int* make_counter() {
+  int* p = new int(0);
+  return p;
+}
+"""
+
+# make_unique, and placement new (construction into owned storage).
+NEW_CLEAN = """
+#include <memory>
+#include <new>
+std::unique_ptr<int> make_counter(void* buf) {
+  ::new (buf) int(1);
+  return std::make_unique<int>(0);
+}
+"""
+
+NEW_SUPPRESSED = NEW_BAD.replace(
+    "  int* p = new int(0);",
+    "  // analyze-allow(naked-new)\n  int* p = new int(0);")
+
+MALLOC_BAD = """
+#include <cstdlib>
+void scratch() {
+  void* p = std::malloc(64);
+  std::free(p);
+}
+"""
+
+MALLOC_CLEAN = """
+#include <vector>
+void scratch() {
+  std::vector<char> buf(64);
+}
+"""
+
+MALLOC_SUPPRESSED = MALLOC_BAD.replace(
+    "std::malloc(64);", "std::malloc(64);  // analyze-allow(naked-new)").replace(
+    "std::free(p);", "std::free(p);  // analyze-allow(naked-new)")
+
+POW_BAD = """
+#include <cmath>
+double term(double r, int n) {
+  return std::pow(r, n + 1);
+}
+"""
+
+POW_CLEAN = """
+#include <cmath>
+double term(double r, int n) {
+  return std::pow(r, 0.5) * ipow(r, n + 1) * std::pow(r, 1e-3);
+}
+"""
+
+POW_SUPPRESSED = POW_BAD.replace(
+    "std::pow(r, n + 1);",
+    "std::pow(r, n + 1);  // analyze-allow(pow-integer-exponent)")
+
+SPAN_REGISTRY_FIXTURE = """#pragma once
+namespace treecode::obs::span {
+inline constexpr const char* kTreeBuild = "time.tree_build";
+inline constexpr const char* kFakeWorker = "fake.worker";
+}
+"""
+
+SPAN_REGISTRY_DUP = SPAN_REGISTRY_FIXTURE.replace(
+    "}\n", 'inline constexpr const char* kTreeBuildAlias = "time.tree_build";\n}\n')
+
+SPAN_REGISTRY_DUP_SUPPRESSED = SPAN_REGISTRY_DUP.replace(
+    '"time.tree_build";\n}', '"time.tree_build";  // analyze-allow(span-registry)\n}')
+
+SPAN_LITERAL_BAD = """
+void build() {
+  obs::ScopedTimer timer("time.tree_build");
+}
+"""
+
+SPAN_LITERAL_CLEAN = """
+void build(int n, Body body, Clock t0, Clock t1) {
+  obs::ScopedTimer timer(obs::span::kTreeBuild);
+  reqtrace::record_timeline_span(span::kFakeWorker, t0, t1);
+  parallel_for(0, n, body);
+  parallel_for_blocked(0, n, 64, body, nullptr);
+}
+"""
+
+SPAN_LITERAL_SUPPRESSED = SPAN_LITERAL_BAD.replace(
+    "  obs::ScopedTimer",
+    "  // analyze-allow(span-registry)\n  obs::ScopedTimer")
+
+SPAN_UNDEFINED_BAD = """
+void record(RequestContext ctx, Clock t0, Clock t1) {
+  reqtrace::record_span(ctx, obs::span::kMissing, t0, t1);
+}
+"""
+
+SPAN_UNDEFINED_CLEAN = SPAN_UNDEFINED_BAD.replace("kMissing", "kFakeWorker")
+
+SPAN_UNDEFINED_SUPPRESSED = SPAN_UNDEFINED_BAD.replace(
+    "  reqtrace::record_span",
+    "  // analyze-allow(span-registry)\n  reqtrace::record_span")
+
+SPAN_PARFOR_BAD = """
+void sweep(int n, Body body) {
+  parallel_for(0, n, body, nullptr, "fake.worker");
+}
+"""
+
+SPAN_PARFOR_CLEAN = SPAN_PARFOR_BAD.replace(
+    '"fake.worker"', "obs::span::kFakeWorker")
+
+SPAN_PARFOR_SUPPRESSED = SPAN_PARFOR_BAD.replace(
+    '"fake.worker");', '"fake.worker");  // analyze-allow(span-registry)')
+
+METRIC_REGISTRY_FIXTURE = """#pragma once
+namespace treecode::obs::metric {
+inline constexpr const char* kEngineRequests = "engine.requests";
+inline constexpr const char* kPlanHits = "engine.plan_hits";
+}
+"""
+
+METRIC_REGISTRY_DUP = METRIC_REGISTRY_FIXTURE.replace(
+    "}\n", 'inline constexpr const char* kPlanHitsAlias = "engine.plan_hits";\n}\n')
+
+METRIC_REGISTRY_DUP_SUPPRESSED = METRIC_REGISTRY_DUP.replace(
+    '"engine.plan_hits";\n}',
+    '"engine.plan_hits";  // analyze-allow(metric-name-literal)\n}')
+
+METRIC_LITERAL_BAD = """
+void count() {
+  registry().counter("engine.requests").add(1);
+}
+"""
+
+# Registry constants, and a computed name (snprintf fan-out).
+METRIC_LITERAL_CLEAN = """
+void count(const char* level_name) {
+  registry().counter(obs::metric::kEngineRequests).add(1);
+  obs::flush_counts(level_name, 3);
+}
+"""
+
+METRIC_LITERAL_SUPPRESSED = METRIC_LITERAL_BAD.replace(
+    "  registry()",
+    "  // analyze-allow(metric-name-literal)\n  registry()")
+
+METRIC_UNDEFINED_BAD = """
+void set_hits(Registry* reg) {
+  reg->gauge(metric::kMissing).set(1.0);
+}
+"""
+
+METRIC_UNDEFINED_CLEAN = METRIC_UNDEFINED_BAD.replace("kMissing", "kPlanHits")
+
+METRIC_UNDEFINED_SUPPRESSED = METRIC_UNDEFINED_BAD.replace(
+    ".set(1.0);", ".set(1.0);  // analyze-allow(metric-name-literal)")
+
+ATOMIC_BAD = """
+#include <atomic>
+int claim(std::atomic<int>& next) {
+  return next.fetch_add(1);
+}
+"""
+
+ATOMIC_CLEAN = ATOMIC_BAD.replace("fetch_add(1)",
+                                  "fetch_add(1, std::memory_order_relaxed)")
+
+ATOMIC_SUPPRESSED = ATOMIC_BAD.replace(
+    "  return next",
+    "  // analyze-allow(non-relaxed-atomic)\n  return next")
+
+EVAL_BAD = """EvalResult evaluate_fake(const ParticleSystem& ps, const EvalConfig& cfg) {
+  return run(ps, cfg);
+}
+"""
+
+EVAL_CLEAN = EVAL_BAD.replace("  return run", "  cfg.validate();\n  return run")
+
+EVAL_SUPPRESSED = "// analyze-allow(evaluator-validates)\n" + EVAL_BAD
+
+PRAGMA_BAD = """inline int answer() { return 42; }
+"""
+
+PRAGMA_CLEAN = "#pragma once\n" + PRAGMA_BAD
+
+PRAGMA_SUPPRESSED = "// analyze-allow(header-hygiene)\n" + PRAGMA_BAD
+
+INCLUDE_BAD = """#include <vector>
+#include "util/expected.hpp"
+#include <vector>
+"""
+
+# The same name with different delimiters is two targets.
+INCLUDE_CLEAN = """#include <vector>
+#include "vector"
+"""
+
+INCLUDE_SUPPRESSED = INCLUDE_BAD.replace(
+    '"\n#include <vector>\n',
+    '"\n#include <vector>  // analyze-allow(header-hygiene)\n')
+
+RAW_THROW_BAD = """
+#include <stdexcept>
+void fail_fast(int code) {
+  if (code != 0) {
+    throw std::runtime_error("bad code");
+  }
+}
+"""
+
+RAW_THROW_CLEAN = """
+Expected<int> fail_fast(int code) {
+  if (code != 0) {
+    return Error{ErrorCode::kInvalidInput, "bad code"};
+  }
+  return value_or_throw(Expected<int>(0));
+}
+"""
+
+RAW_THROW_SUPPRESSED = RAW_THROW_BAD.replace(
+    "    throw", "    // analyze-allow(engine-returns-expected)\n    throw")
+
+SPANS_HPP = "src/obs/spans.hpp"
+METRICS_HPP = "src/obs/metric_names.hpp"
+
+
 MATRIX: dict[str, dict[str, dict[str, str]]] = {
     "fp-unordered-accumulation": {
         "bad": {"src/fake/unordered.cpp": FP_UNORDERED_BAD},
@@ -385,6 +650,107 @@ MATRIX: dict[str, dict[str, dict[str, str]]] = {
         "clean": {"src/obs/fake_emit.cpp": COUNT_CLEAN},
         "suppressed": {"src/obs/fake_emit.cpp": COUNT_SUPPRESSED},
     },
+    "engine-throw-path[noreturn]": {
+        "bad": {"src/engine/fake_noreturn.hpp": THROW_NORETURN_BAD},
+        "clean": {"src/engine/fake_noreturn.hpp": THROW_NORETURN_CLEAN},
+        "suppressed": {"src/engine/fake_noreturn.hpp": THROW_NORETURN_SUPPRESSED},
+    },
+    "naked-new": {
+        "bad": {"src/fake/alloc.cpp": NEW_BAD},
+        "clean": {"src/fake/alloc.cpp": NEW_CLEAN},
+        "suppressed": {"src/fake/alloc.cpp": NEW_SUPPRESSED},
+    },
+    "naked-new[malloc]": {
+        "bad": {"src/fake/alloc.cpp": MALLOC_BAD},
+        "clean": {"src/fake/alloc.cpp": MALLOC_CLEAN},
+        "suppressed": {"src/fake/alloc.cpp": MALLOC_SUPPRESSED},
+    },
+    "pow-integer-exponent": {
+        "bad": {"src/multipole/fake_pow.cpp": POW_BAD},
+        # Outside the hot kernels an integer exponent is allowed.
+        "clean": {"src/multipole/fake_pow.cpp": POW_CLEAN,
+                  "src/bem/fake_pow.cpp": POW_BAD},
+        "suppressed": {"src/multipole/fake_pow.cpp": POW_SUPPRESSED},
+    },
+    "span-registry": {
+        "bad": {SPANS_HPP: SPAN_REGISTRY_FIXTURE,
+                "src/fake/spans.cpp": SPAN_LITERAL_BAD},
+        "clean": {SPANS_HPP: SPAN_REGISTRY_FIXTURE,
+                  "src/fake/spans.cpp": SPAN_LITERAL_CLEAN},
+        "suppressed": {SPANS_HPP: SPAN_REGISTRY_FIXTURE,
+                       "src/fake/spans.cpp": SPAN_LITERAL_SUPPRESSED},
+    },
+    "span-registry[undefined]": {
+        "bad": {SPANS_HPP: SPAN_REGISTRY_FIXTURE,
+                "src/fake/spans.cpp": SPAN_UNDEFINED_BAD},
+        "clean": {SPANS_HPP: SPAN_REGISTRY_FIXTURE,
+                  "src/fake/spans.cpp": SPAN_UNDEFINED_CLEAN},
+        "suppressed": {SPANS_HPP: SPAN_REGISTRY_FIXTURE,
+                       "src/fake/spans.cpp": SPAN_UNDEFINED_SUPPRESSED},
+    },
+    "span-registry[parallel_for]": {
+        "bad": {SPANS_HPP: SPAN_REGISTRY_FIXTURE,
+                "src/fake/spans.cpp": SPAN_PARFOR_BAD},
+        "clean": {SPANS_HPP: SPAN_REGISTRY_FIXTURE,
+                  "src/fake/spans.cpp": SPAN_PARFOR_CLEAN},
+        "suppressed": {SPANS_HPP: SPAN_REGISTRY_FIXTURE,
+                       "src/fake/spans.cpp": SPAN_PARFOR_SUPPRESSED},
+    },
+    "span-registry[duplicate]": {
+        "bad": {SPANS_HPP: SPAN_REGISTRY_DUP},
+        "clean": {SPANS_HPP: SPAN_REGISTRY_FIXTURE},
+        "suppressed": {SPANS_HPP: SPAN_REGISTRY_DUP_SUPPRESSED},
+    },
+    "metric-name-literal": {
+        "bad": {METRICS_HPP: METRIC_REGISTRY_FIXTURE,
+                "src/fake/metrics.cpp": METRIC_LITERAL_BAD},
+        "clean": {METRICS_HPP: METRIC_REGISTRY_FIXTURE,
+                  "src/fake/metrics.cpp": METRIC_LITERAL_CLEAN},
+        "suppressed": {METRICS_HPP: METRIC_REGISTRY_FIXTURE,
+                       "src/fake/metrics.cpp": METRIC_LITERAL_SUPPRESSED},
+    },
+    "metric-name-literal[undefined]": {
+        "bad": {METRICS_HPP: METRIC_REGISTRY_FIXTURE,
+                "src/fake/metrics.cpp": METRIC_UNDEFINED_BAD},
+        "clean": {METRICS_HPP: METRIC_REGISTRY_FIXTURE,
+                  "src/fake/metrics.cpp": METRIC_UNDEFINED_CLEAN},
+        "suppressed": {METRICS_HPP: METRIC_REGISTRY_FIXTURE,
+                       "src/fake/metrics.cpp": METRIC_UNDEFINED_SUPPRESSED},
+    },
+    "metric-name-literal[duplicate]": {
+        "bad": {METRICS_HPP: METRIC_REGISTRY_DUP},
+        "clean": {METRICS_HPP: METRIC_REGISTRY_FIXTURE},
+        "suppressed": {METRICS_HPP: METRIC_REGISTRY_DUP_SUPPRESSED},
+    },
+    "non-relaxed-atomic": {
+        "bad": {"src/parallel/fake_claim.cpp": ATOMIC_BAD},
+        # Off the hot paths the default ordering is allowed.
+        "clean": {"src/parallel/fake_claim.cpp": ATOMIC_CLEAN,
+                  "src/engine/fake_claim.cpp": ATOMIC_BAD},
+        "suppressed": {"src/parallel/fake_claim.cpp": ATOMIC_SUPPRESSED},
+    },
+    "evaluator-validates": {
+        "bad": {"src/core/fake_eval.cpp": EVAL_BAD},
+        "clean": {"src/core/fake_eval.cpp": EVAL_CLEAN},
+        "suppressed": {"src/core/fake_eval.cpp": EVAL_SUPPRESSED},
+    },
+    "header-hygiene": {
+        "bad": {"src/fake/answer.hpp": PRAGMA_BAD},
+        "clean": {"src/fake/answer.hpp": PRAGMA_CLEAN},
+        "suppressed": {"src/fake/answer.hpp": PRAGMA_SUPPRESSED},
+    },
+    "header-hygiene[duplicate-include]": {
+        "bad": {"src/fake/includes.cpp": INCLUDE_BAD},
+        "clean": {"src/fake/includes.cpp": INCLUDE_CLEAN},
+        "suppressed": {"src/fake/includes.cpp": INCLUDE_SUPPRESSED},
+    },
+    "engine-returns-expected": {
+        "bad": {"src/service/fake_fail.cpp": RAW_THROW_BAD},
+        # A raw throw outside the engine/service layer is allowed.
+        "clean": {"src/service/fake_fail.cpp": RAW_THROW_CLEAN,
+                  "src/util/fake_fail.cpp": RAW_THROW_BAD},
+        "suppressed": {"src/service/fake_fail.cpp": RAW_THROW_SUPPRESSED},
+    },
 }
 
 
@@ -392,11 +758,13 @@ class RuleMatrixTest(unittest.TestCase):
     """Violating fires, clean is silent, suppressed is found-but-allowed."""
 
     def test_matrix_covers_every_rule(self):
-        self.assertEqual(set(MATRIX), set(rules_mod.RULES))
+        self.assertEqual({_rule(case) for case in MATRIX},
+                         set(rules_mod.RULES))
 
     def test_bad_tu_fires(self):
-        for rule, tus in MATRIX.items():
-            with self.subTest(rule=rule):
+        for case, tus in MATRIX.items():
+            rule = _rule(case)
+            with self.subTest(case=case):
                 found = _token_findings(tus["bad"], rule)
                 unsuppressed = [f for f in found if not f.suppressed]
                 self.assertTrue(
@@ -404,16 +772,18 @@ class RuleMatrixTest(unittest.TestCase):
                     f"{rule}: seeded violation not detected")
 
     def test_clean_tu_is_silent(self):
-        for rule, tus in MATRIX.items():
-            with self.subTest(rule=rule):
+        for case, tus in MATRIX.items():
+            rule = _rule(case)
+            with self.subTest(case=case):
                 found = _token_findings(tus["clean"], rule)
                 self.assertEqual(
                     [], found,
                     f"{rule}: clean counterpart flagged: {found}")
 
     def test_suppressed_tu_is_found_but_allowed(self):
-        for rule, tus in MATRIX.items():
-            with self.subTest(rule=rule):
+        for case, tus in MATRIX.items():
+            rule = _rule(case)
+            with self.subTest(case=case):
                 found = _token_findings(tus["suppressed"], rule)
                 self.assertTrue(found, f"{rule}: suppressed variant should "
                                        "still produce findings")
@@ -472,7 +842,7 @@ class CrossTuLockCycleTest(unittest.TestCase):
     def test_single_tu_has_no_cycle(self):
         for rel in ("src/fake/lock_a.cpp", "src/fake/lock_b.cpp"):
             text = MATRIX["lock-order-cycle"]["bad"][rel]
-            facts = [frontend_tokens.extract(rel, text, rel)]
+            facts = [frontend_tokens.extract(rel, text)]
             self.assertEqual([], rules_mod.run_rules(facts,
                                                      {"lock-order-cycle"}),
                              f"{rel} alone must not contain a cycle")
@@ -519,24 +889,39 @@ void emit_request();
             prelude = os.path.join(tmp, "prelude.hpp")
             with open(prelude, "w", encoding="utf-8") as fh:
                 fh.write(self._PRELUDE)
-            for rule, tus in MATRIX.items():
+            for case, tus in MATRIX.items():
+                rule = _rule(case)
                 if rule == "engine-request-count":
                     # The clean/bad distinction is a call-argument detail
                     # the prelude cannot model without the obs headers.
                     continue
-                with self.subTest(rule=rule):
+                with self.subTest(case=case):
                     facts = []
                     for rel, text in sorted(tus["bad"].items()):
                         path = os.path.join(tmp, rel.replace("/", "_"))
                         body = f'#include "{prelude}"\n' + text
                         with open(path, "w", encoding="utf-8") as fh:
                             fh.write(body)
-                        facts.append(frontend_clang.extract(
-                            path, body, rel, build_dir=tmp))
+                        facts.append(lexical.attach(frontend_clang.extract(
+                            path, rel, build_dir=tmp), body))
                     found = [f for f in rules_mod.run_rules(facts, {rule})
                              if not f.suppressed]
                     self.assertTrue(
-                        found, f"{rule}: violation undetected by libclang")
+                        found, f"{case}: violation undetected by libclang")
+
+
+class DesignTagTest(unittest.TestCase):
+    """Every (A: `rule`) tag in DESIGN.md names a real analyzer rule."""
+
+    def test_design_tags_name_rules(self):
+        with open(os.path.join(REPO_ROOT, "DESIGN.md"), encoding="utf-8") as fh:
+            design = fh.read()
+        tags = [name for group in re.findall(r"\(A: ([^)]*)\)", design)
+                for name in re.findall(r"`([^`]+)`", group)]
+        self.assertTrue(tags, "DESIGN.md has no (A: `rule`) tags")
+        unknown = sorted(set(tags) - set(rules_mod.RULES))
+        self.assertEqual([], unknown,
+                         f"DESIGN.md tags name unknown rules: {unknown}")
 
 
 if __name__ == "__main__":

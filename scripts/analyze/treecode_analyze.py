@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""treecode-analyze: determinism, resource-safety and lock-order checks.
+"""treecode-analyze: determinism, resource-safety, lock-order and
+source-hygiene checks.
 
 Runs the rule engine (scripts/analyze/rules.py) over facts extracted
 from the C++ sources by one of two interchangeable frontends:
@@ -9,6 +10,8 @@ from the C++ sources by one of two interchangeable frontends:
   tokens    stdlib-only token micro-parser. No dependencies; facts are
             a sound-enough under-approximation for local runs and for
             environments without libclang.
+
+plus one lexical pass (lexical.py) run after either frontend.
 
 `--frontend auto` (default) picks libclang when importable, else tokens
 with a note. `--require-libclang` turns that fallback into a hard error
@@ -37,6 +40,7 @@ import sys
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 import frontend_tokens  # noqa: E402
+import lexical  # noqa: E402
 import report as report_mod  # noqa: E402
 import rules as rules_mod  # noqa: E402
 
@@ -62,31 +66,28 @@ def collect_sources(root: str, paths: list[str]) -> list[str]:
 
 def extract_all(root: str, rels: list[str], frontend: str,
                 build_dir: str) -> tuple[list, str, str]:
-    """Extract facts for every file. Returns (facts, frontend_used,
-    detail)."""
+    """Extract facts for every file: the frontend's semantic facts plus the
+    lexical pass. Returns (facts, frontend_used, detail)."""
+    used, detail = "tokens", "stdlib token micro-parser"
     if frontend in ("auto", "libclang"):
         import frontend_clang  # noqa: PLC0415
-        ok, detail = frontend_clang.available()
+        ok, why = frontend_clang.available()
         if ok:
-            facts = []
-            for rel in rels:
-                path = os.path.join(root, rel)
-                with open(path, encoding="utf-8", errors="replace") as fh:
-                    text = fh.read()
-                facts.append(frontend_clang.extract(path, text, rel,
-                                                    build_dir))
-            return facts, "libclang", detail
-        if frontend == "libclang":
-            raise RuntimeError(f"libclang frontend requested but {detail}")
-        print(f"note: {detail}; falling back to the token frontend",
-              file=sys.stderr)
+            used, detail = "libclang", why
+        elif frontend == "libclang":
+            raise RuntimeError(f"libclang frontend requested but {why}")
+        else:
+            print(f"note: {why}; falling back to the token frontend",
+                  file=sys.stderr)
     facts = []
     for rel in rels:
         path = os.path.join(root, rel)
         with open(path, encoding="utf-8", errors="replace") as fh:
             text = fh.read()
-        facts.append(frontend_tokens.extract(path, text, rel))
-    return facts, "tokens", "stdlib token micro-parser"
+        ff = frontend_clang.extract(path, rel, build_dir) \
+            if used == "libclang" else frontend_tokens.extract(rel, text)
+        facts.append(lexical.attach(ff, text))
+    return facts, used, detail
 
 
 def run(argv: list[str]) -> int:
@@ -181,51 +182,34 @@ bool Widget::try_frob() {
   for (const auto& kv : weights_) {
     total_ += kv.second;
   }
+  int* scratch = new int(0);
   return true;
 }
 """
-
-_SMOKE_CLEAN = """
-#include <map>
-class Widget {
- public:
-  bool try_frob();
- private:
-  double total_;
-  std::map<int, double> weights_;
-};
-bool Widget::try_frob() {
-  for (const auto& kv : weights_) {
-    total_ += kv.second;
-  }
-  return true;
-}
-"""
+_SMOKE_RULES = {"fp-unordered-accumulation", "governor-raii", "naked-new"}
+# The idiomatic fix of each seeded violation.
+_SMOKE_CLEAN = _SMOKE_BAD.replace("unordered_map", "map").replace(
+    '  if (!governor_.try_reserve(64, "widget")) { return false; }\n', "").replace(
+    "new int(0)", "nullptr")
 
 
 def self_test() -> int:
-    """Quick confidence check that the token frontend feeds the rules:
-    a seeded violation is detected and its clean counterpart is not.
-    The full per-rule matrix lives in scripts/analyze/test_analyze.py."""
-    bad = frontend_tokens.extract("smoke_bad.cpp", _SMOKE_BAD,
-                                  "src/smoke_bad.cpp")
-    clean = frontend_tokens.extract("smoke_clean.cpp", _SMOKE_CLEAN,
-                                    "src/smoke_clean.cpp")
-    bad_findings = rules_mod.run_rules([bad])
-    clean_findings = rules_mod.run_rules([clean])
-    bad_rules = {f.rule for f in bad_findings if not f.suppressed}
-    failures = []
-    for want in ("fp-unordered-accumulation", "governor-raii"):
-        if want not in bad_rules:
-            failures.append(f"seeded {want} violation not detected")
-    clean_unsuppressed = [f for f in clean_findings if not f.suppressed
-                          and f.rule in ("fp-unordered-accumulation",
-                                         "governor-raii")]
-    if clean_unsuppressed:
-        failures.append(f"clean counterpart flagged: {clean_unsuppressed}")
+    """Quick confidence check that the token frontend and the lexical pass
+    feed the rules: the seeded violations are detected and their clean
+    counterpart is not. The full per-rule matrix lives in
+    scripts/analyze/test_analyze.py."""
+    def fired(text: str) -> set[str]:
+        facts = lexical.attach(frontend_tokens.extract("src/smoke.cpp", text),
+                               text)
+        return {f.rule for f in rules_mod.run_rules([facts], _SMOKE_RULES)
+                if not f.suppressed}
+    failures = [f"seeded {rule} violation not detected"
+                for rule in sorted(_SMOKE_RULES - fired(_SMOKE_BAD))]
+    if fired(_SMOKE_CLEAN):
+        failures.append(f"clean counterpart flagged: {fired(_SMOKE_CLEAN)}")
+    for msg in failures:
+        print(f"self-test FAIL: {msg}", file=sys.stderr)
     if failures:
-        for msg in failures:
-            print(f"self-test FAIL: {msg}", file=sys.stderr)
         return 1
     print("OK treecode-analyze self-test")
     return 0

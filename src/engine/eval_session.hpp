@@ -34,7 +34,7 @@
 /// `Expected<...>` carrying a typed ErrorCode (util/expected.hpp) and never
 /// throws; the legacy `foo()` wrapper unwraps via EngineError for callers
 /// that prefer exceptions. Engine code itself contains no `throw` —
-/// enforced by scripts/treecode_lint.py rule `engine-returns-expected`.
+/// enforced by the treecode-analyze rule `engine-returns-expected`.
 /// Every constructed Error increments `engine.errors` and arms the flight
 /// recorder with the error-code name as the trigger reason.
 ///

@@ -7,7 +7,7 @@
 /// accepted interaction, and std::pow with an integer exponent routes
 /// through the general exp/log machinery — an order of magnitude slower
 /// than the O(log p) multiply chain below and the thing
-/// scripts/treecode_lint.py's `pow-integer-exponent` rule exists to catch.
+/// treecode-analyze rule `pow-integer-exponent` exists to catch.
 
 namespace treecode {
 

@@ -10,7 +10,7 @@
 /// site silently forks the series — increments land under a name nothing
 /// scrapes, and a watchdog rule over the intended name reads zero forever.
 /// Every call site therefore names its metric through one of these
-/// constants; scripts/treecode_lint.py (rule `metric-name-literal`) rejects
+/// constants; the treecode-analyze rule `metric-name-literal` rejects
 /// raw string literals at counter()/gauge()/histogram()/series()/
 /// flush_counts() call sites in src/ and any constant here whose value
 /// duplicates another's.

@@ -9,7 +9,7 @@
 /// (obs/recorder.hpp). A typo'd literal at any one call site silently
 /// fragments all three — the span records under a name nothing else
 /// aggregates. Every call site therefore names its span through one of
-/// these constants; scripts/treecode_lint.py (rule `span-registry`)
+/// these constants; the treecode-analyze rule `span-registry`
 /// rejects raw string literals at PhaseSpan / ScopedTimer / RequestScope /
 /// record_span / record_timeline_span / parallel_for(_blocked) call sites
 /// and any constant here whose value duplicates another's.

@@ -16,9 +16,9 @@
 ///  * Engine entry points come in pairs: `try_foo()` returns Expected and
 ///    never throws taxonomy errors; the legacy `foo()` wrapper converts an
 ///    Error into an EngineError via throw_error() for callers that prefer
-///    exceptions (examples, benches). scripts/treecode_lint.py (rule
-///    `engine-returns-expected`) rejects raw `throw` statements inside
-///    src/engine so new failure paths cannot bypass the taxonomy.
+///    exceptions (examples, benches). The treecode-analyze rule
+///    `engine-returns-expected` rejects raw `throw` statements in src/engine
+///    and src/service so new failure paths cannot bypass the taxonomy.
 ///  * Producing an Error is side-effect-free here; the engine records every
 ///    failure to the metrics registry and the flight recorder at the point
 ///    it constructs the Error (see eval_session.cpp fail()).
