@@ -163,9 +163,9 @@ ObsOptions obs_options_from(const CliFlags& flags);
 /// metrics_out / openmetrics_out. Stops trace collection and closes
 /// the telemetry sink. With `slo`, checks the default engine SLO rules
 /// against the final snapshot first, so the report records `slo.*` counters
-/// and any breach warnings. None of these flags enter report.config() —
-/// bench_compare.py's config-equality gate must keep matching runs that
-/// differ only in observability outputs. No-op when no flag was given.
+/// and any breach warnings. None of these flags enter report.config(), so
+/// runs that differ only in observability outputs report the same config.
+/// No-op when no flag was given.
 void emit_reports(const ObsOptions& opts, const obs::RunReport& report);
 
 /// Serialize a Table as {"headers": [...], "rows": [[...], ...]}. Cells stay

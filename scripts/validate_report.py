@@ -2,9 +2,9 @@
 """Validate a treecode bench report against scripts/bench_report_schema.json.
 
 Stdlib only (no jsonschema dependency): implements the subset of JSON Schema
-the bench-report schema actually uses — type, const, required, properties,
+the repository's schemas actually use — type, const, required, properties,
 items, additionalProperties, $ref (to #/$defs/... within the same document),
-and oneOf (used to accept both treecode-bench-report/v1 and /v2).
+and oneOf (telemetry_record_schema.json's record kinds). Reports must be v2.
 
 Usage: validate_report.py REPORT.json [SCHEMA.json]
 Exit status 0 on success, 1 with a path-qualified message on the first error.
@@ -56,8 +56,8 @@ def validate(value, schema, path="$", root=None):
                 return []
             branch_errors.append(errors)
         # No branch matched; report the branch that got furthest (fewest
-        # errors) so a near-miss v2 report complains about its actual
-        # problem, not about not being v1.
+        # errors) so a near-miss record complains about its actual problem,
+        # not about not being some other branch.
         best = min(branch_errors, key=len)
         return [f"{path}: no oneOf branch matched; closest branch errors:"] + best
     errors = []

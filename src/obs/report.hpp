@@ -77,13 +77,13 @@ class RunReport {
 
 /// The provenance block stamped into every report: what produced this
 /// measurement (git SHA from $TREECODE_GIT_SHA, compiler, build flags,
-/// host, UTC timestamp), so a trajectory of BENCH_*.json files stays
-/// attributable. Flight-recorder dumps (v2) embed the same block.
+/// host, UTC timestamp), so a report read later stays attributable.
+/// Flight-recorder dumps (v2) embed the same block.
 [[nodiscard]] Json provenance_json();
 
 /// The schema identifier stamped into every report. v2 added the required
-/// "provenance" block and the optional "tightness" block; consumers
-/// (validate_report.py, bench_compare.py) still accept v1.
+/// "provenance" block and the optional "tightness" block; validate_report.py
+/// accepts v2 only.
 inline constexpr const char* kReportSchema = "treecode-bench-report/v2";
 
 }  // namespace treecode::obs

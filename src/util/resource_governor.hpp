@@ -4,9 +4,10 @@
 /// Session-wide resource governance: byte accounting with a hard budget,
 /// plus an armable evaluation deadline.
 ///
-/// BENCH_engine.json puts the compiled-plan + basis footprint near 746 MB
-/// for only 35k sources — an unguarded compile in a memory-constrained
-/// deployment does not fail gracefully, it gets OOM-killed. The governor
+/// The bem-solve benchmark governs 8,098 B per source: about 288 MB of plan,
+/// basis and coefficients for only 35,568 sources (298 MB peak RSS). An
+/// unguarded compile in a memory-constrained deployment does not fail
+/// gracefully, it gets OOM-killed. The governor
 /// turns "hope the allocator succeeds" into an explicit protocol: every
 /// durable engine allocation (plan storage, evaluation bases, multipole
 /// coefficients) first reserves its bytes here, and a denial surfaces as a

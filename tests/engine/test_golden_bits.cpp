@@ -6,14 +6,17 @@
 // Each case hashes the bit patterns of potentials, error bounds and
 // gradients plus the deterministic EvalStats counts, at threads {1, 2, 4}.
 // The build uses no -march or fast-math, so the hashes hold across x86-64
-// hosts; other architectures skip.
+// hosts; other architectures skip. The compiled cases also pin their
+// durable bytes (plan entries, plan, basis and governed bytes) in a second
+// table, kept out of the hash, so a memory-layout change fails on its own.
 //
-// Re-recording (only for a deliberate change of the arithmetic): run
+// Re-recording (only for a deliberate change of the arithmetic or layout): run
 //   ./build/tests/test_engine --gtest_filter='GoldenBits.*'
 // and paste the printed table.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <functional>
@@ -21,6 +24,7 @@
 #include <random>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/barnes_hut.hpp"
@@ -81,6 +85,27 @@ class BitHash {
   std::uint64_t h_ = 1469598103934665603ull;
 };
 
+// Durable bytes of a compiled case. They sit beside the hash, not in it:
+// a layout change that keeps every output bit (an extra double per basis
+// slot, a wider entry) moves these and nothing else.
+struct PlanBytes {
+  std::size_t entries = 0;   // plan->entries.size()
+  std::size_t plan = 0;      // plan->memory_bytes()
+  std::size_t basis = 0;     // plan->basis.size() * sizeof(double)
+  std::size_t governed = 0;  // session.governor().used() after the last evaluate
+  bool operator==(const PlanBytes&) const = default;
+};
+
+struct Outcome {
+  std::uint64_t hash;
+  PlanBytes bytes{};
+};
+
+PlanBytes plan_bytes(const engine::EvalSession& session, const engine::EvalPlan& plan) {
+  return {plan.entries.size(), plan.memory_bytes(), plan.basis.size() * sizeof(double),
+          session.governor().used()};
+}
+
 ParticleSystem clustered() {
   return dist::overlapped_gaussians(1500, 3, 19, 0.08, dist::ChargeModel::kMixedSign);
 }
@@ -112,7 +137,7 @@ EvalConfig config(unsigned threads) {
   return cfg;
 }
 
-std::uint64_t bh_case(const EvalConfig& cfg, bool self) {
+Outcome bh_case(const EvalConfig& cfg, bool self) {
   const Tree tree(clustered());
   ThreadPool pool(cfg.threads);
   const BarnesHutEvaluator bh(tree, cfg, &pool);
@@ -126,11 +151,11 @@ std::uint64_t bh_case(const EvalConfig& cfg, bool self) {
   }
   BitHash h;
   h.result(r);
-  return h.digest();
+  return {h.digest()};
 }
 
-std::uint64_t replay_case(const EvalConfig& cfg, const engine::EvalSession::Options& opts,
-                          bool self) {
+Outcome replay_case(const EvalConfig& cfg, const engine::EvalSession::Options& opts,
+                    bool self) {
   const ParticleSystem ps = clustered();
   engine::EvalSession session(Tree(ps), cfg, opts);
   const auto plan = self ? session.try_compile_self().value_or_throw()
@@ -139,10 +164,10 @@ std::uint64_t replay_case(const EvalConfig& cfg, const engine::EvalSession::Opti
   h.result(session.try_evaluate(*plan).value_or_throw());
   session.try_update_charges(charges(ps.size(), 404)).value_or_throw();
   h.result(session.try_evaluate(*plan).value_or_throw());
-  return h.digest();
+  return {h.digest(), plan_bytes(session, *plan)};
 }
 
-std::uint64_t batch_case(unsigned threads, std::size_t k) {
+Outcome batch_case(unsigned threads, std::size_t k) {
   const ParticleSystem ps = clustered();
   engine::EvalSession session(Tree(ps), config(threads));
   const auto plan = session.try_compile(targets()).value_or_throw();
@@ -154,13 +179,13 @@ std::uint64_t batch_case(unsigned threads, std::size_t k) {
   for (const EvalResult& r : session.try_evaluate_batch(*plan, spans).value_or_throw()) {
     h.result(r);
   }
-  return h.digest();
+  return {h.digest(), plan_bytes(session, *plan)};
 }
 
 // Rung 2: a budget that affords the transient traversal multipoles but not
 // the compiled plan core (calibrated on an unbudgeted probe session). With
 // 800 targets the entry stream outweighs the per-node coefficients.
-std::uint64_t rung2_case(unsigned threads) {
+Outcome rung2_case(unsigned threads) {
   const ParticleSystem ps = clustered();
   const std::vector<Vec3> t = targets(800);
   const EvalConfig cfg = config(threads);
@@ -178,10 +203,10 @@ std::uint64_t rung2_case(unsigned threads) {
   EXPECT_EQ(r.stats.served_rung, ServeRung::kTraversal);
   BitHash h;
   h.result(r);
-  return h.digest();
+  return {h.digest()};
 }
 
-std::uint64_t rung3_case(unsigned threads, bool self) {
+Outcome rung3_case(unsigned threads, bool self) {
   EvalConfig cfg = config(threads);
   cfg.compute_gradient = true;
   cfg.memory_budget_bytes = 1024;
@@ -191,10 +216,10 @@ std::uint64_t rung3_case(unsigned threads, bool self) {
   EXPECT_EQ(r.stats.served_rung, ServeRung::kDirect);
   BitHash h;
   h.result(r);
-  return h.digest();
+  return {h.digest()};
 }
 
-std::uint64_t dipole_case(unsigned threads) {
+Outcome dipole_case(unsigned threads) {
   const ParticleSystem ps = clustered();
   const Tree tree(ps);
   std::vector<Vec3> moments(tree.num_particles());
@@ -207,12 +232,12 @@ std::uint64_t dipole_case(unsigned threads) {
   const DipoleBarnesHutEvaluator eval(tree, cfg, moments, &pool);
   BitHash h;
   h.result(eval.evaluate_at(pool, targets()));
-  return h.digest();
+  return {h.digest()};
 }
 
 struct GoldenCase {
   const char* name;
-  std::function<std::uint64_t(unsigned)> run;
+  std::function<Outcome(unsigned)> run;
 };
 
 std::vector<GoldenCase> golden_cases() {
@@ -299,6 +324,24 @@ constexpr Golden kGolden[] = {
     {"dipole_at", 0xaf1f46e30af4f19dull},
 };
 
+struct GoldenBytes {
+  const char* name;
+  PlanBytes bytes;
+};
+
+// Durable bytes of the compiled cases: entries, plan bytes, basis bytes,
+// governed bytes. Re-record (paste the printed table) only with a
+// deliberate change of the plan or basis layout.
+constexpr GoldenBytes kGoldenBytes[] = {
+    {"replay_basis", {4668, 1055744, 990184, 3009864}},
+    {"replay_plain", {4668, 64272, 0, 219232}},
+    {"replay_self_budget", {706096, 60008876, 51461624, 60873556}},
+    {"replay_self_gradient_audit", {183978, 2270364, 0, 4362996}},
+    {"batch_k1", {4668, 1055744, 990184, 2854904}},
+    {"batch_k3", {4668, 1055744, 990184, 2854904}},
+    {"batch_k8", {4668, 1055744, 990184, 2854904}},
+};
+
 TEST(GoldenBits, EveryPathMatchesItsRecordedHashAtThreads124) {
 #if !defined(__x86_64__)
   GTEST_SKIP() << "golden hashes are recorded for x86-64 floating point";
@@ -309,9 +352,9 @@ TEST(GoldenBits, EveryPathMatchesItsRecordedHashAtThreads124) {
   bool all_match = true;
   for (std::size_t c = 0; c < cases.size(); ++c) {
     ASSERT_STREQ(cases[c].name, kGolden[c].name);
-    const std::uint64_t h1 = cases[c].run(1);
+    const std::uint64_t h1 = cases[c].run(1).hash;
     for (const unsigned threads : {2u, 4u}) {
-      EXPECT_EQ(cases[c].run(threads), h1)
+      EXPECT_EQ(cases[c].run(threads).hash, h1)
           << cases[c].name << " differs between 1 and " << threads << " threads";
     }
     char line[96];
@@ -324,6 +367,35 @@ TEST(GoldenBits, EveryPathMatchesItsRecordedHashAtThreads124) {
     }
   }
   if (!all_match) std::printf("current hashes:\n%s", table.c_str());
+}
+
+TEST(GoldenBits, CompiledCasesMatchTheirRecordedBytesAtThreads124) {
+#if !defined(__x86_64__)
+  GTEST_SKIP() << "entry counts follow MAC decisions recorded for x86-64 floating point";
+#endif
+  const std::vector<GoldenCase> cases = golden_cases();
+  std::string table;
+  bool all_match = true;
+  for (const GoldenBytes& golden : kGoldenBytes) {
+    const auto c = std::find_if(cases.begin(), cases.end(), [&](const GoldenCase& g) {
+      return std::string_view(g.name) == golden.name;
+    });
+    ASSERT_NE(c, cases.end()) << golden.name;
+    const PlanBytes b1 = c->run(1).bytes;
+    for (const unsigned threads : {2u, 4u}) {
+      EXPECT_TRUE(c->run(threads).bytes == b1)
+          << golden.name << " bytes differ between 1 and " << threads << " threads";
+    }
+    char line[160];
+    std::snprintf(line, sizeof(line), "    {\"%s\", {%zu, %zu, %zu, %zu}},\n", golden.name,
+                  b1.entries, b1.plan, b1.basis, b1.governed);
+    table += line;
+    if (!(b1 == golden.bytes)) {
+      all_match = false;
+      ADD_FAILURE() << golden.name << ": durable bytes changed";
+    }
+  }
+  if (!all_match) std::printf("current bytes:\n%s", table.c_str());
 }
 
 }  // namespace
