@@ -9,7 +9,6 @@
 #include "obs/recorder.hpp"
 #include "obs/reqtrace.hpp"
 #include "obs/slo.hpp"
-#include "obs/telemetry.hpp"
 #include "util/stats.hpp"
 #include "util/timer.hpp"
 
@@ -148,7 +147,6 @@ std::vector<std::string> with_obs_flags(std::vector<std::string> known) {
   known.emplace_back("telemetry-out");
   known.emplace_back("trace-requests-out");
   known.emplace_back("trace-sample-rate");
-  known.emplace_back("telemetry");
   known.emplace_back("slo");
   known.emplace_back("repeat");
   known.emplace_back("warmup");
@@ -165,7 +163,6 @@ ObsOptions obs_options_from(const CliFlags& flags) {
   opts.telemetry_out = flags.get_string("telemetry-out", "");
   opts.trace_requests_out = flags.get_string("trace-requests-out", "");
   opts.trace_sample_rate = flags.get_double("trace-sample-rate", 1.0);
-  opts.telemetry = flags.get_bool("telemetry");
   opts.slo = flags.get_bool("slo");
   if (opts.active()) {
     // The registry is process-global: zero whatever earlier warm-up recorded
@@ -179,16 +176,12 @@ ObsOptions obs_options_from(const CliFlags& flags) {
     config.seed = 1;
     config.sample_rate = opts.trace_sample_rate;
     obs::reqtrace::enable(config);
+    if (!opts.telemetry_out.empty()) obs::reqtrace::set_sink(opts.telemetry_out);
   }
   if (!opts.recorder_out.empty()) {
     obs::recorder::reset();
     obs::recorder::set_dump_path(opts.recorder_out);
     obs::recorder::start();
-  }
-  if (!opts.telemetry_out.empty() || opts.telemetry) {
-    obs::telemetry::reset();
-    obs::telemetry::enable();
-    if (!opts.telemetry_out.empty()) obs::telemetry::set_sink(opts.telemetry_out);
   }
   return opts;
 }
@@ -200,7 +193,7 @@ void emit_reports(const ObsOptions& opts, const obs::RunReport& report) {
     obs::recorder::stop();
     obs::recorder::dump(opts.recorder_out, "run complete");
   }
-  if (!opts.telemetry_out.empty()) obs::telemetry::close_sink();
+  obs::reqtrace::close_sink();
   if (!opts.trace_requests_out.empty()) {
     obs::reqtrace::write_jsonl(opts.trace_requests_out);
   }

@@ -389,7 +389,7 @@ class _Walker:
             locks_held=held, is_callback=is_callback,
             arg0=self._first_arg_text(call), member=member,
             recv_type=recv_type))
-        if name == "emit_request" or (name == "emit" and not member):
+        if name == "emit_request" or (name == "log_request" and not member):
             fn.emit_lines.append(call.location.line)
 
         child_parallel = parallel or name in PARALLEL_FNS

@@ -713,7 +713,7 @@ class _Parser:
                            arg0="".join(arg0), member=member,
                            recv_type=recv_type)
             fn.calls.append(ev)
-            if name == "emit_request" or qual.endswith("telemetry::emit"):
+            if name == "emit_request" or qual.endswith("reqtrace::log_request"):
                 fn.emit_lines.append(t.line)
             if name in PARALLEL_FNS:
                 close = match_forward(self.toks, i + 1, "(", ")")

@@ -81,7 +81,7 @@ class FuncFacts:
     locks: list[LockEvent] = field(default_factory=list)
     accums: list[AccumEvent] = field(default_factory=list)
     returns: list[ReturnEvent] = field(default_factory=list)
-    # Line of each call to a telemetry-emitting helper (rules.EMIT_CALLS).
+    # Line of each call to a request-record emit helper (rules.EMIT_HELPERS).
     emit_lines: list[int] = field(default_factory=list)
 
 

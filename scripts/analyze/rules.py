@@ -44,7 +44,8 @@ Lock-order family:
 
 API-contract family:
   try-telemetry-exit          a public try_* entry point with an exit
-                              path that skips the telemetry emit helper,
+                              path that skips the request-record emit
+                              helper,
                               or an emit helper that never finishes the
                               request's trace context (RequestScope::finish
                               / reqtrace::finish_request), leaving the
@@ -52,7 +53,7 @@ API-contract family:
   engine-request-count        the telemetry emit helper must count
                               obs::metric::kEngineRequests before its
                               first early return, so the SLO error-rate
-                              denominator covers disabled-telemetry runs.
+                              denominator covers untraced runs.
 
 Source-hygiene family — lexical facts (lexical.py); scopes below:
   naked-new                   naked `new` or malloc/calloc/realloc/free.
@@ -523,7 +524,7 @@ def rule_try_telemetry_exit(idx: _Index) -> list[Finding]:
                 idx, "try-telemetry-exit", fn.file, fn.line,
                 f"public entry point {fn.qual_name} never emits a telemetry "
                 "RequestRecord; every try_* exit must be observable "
-                "(obs/telemetry.hpp emit_request)"))
+                "(emit_request -> obs/reqtrace.hpp RequestScope::finish)"))
             continue
         first_emit = min(fn.emit_lines)
         for ret in fn.returns:
@@ -566,8 +567,7 @@ def rule_engine_request_count(idx: _Index) -> list[Finding]:
                 f"{fn.qual_name} does not increment its layer's request "
                 "counter (obs::metric::kEngineRequests or kServiceRequests); "
                 "the request counter is the SLO error-rate denominator and "
-                "must count every entry-point call, telemetry enabled or "
-                "not"))
+                "must count every entry-point call, traced or not"))
             continue
         early = [r.line for r in fn.returns if r.line < counted_at]
         if early:
@@ -575,8 +575,7 @@ def rule_engine_request_count(idx: _Index) -> list[Finding]:
                 idx, "engine-request-count", fn.file, early[0],
                 f"{fn.qual_name} can return before counting its request "
                 f"counter (counted at line {counted_at}); "
-                "disabled-telemetry exits would be dropped from the "
-                "request count"))
+                "untraced exits would be dropped from the request count"))
     return out
 
 

@@ -3,8 +3,8 @@
 
 Stdlib only (no jsonschema dependency): implements the subset of JSON Schema
 the repository's schemas actually use — type, const, required, properties,
-items, additionalProperties, $ref (to #/$defs/... within the same document),
-and oneOf (telemetry_record_schema.json's record kinds). Reports must be v2.
+items, additionalProperties and $ref (to #/$defs/... within the same
+document). Reports must be v2.
 
 Usage: validate_report.py REPORT.json [SCHEMA.json]
 Exit status 0 on success, 1 with a path-qualified message on the first error.
@@ -48,18 +48,6 @@ def validate(value, schema, path="$", root=None):
         root = schema
     if "$ref" in schema:
         return validate(value, _resolve_ref(schema["$ref"], root), path, root)
-    if "oneOf" in schema:
-        branch_errors = []
-        for branch in schema["oneOf"]:
-            errors = validate(value, branch, path, root)
-            if not errors:
-                return []
-            branch_errors.append(errors)
-        # No branch matched; report the branch that got furthest (fewest
-        # errors) so a near-miss record complains about its actual problem,
-        # not about not being some other branch.
-        best = min(branch_errors, key=len)
-        return [f"{path}: no oneOf branch matched; closest branch errors:"] + best
     errors = []
     if "const" in schema and value != schema["const"]:
         errors.append(f"{path}: expected constant {schema['const']!r}, got {value!r}")

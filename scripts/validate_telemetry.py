@@ -1,13 +1,12 @@
 #!/usr/bin/env python3
-"""Validate a request-telemetry JSONL sink (treecode-request-record/v1|v2).
+"""Validate a request-record JSONL sink (treecode-request-record/v2).
 
 Each line must parse as JSON and conform to
 scripts/telemetry_record_schema.json (checked with the same stdlib subset
-validator that validate_report.py uses); the schema accepts both v1 lines
-and v2 lines (which add trace_id, queue_wait_seconds, batch_seq). Cross-line
-checks: seq values are unique, the known enumerations (api, rung_name) only
-contain values the emitter can produce, v2 trace_id values are 32 lowercase
-hex chars, and nonzero trace ids are unique per (trace_id, api) — each entry
+validator that validate_report.py uses). Cross-line checks: seq values are
+unique, the known enumerations (api, rung_name) only contain values the
+emitter can produce, trace_id values are 32 lowercase hex chars, and
+nonzero trace ids are unique per (trace_id, api) — each entry
 point records one exit, while the same trace legitimately reappears across
 *different* apis (a service_submit admission and its service_serve
 fulfillment share one trace). Line *order* is not checked — concurrent
@@ -76,17 +75,16 @@ def validate_file(path, schema):
                     and len(key) == 18):
                 errors.append(f"line {lineno}: plan_key {key!r} is not an "
                               "0x-prefixed 16-digit hex string")
-            if record.get("schema") == "treecode-request-record/v2":
-                trace_id = record.get("trace_id")
-                if not _valid_trace_id(trace_id):
-                    errors.append(f"line {lineno}: trace_id {trace_id!r} is "
-                                  "not 32 lowercase hex chars")
-                elif trace_id != _ZERO_TRACE:
-                    tk = (trace_id, api)
-                    if tk in trace_keys:
-                        errors.append(f"line {lineno}: duplicate trace_id "
-                                      f"{trace_id} for api {api!r}")
-                    trace_keys.add(tk)
+            trace_id = record.get("trace_id")
+            if not _valid_trace_id(trace_id):
+                errors.append(f"line {lineno}: trace_id {trace_id!r} is "
+                              "not 32 lowercase hex chars")
+            elif trace_id != _ZERO_TRACE:
+                tk = (trace_id, api)
+                if tk in trace_keys:
+                    errors.append(f"line {lineno}: duplicate trace_id "
+                                  f"{trace_id} for api {api!r}")
+                trace_keys.add(tk)
     if n == 0:
         errors.append("empty sink: expected at least one record line")
     return errors
@@ -94,12 +92,13 @@ def validate_file(path, schema):
 
 def _self_test():
     good = {
-        "schema": "treecode-request-record/v1", "seq": 0, "ts_us": 12,
+        "schema": "treecode-request-record/v2", "seq": 0, "ts_us": 12,
         "api": "evaluate_plan", "plan_key": "0x00000000deadbeef", "rung": 0,
         "rung_name": "basis_replay", "outcome": "ok", "ok": True,
         "wall_seconds": 1e-3, "targets": 64, "plan_bytes": 10,
         "basis_bytes": 20, "deadline_slack_seconds": None,
         "audit_max_tightness": 0.5, "threads": 4, "batch_width": 1,
+        "trace_id": "0" * 32, "queue_wait_seconds": 0.0, "batch_seq": 0,
     }
     import copy
     import tempfile
@@ -122,33 +121,33 @@ def _self_test():
     cases.append(([bad_key], False))
     cases.append(([], False))  # empty sink
 
-    good_v2 = copy.deepcopy(good)
-    good_v2["schema"] = "treecode-request-record/v2"
-    good_v2["seq"] = 2
-    good_v2["api"] = "service_serve"
-    good_v2["trace_id"] = "00c0ffee" * 4
-    good_v2["queue_wait_seconds"] = 1e-4
-    good_v2["batch_seq"] = 3
-    cases.append(([good, good_v2], True))  # mixed v1 + v2 sink
-    untraced = copy.deepcopy(good_v2)
-    untraced["seq"] = 3
-    untraced["trace_id"] = "0" * 32  # tracing off: zero id, repeatable
-    repeat_zero = copy.deepcopy(untraced)
-    repeat_zero["seq"] = 4
-    cases.append(([good_v2, untraced, repeat_zero], True))
-    missing_trace = copy.deepcopy(good_v2)
+    served = copy.deepcopy(good)
+    served["seq"] = 2
+    served["api"] = "service_serve"
+    served["trace_id"] = "00c0ffee" * 4
+    served["queue_wait_seconds"] = 1e-4
+    served["batch_seq"] = 3
+    v1 = {k: v for k, v in good.items()
+          if k not in ("trace_id", "queue_wait_seconds", "batch_seq")}
+    v1["schema"] = "treecode-request-record/v1"
+    v1["seq"] = 7
+    cases.append(([served, v1], False))  # nothing emits v1 any more
+    untraced = copy.deepcopy(good)
+    untraced["seq"] = 3  # logged outside any trace: zero id, repeatable
+    cases.append(([served, good, untraced], True))
+    missing_trace = copy.deepcopy(served)
     del missing_trace["trace_id"]
-    cases.append(([missing_trace], False))  # v2 requires trace_id
-    bad_trace = copy.deepcopy(good_v2)
+    cases.append(([missing_trace], False))  # trace_id is required
+    bad_trace = copy.deepcopy(served)
     bad_trace["trace_id"] = "0xDEADBEEF"
     cases.append(([bad_trace], False))
-    dup_trace = copy.deepcopy(good_v2)
+    dup_trace = copy.deepcopy(served)
     dup_trace["seq"] = 5
-    cases.append(([good_v2, dup_trace], False))  # same trace_id + api
-    cross_api = copy.deepcopy(good_v2)
+    cases.append(([served, dup_trace], False))  # same trace_id + api
+    cross_api = copy.deepcopy(served)
     cross_api["seq"] = 6
     cross_api["api"] = "service_submit"
-    cases.append(([good_v2, cross_api], True))  # same trace, different api
+    cases.append(([served, cross_api], True))  # same trace, different api
 
     schema = load_schema("telemetry_record_schema.json")
     for i, (lines, expect_ok) in enumerate(cases):
@@ -183,7 +182,7 @@ def main(argv):
         return 1
     with open(path, encoding="utf-8") as f:
         n = sum(1 for line in f if line.strip())
-    print(f"OK {path}: {n} valid treecode-request-record/v1|v2 line(s)")
+    print(f"OK {path}: {n} valid treecode-request-record/v2 line(s)")
     return 0
 
 

@@ -18,10 +18,11 @@ uses). Per-trace structural checks:
     register block caps batch width), and each must resolve — across the
     whole file — to a retained "request"-kind span (the batch's fan-in).
 
-With a telemetry sink as the second positional argument, the tail-sampling
-invariant is checked against it: every treecode-request-record/v2 line
-carrying a nonzero trace_id that is errored (ok=false), degraded (rung > 0)
-or deadline-missed (outcome "deadline") must have its trace retained in the
+With a request-record sink as the second positional argument, the
+tail-sampling invariant is checked against it: every record carrying a
+nonzero trace_id that is errored (ok=false), degraded (rung >= 2: served
+by the fresh traversal or direct summation, not by replay) or
+deadline-missed (outcome "deadline") must have its trace retained in the
 export; for fulfilled service requests (api "service_serve", batch_seq > 0)
 the retained trace must additionally cover the request's full path — a
 "service.request" root, a "service.queue_wait" span — and some batch trace
@@ -47,6 +48,7 @@ _ROOT_KINDS = {"request", "batch"}
 _MAX_FLOWS = 8
 _ZERO_SPAN = "0" * 16
 _ZERO_TRACE = "0" * 32
+_TRAVERSAL_RUNG = 2  # core ServeRung::kTraversal: the first degraded rung
 
 
 def _hex_id(value, width):
@@ -191,13 +193,11 @@ def _check_tail_invariant(telemetry_path, traces):
             if not line:
                 continue
             record = json.loads(line)
-            if record.get("schema") != "treecode-request-record/v2":
-                continue
             trace_id = record.get("trace_id", _ZERO_TRACE)
             if trace_id == _ZERO_TRACE:
                 continue
             unhealthy = (not record.get("ok", True)
-                         or record.get("rung", 0) > 0
+                         or record.get("rung", 0) >= _TRAVERSAL_RUNG
                          or record.get("outcome") == "deadline")
             if unhealthy and trace_id not in by_id:
                 errors.append(
@@ -305,6 +305,12 @@ def _self_test():
     healthy["outcome"] = "ok"
     healthy["batch_seq"] = 0  # admission record: retention-only rule
     cases.append(([], [healthy], True))  # healthy + sampled out is fine
+    plain = copy.deepcopy(healthy)
+    plain["rung"] = 1  # plain replay (a plan without a basis) is healthy
+    cases.append(([], [plain], True))
+    degraded = copy.deepcopy(healthy)
+    degraded["rung"] = 2  # fresh traversal: must be retained
+    cases.append(([], [degraded], False))
 
     schema = load_schema("trace_schema.json")
     for i, (lines, tele, expect_ok) in enumerate(cases):

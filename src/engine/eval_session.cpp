@@ -21,7 +21,6 @@
 #include "obs/recorder.hpp"
 #include "obs/report.hpp"
 #include "obs/reqtrace.hpp"
-#include "obs/telemetry.hpp"
 #include "util/timer.hpp"
 #include "obs/spans.hpp"
 #include "util/fault_inject.hpp"
@@ -112,36 +111,26 @@ class DeadlineScope {
   bool armed_here_;
 };
 
-/// Emit one telemetry RequestRecord at a public entry point's exit — the
-/// per-request tuple (plan, rung, outcome, wall, bytes, deadline slack,
-/// audit tightness) the serving layer records; see obs/telemetry.hpp.
-/// One relaxed load and a branch while telemetry is disabled.
+static_assert(static_cast<int>(ServeRung::kTraversal) == obs::reqtrace::kTraversalRung);
+
+/// Fill one RequestRecord at a public entry point's exit — the per-request
+/// tuple (plan, rung, outcome, wall, bytes, deadline slack, audit
+/// tightness) — and finish the request's trace with it (obs/reqtrace.hpp).
+/// One relaxed load and a branch while tracing is disabled.
 /// `error` is null on success; the outcome is then the served stats'
 /// (kDeadline for a partial result) or kOk.
-void emit_request(obs::telemetry::Api api, std::uint64_t key, double wall, const Error* error,
+void emit_request(const char* api, std::uint64_t key, double wall, const Error* error,
                   const EvalStats* stats, const EvalSession& session,
                   obs::reqtrace::RequestScope& scope, std::uint32_t batch_width = 0) {
-  const bool ok = error == nullptr;
-  const ErrorCode code = !ok               ? error->code
+  // Counted before the tracing gate: engine.requests is the SLO error-rate
+  // denominator (obs/slo.cpp) and must cover every entry-point call, traced
+  // or not.
+  obs::registry().counter(obs::metric::kEngineRequests).add(1);
+  if (!scope.context().valid()) return;
+  const ErrorCode code = error != nullptr ? error->code
                          : stats != nullptr ? stats->outcome
                                             : ErrorCode::kOk;
-  // Counted before the telemetry-enabled gate: engine.requests is the SLO
-  // error-rate denominator (obs/slo.cpp) and must cover every entry-point
-  // call, with or without a telemetry session.
-  obs::registry().counter(obs::metric::kEngineRequests).add(1);
-  // Finish the request trace before the telemetry gate, so every exit path
-  // records its span and runs the tail decision even with telemetry off.
-  obs::reqtrace::Verdict verdict;
-  verdict.ok = ok;
-  verdict.error_code = static_cast<std::uint8_t>(code);
-  if (stats != nullptr) {
-    verdict.rung = static_cast<std::int8_t>(stats->served_rung);
-  }
-  verdict.deadline_missed = code == ErrorCode::kDeadline;
-  verdict.wall_seconds = wall;
-  scope.finish(verdict);
-  if (!obs::telemetry::enabled()) return;
-  obs::telemetry::RequestRecord r;
+  obs::reqtrace::RequestRecord r;
   r.api = api;
   r.plan_key = key;
   if (stats != nullptr) {
@@ -149,9 +138,10 @@ void emit_request(obs::telemetry::Api api, std::uint64_t key, double wall, const
     r.targets = stats->targets_served;
     r.audit_max_tightness = stats->audit_max_tightness;
   }
+  r.ok = error == nullptr;
   r.outcome = static_cast<std::uint8_t>(code);
   r.outcome_name = error_code_name(code);
-  r.ok = ok;
+  r.deadline_missed = code == ErrorCode::kDeadline;
   r.wall_seconds = wall;
   r.plan_bytes = session.cache().bytes();
   r.basis_bytes = session.cache().basis_bytes();
@@ -160,9 +150,7 @@ void emit_request(obs::telemetry::Api api, std::uint64_t key, double wall, const
       deadline > 0.0 ? deadline - wall : std::numeric_limits<double>::quiet_NaN();
   r.threads = session.pool().width();
   r.batch_width = batch_width;
-  r.trace_hi = scope.context().trace_hi;
-  r.trace_lo = scope.context().trace_lo;
-  obs::telemetry::emit(r);
+  scope.finish(r);
 }
 
 std::uint64_t next_session_id() noexcept {
@@ -338,7 +326,7 @@ Expected<std::shared_ptr<const EvalPlan>> EvalSession::try_compile(
   obs::reqtrace::RequestScope rscope(obs::span::kReqEngineCompile);
   Expected<std::shared_ptr<const EvalPlan>> plan =
       try_compile_impl(targets, /*self=*/false);
-  emit_request(obs::telemetry::Api::kCompile, plan.ok() ? plan.value()->key : 0,
+  emit_request("compile", plan.ok() ? plan.value()->key : 0,
                timer.seconds(), plan.ok() ? nullptr : &plan.error(), nullptr, *this, rscope);
   return plan;
 }
@@ -348,7 +336,7 @@ Expected<std::shared_ptr<const EvalPlan>> EvalSession::try_compile_self() {
   obs::reqtrace::RequestScope rscope(obs::span::kReqEngineCompileSelf);
   Expected<std::shared_ptr<const EvalPlan>> plan =
       try_compile_impl(tree_.positions(), /*self=*/true);
-  emit_request(obs::telemetry::Api::kCompileSelf, plan.ok() ? plan.value()->key : 0,
+  emit_request("compile_self", plan.ok() ? plan.value()->key : 0,
                timer.seconds(), plan.ok() ? nullptr : &plan.error(), nullptr, *this, rscope);
   return plan;
 }
@@ -357,7 +345,7 @@ Expected<void> EvalSession::try_update_charges(std::span<const double> charges) 
   const Timer timer;
   obs::reqtrace::RequestScope rscope(obs::span::kReqEngineUpdateCharges);
   Expected<void> result = try_update_charges_impl(charges, /*sorted=*/false);
-  emit_request(obs::telemetry::Api::kUpdateCharges, 0, timer.seconds(),
+  emit_request("update_charges", 0, timer.seconds(),
                result.ok() ? nullptr : &result.error(), nullptr, *this, rscope);
   return result;
 }
@@ -390,7 +378,7 @@ Expected<void> EvalSession::try_update_charges_sorted(std::span<const double> ch
   const Timer timer;
   obs::reqtrace::RequestScope rscope(obs::span::kReqEngineUpdateChargesSorted);
   Expected<void> result = try_update_charges_impl(charges, /*sorted=*/true);
-  emit_request(obs::telemetry::Api::kUpdateChargesSorted, 0, timer.seconds(),
+  emit_request("update_charges_sorted", 0, timer.seconds(),
                result.ok() ? nullptr : &result.error(), nullptr, *this, rscope);
   return result;
 }
@@ -1008,7 +996,7 @@ Expected<EvalResult> EvalSession::try_evaluate(const EvalPlan& plan) {
   const Timer timer;
   obs::reqtrace::RequestScope rscope(obs::span::kReqEngineEvaluatePlan);
   Expected<EvalResult> served = try_evaluate_impl(plan);
-  emit_request(obs::telemetry::Api::kEvaluatePlan, plan.key, timer.seconds(),
+  emit_request("evaluate_plan", plan.key, timer.seconds(),
                served.ok() ? nullptr : &served.error(),
                served.ok() ? &served.value().stats : nullptr, *this, rscope);
   return served;
@@ -1030,7 +1018,7 @@ Expected<std::vector<EvalResult>> EvalSession::try_evaluate_batch(
       try_evaluate_batch_impl(plan, charge_columns);
   const EvalStats* stats =
       served.ok() && !served.value().empty() ? &served.value().front().stats : nullptr;
-  emit_request(obs::telemetry::Api::kEvaluateBatch, plan.key, timer.seconds(),
+  emit_request("evaluate_batch", plan.key, timer.seconds(),
                served.ok() ? nullptr : &served.error(), stats, *this, rscope,
                static_cast<std::uint32_t>(charge_columns.size()));
   return served;
@@ -1147,7 +1135,7 @@ Expected<EvalResult> EvalSession::try_evaluate_at(std::span<const Vec3> targets)
   obs::reqtrace::RequestScope rscope(obs::span::kReqEngineEvaluateAt);
   std::uint64_t key = 0;
   Expected<EvalResult> served = try_evaluate_at_impl(targets, /*self=*/false, key);
-  emit_request(obs::telemetry::Api::kEvaluateAt, key, timer.seconds(),
+  emit_request("evaluate_at", key, timer.seconds(),
                served.ok() ? nullptr : &served.error(),
                served.ok() ? &served.value().stats : nullptr, *this, rscope);
   return served;
@@ -1159,7 +1147,7 @@ Expected<EvalResult> EvalSession::try_evaluate() {
   std::uint64_t key = 0;
   Expected<EvalResult> served =
       try_evaluate_at_impl(tree_.positions(), /*self=*/true, key);
-  emit_request(obs::telemetry::Api::kEvaluateSelf, key, timer.seconds(),
+  emit_request("evaluate_self", key, timer.seconds(),
                served.ok() ? nullptr : &served.error(),
                served.ok() ? &served.value().stats : nullptr, *this, rscope);
   return served;

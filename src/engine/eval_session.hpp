@@ -246,7 +246,8 @@ class EvalSession {
   };
 
   // Entry-point bodies: each public try_* above is a thin wrapper that
-  // times the call and emits one obs::telemetry RequestRecord at exit.
+  // times the call and finishes its request with one obs::reqtrace
+  // RequestRecord at exit.
   Expected<std::shared_ptr<const EvalPlan>> try_compile_impl(
       std::span<const Vec3> targets, bool self);
   /// `sorted`: the charges are in tree order (size num_particles) rather

@@ -4,7 +4,7 @@
 
 #include "obs/recorder.hpp"
 #include "obs/report.hpp"
-#include "obs/telemetry.hpp"
+#include "obs/reqtrace.hpp"
 
 namespace treecode::engine {
 
@@ -30,14 +30,15 @@ obs::Json session_json(const EvalSession& session) {
   return s;
 }
 
+/// The request log (obs/reqtrace.hpp) under its long-standing name.
 obs::Json telemetry_json() {
-  namespace tel = obs::telemetry;
+  namespace rt = obs::reqtrace;
   obs::Json t = obs::Json::object();
-  t["enabled"] = tel::enabled();
-  t["emitted"] = tel::emitted_count();
+  t["enabled"] = rt::enabled();
+  t["emitted"] = rt::logged_count();
   obs::Json records = obs::Json::array();
-  for (const tel::RequestRecord& record : tel::records()) {
-    records.push_back(tel::to_json(record));
+  for (const rt::RequestRecord& record : rt::records()) {
+    records.push_back(rt::record_json(record));
   }
   t["records"] = std::move(records);
   return t;

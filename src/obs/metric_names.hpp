@@ -58,7 +58,7 @@ inline constexpr const char* kDirectP2pPairs = "direct.p2p_pairs";
 
 // -- evaluation engine -------------------------------------------------------
 /// Every public try_* entry-point call, counted unconditionally (before the
-/// telemetry-enabled gate) — the SLO ratio denominator.
+/// tracing gate) — the SLO ratio denominator.
 inline constexpr const char* kEngineRequests = "engine.requests";
 inline constexpr const char* kEngineErrors = "engine.errors";
 inline constexpr const char* kEnginePlanCacheHits = "engine.plan_cache_hits";
@@ -94,7 +94,7 @@ inline constexpr const char* kEngineBatchDenied = "engine.batch_denied";
 
 // -- evaluation service ------------------------------------------------------
 /// Every public EvalService try_* entry-point call, counted unconditionally
-/// (before the telemetry-enabled gate) — mirrors engine.requests.
+/// (before the tracing gate) — mirrors engine.requests.
 inline constexpr const char* kServiceRequests = "service.requests";
 inline constexpr const char* kServiceErrors = "service.errors";
 inline constexpr const char* kServiceTenants = "service.tenants";
@@ -137,11 +137,10 @@ inline constexpr const char* kGmresIterations = "gmres.iterations";
 inline constexpr const char* kPoolThreads = "pool.threads";
 inline constexpr const char* kPoolDispatches = "pool.dispatches";
 
-// -- request telemetry -------------------------------------------------------
+// -- request log (obs/reqtrace.hpp log_request) ------------------------------
 inline constexpr const char* kTelemetryRequests = "telemetry.requests";
 inline constexpr const char* kTelemetryErrors = "telemetry.errors";
 inline constexpr const char* kTelemetryRequestSeconds = "telemetry.request_seconds";
-inline constexpr const char* kTelemetrySinkRotations = "telemetry.sink_rotations";
 inline constexpr const char* kTelemetrySinkErrors = "telemetry.sink_errors";
 
 // -- tracing (obs/reqtrace.hpp) ----------------------------------------------

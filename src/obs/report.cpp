@@ -100,11 +100,6 @@ Json provenance_json() {
 #else
   p["assertions"] = true;
 #endif
-#if defined(TREECODE_TRACING_ENABLED)
-  p["tracing"] = true;
-#else
-  p["tracing"] = false;
-#endif
 #if defined(TREECODE_CHECK_INVARIANTS)
   p["invariants"] = true;
 #else

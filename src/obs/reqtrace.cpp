@@ -42,8 +42,6 @@ std::string span_id_hex(std::uint64_t id) {
   return buf;
 }
 
-#if defined(TREECODE_TRACING_ENABLED)
-
 namespace {
 
 /// Thread rings of 512 span slots; obs::thread_index() wraps past 64
@@ -93,6 +91,12 @@ struct State {
   SamplerConfig config;
   std::deque<Retained> retained_traces;  ///< FIFO, oldest first
   std::vector<TraceId> forced;           ///< keep-demands awaiting the root
+
+  // The request log: one record per finished request. The sink is cold
+  // relative to the ring (one line per request); a mutex serializes it.
+  SeqRing<RequestRecord, kRequestRingCapacity> requests;
+  std::mutex sink_mutex;
+  std::ofstream sink;
 };
 
 State& state() {
@@ -132,14 +136,14 @@ ThreadRing& ring_for_thread(State& s) {
 }
 
 /// The always-keep rules, in precedence order for the recorded reason.
-/// Returns nullptr when the verdict alone does not demand retention.
-const char* keep_reason(const SamplerConfig& config, const Verdict& verdict) {
-  if (!verdict.ok) return "error";
-  if (verdict.deadline_missed) return "deadline";
-  if (verdict.rung > 0) return "degraded";
-  if (verdict.slo_breach) return "slo";
+/// Returns nullptr when the record alone does not demand retention.
+const char* keep_reason(const SamplerConfig& config, const RequestRecord& record) {
+  if (!record.ok) return "error";
+  if (record.deadline_missed) return "deadline";
+  if (record.rung >= kTraversalRung) return "degraded";
+  if (record.slo_breach) return "slo";
   if (config.keep_slower_than_seconds >= 0.0 &&
-      verdict.wall_seconds > config.keep_slower_than_seconds) {
+      record.wall_seconds > config.keep_slower_than_seconds) {
     return "slow";
   }
   return nullptr;
@@ -176,6 +180,25 @@ void add_forced_locked(State& s, const TraceId& id) {
 void push_span(State& s, const SpanRecord& record) noexcept {
   ring_for_thread(s).push(record);
   registry().counter(metric::kTraceRecordedSpans).add(1);
+}
+
+/// Degradation-ladder rung names, matching core ServeRung's enumerator
+/// values.
+const char* rung_name(std::int8_t rung) {
+  switch (rung) {
+    case 0: return "basis_replay";
+    case 1: return "plain_replay";
+    case 2: return "traversal";
+    case 3: return "direct";
+    default: return "none";
+  }
+}
+
+std::span<const double> request_seconds_bounds() {
+  // 1us .. ~1000s in factor-4 decades: replay latencies cluster around
+  // milliseconds, compile around seconds; the tails matter for p99.
+  static const std::vector<double> bounds = exponential_buckets(1e-6, 4.0, 16);
+  return bounds;
 }
 
 Json span_json(const SpanRecord& span) {
@@ -224,9 +247,13 @@ void reset() {
     if (ring != nullptr) ring->clear();
   }
   s.draws.store(0, std::memory_order_relaxed);
-  const std::scoped_lock lock(s.sampler_mutex);
-  s.retained_traces.clear();
-  s.forced.clear();
+  s.requests.clear();
+  {
+    const std::scoped_lock lock(s.sampler_mutex);
+    s.retained_traces.clear();
+    s.forced.clear();
+  }
+  close_sink();
 }
 
 std::int64_t now_ns() noexcept {
@@ -291,14 +318,14 @@ void record_timeline_span(const char* name, std::int64_t start_ns,
                           .end_ns = end_ns});
 }
 
-void finish_request(const TraceContext& ctx, const Verdict& verdict,
+void finish_request(const TraceContext& ctx, const RequestRecord& record,
                     const TraceContext* force_keep_link) {
   State& s = state();
   if (!s.enabled.load(std::memory_order_relaxed) || !ctx.valid()) return;
   const TraceId id{ctx.trace_hi, ctx.trace_lo};
   const std::scoped_lock lock(s.sampler_mutex);
   registry().counter(metric::kTraceRequests).add(1);
-  const char* reason = keep_reason(s.config, verdict);
+  const char* reason = keep_reason(s.config, record);
   const bool forced = take_forced_locked(s, id);
   if (reason == nullptr && forced) reason = "forced";
   if (reason == nullptr &&
@@ -320,12 +347,113 @@ void finish_request(const TraceContext& ctx, const Verdict& verdict,
   }
 }
 
-void note_child_verdict(const TraceContext& ctx, const Verdict& verdict) {
+void note_child_verdict(const TraceContext& ctx, const RequestRecord& record) {
   State& s = state();
   if (!s.enabled.load(std::memory_order_relaxed) || !ctx.valid()) return;
   const std::scoped_lock lock(s.sampler_mutex);
-  if (keep_reason(s.config, verdict) == nullptr) return;
+  if (keep_reason(s.config, record) == nullptr) return;
   add_forced_locked(s, TraceId{ctx.trace_hi, ctx.trace_lo});
+}
+
+void log_request(RequestRecord record) {
+  State& s = state();
+  if (!s.enabled.load(std::memory_order_relaxed)) return;
+  record.ts_us = now_ns() / 1000;
+  record.seq = s.requests.push(record);
+
+  Registry& reg = registry();
+  reg.counter(metric::kTelemetryRequests).add(1);
+  if (!record.ok) reg.counter(metric::kTelemetryErrors).add(1);
+  reg.histogram(metric::kTelemetryRequestSeconds, request_seconds_bounds())
+      .observe(record.wall_seconds);
+
+  const std::scoped_lock lock(s.sink_mutex);
+  if (!s.sink.is_open()) return;
+  s.sink << record_json(record).dump(0) << '\n';
+  s.sink.flush();
+  if (!s.sink) {
+    reg.counter(metric::kTelemetrySinkErrors).add(1);
+    s.sink.clear();
+  }
+}
+
+std::vector<RequestRecord> records() {
+  std::vector<RequestRecord> out;
+  for (auto [seq, r] : state().requests.snapshot()) {
+    r.seq = seq;
+    out.push_back(r);
+  }
+  return out;
+}
+
+std::uint64_t logged_count() { return state().requests.pushed(); }
+
+void set_sink(const std::string& path) {
+  State& s = state();
+  const std::scoped_lock lock(s.sink_mutex);
+  if (s.sink.is_open()) s.sink.close();
+  s.sink.open(path, std::ios::out | std::ios::trunc);
+  if (!s.sink.is_open()) {
+    registry().counter(metric::kTelemetrySinkErrors).add(1);
+    warn("request sink open failed: " + path);
+  }
+}
+
+void close_sink() {
+  State& s = state();
+  const std::scoped_lock lock(s.sink_mutex);
+  if (s.sink.is_open()) s.sink.close();
+}
+
+Json record_json(const RequestRecord& record) {
+  char key_hex[19];
+  std::snprintf(key_hex, sizeof key_hex, "0x%016llx",
+                static_cast<unsigned long long>(record.plan_key));
+  Json doc = Json::object();
+  doc["schema"] = "treecode-request-record/v2";
+  doc["seq"] = record.seq;
+  doc["ts_us"] = record.ts_us;
+  doc["api"] = record.api;
+  doc["plan_key"] = key_hex;
+  doc["rung"] = static_cast<std::int64_t>(record.rung);
+  doc["rung_name"] = rung_name(record.rung);
+  doc["outcome"] = record.outcome_name;
+  doc["ok"] = record.ok;
+  doc["wall_seconds"] = record.wall_seconds;
+  doc["targets"] = record.targets;
+  doc["plan_bytes"] = record.plan_bytes;
+  doc["basis_bytes"] = record.basis_bytes;
+  // NaN marks "no deadline armed"; the JSON writer turns it into null.
+  doc["deadline_slack_seconds"] = record.deadline_slack_seconds;
+  doc["audit_max_tightness"] = record.audit_max_tightness;
+  doc["threads"] = static_cast<std::uint64_t>(record.threads);
+  doc["batch_width"] = static_cast<std::uint64_t>(record.batch_width);
+  doc["trace_id"] = trace_id_hex(record.trace_hi, record.trace_lo);
+  doc["queue_wait_seconds"] = record.queue_wait_seconds;
+  doc["batch_seq"] = record.batch_seq;
+  return doc;
+}
+
+void RequestScope::finish(RequestRecord record) {
+  if (!ctx_.valid() || logged_) return;
+  logged_ = true;
+  record.trace_hi = ctx_.trace_hi;
+  record.trace_lo = ctx_.trace_lo;
+  // Logged before the span closes, so the record's timestamp falls inside
+  // the span on the one epoch.
+  log_request(record);
+  if (!closed_) close(record);
+}
+
+void RequestScope::close(const RequestRecord& record) {
+  closed_ = true;
+  record_span(ctx_, name_, root_ ? SpanKind::kRequest : SpanKind::kPhase,
+              start_ns_, now_ns());
+  if (root_) {
+    finish_request(ctx_, record);
+  } else {
+    note_child_verdict(ctx_, record);
+  }
 }
 
 bool is_retained(const TraceContext& ctx) {
@@ -495,6 +623,5 @@ bool write_chrome_json(const std::string& path) {
   return write_text(path, chrome_json(), "reqtrace chrome trace");
 }
 
-#endif  // TREECODE_TRACING_ENABLED
 
 }  // namespace treecode::obs::reqtrace

@@ -1,9 +1,10 @@
 #pragma once
 
 /// \file reqtrace.hpp
-/// The one span tracer: request-scoped causal traces with tail-based
-/// sampling, and the process timeline of phase spans, in one set of rings
-/// behind one enable switch, one epoch and one Chrome exporter.
+/// The one tracer and the one request log: request-scoped causal traces
+/// with tail-based sampling, the process timeline of phase spans, and one
+/// RequestRecord per finished request, behind one enable switch and one
+/// epoch.
 ///
 /// Two kinds of span share the rings:
 ///  - *Request spans* belong to a trace. A TraceContext (128-bit trace id +
@@ -17,10 +18,21 @@
 ///    region's per-worker span). They carry zero ids and never draw from
 ///    the id stream.
 ///
+/// Every engine and service exit fills one RequestRecord: which entry
+/// point, plan, serving rung, outcome, wall time, deadline slack and
+/// audited Theorem-1 tightness. RequestScope::finish (and the service's
+/// fulfillment path) logs it under the request's trace id — into a
+/// 1024-slot ring, the optional JSONL sink and the telemetry.* registry
+/// series the SLO watchdog and OpenMetrics read — then records the span
+/// and runs the tail decision on the same record.
+///
 /// Design constraints:
-///  - Span writes go to per-thread obs::SeqRing rings (obs/seq_ring.hpp,
+///  - Span and record writes go to obs::SeqRing rings (obs/seq_ring.hpp,
 ///    the flight recorder's ring): torn reads detected and skipped, no
-///    locks on the record path. A ring keeps its thread's newest 512 spans.
+///    locks on the record path. A span ring keeps its thread's newest 512
+///    spans. The JSONL sink is mutex-serialized (requests finish at call
+///    granularity, never inside kernel loops).
+///  - Disabled (the default) costs one relaxed load and a branch.
 ///  - IDs come from splitmix64 over one seeded global counter — no wall
 ///    clock, no std::random_device — so a replayed workload mints the same
 ///    ids and the retained-trace set is bitwise-deterministic for a fixed
@@ -28,26 +40,36 @@
 ///    threads mint; parallel regions run detached from the request, see
 ///    parallel_for).
 ///  - Sampling is **tail-based**: the keep/drop decision happens at request
-///    completion, when the verdict (error, served rung, deadline, latency)
-///    is known. Errored, degraded (rung > basis replay), deadline-missed,
-///    SLO-breaching and over-threshold-slow requests are always kept; the
-///    healthy rest is sampled at SamplerConfig::sample_rate by hashing the
-///    trace id (schedule-independent).
+///    completion, when the record (error, served rung, deadline, latency)
+///    is known. Errored, degraded (rung >= kTraversalRung, the fresh
+///    traversal or direct sum), deadline-missed, SLO-breaching and
+///    over-threshold-slow requests are always kept; the healthy rest is
+///    sampled at SamplerConfig::sample_rate by hashing the trace id
+///    (schedule-independent).
 ///  - Timestamps are nanoseconds since enable(), so the Chrome timeline
-///    keeps sub-microsecond slices.
-///  - Compile time: with -DTREECODE_TRACING=OFF every type and call here
-///    collapses to an empty inline stub; spans compile to nothing.
+///    keeps sub-microsecond slices; records carry microseconds on the
+///    same epoch.
+///  - This layer cannot see engine/core types: the serving rung travels as
+///    a small integer (core ServeRung values) and the outcome as the
+///    ErrorCode's numeric value plus its static name.
 ///
 /// Exports: `treecode-trace/v1` JSONL of the retained request traces (one
-/// trace per line, validated by scripts/validate_trace.py) and Chrome
+/// trace per line, validated by scripts/validate_trace.py), Chrome
 /// trace-event JSON of every readable span, timeline included, with flow
-/// events (loadable in Perfetto at https://ui.perfetto.dev).
+/// events (loadable in Perfetto at https://ui.perfetto.dev), and
+/// `treecode-request-record/v2` JSONL of the request log (validated by
+/// scripts/validate_telemetry.py).
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
+
+namespace treecode::obs {
+class Json;
+}  // namespace treecode::obs
 
 namespace treecode::obs::reqtrace {
 
@@ -107,15 +129,45 @@ struct SamplerConfig {
   std::size_t retain_capacity = 256;  ///< retained traces kept, FIFO evicted
 };
 
-/// Completion verdict for one request — the inputs to the tail decision.
-struct Verdict {
-  bool ok = true;
-  std::uint8_t error_code = 0;   ///< util ErrorCode numeric value
-  std::int8_t rung = -1;         ///< core ServeRung value; > 0 = degraded
+/// core ServeRung::kTraversal: a request served at this rung or the next
+/// one down the ladder (direct summation) was degraded. Basis and plain
+/// replay are healthy.
+inline constexpr std::int8_t kTraversalRung = 2;
+
+/// One finished request: the row the request log keeps and the input to
+/// the tail decision. Sentinels: plan_key 0 = no plan involved, rung -1 =
+/// not an evaluation (or failed before rung choice),
+/// deadline_slack_seconds NaN = no deadline armed, audit_max_tightness 0 =
+/// no audit ran, zero trace id = logged outside any trace.
+struct RequestRecord {
+  std::uint64_t seq = 0;        ///< stamped by log_request(); total order
+  std::int64_t ts_us = 0;       ///< stamped by log_request(); us since enable()
+  /// Stable entry-point name ("compile", "evaluate_at", "service_serve",
+  /// ...) — a static string; external tooling reads it from the JSONL.
+  const char* api = "";
+  std::uint64_t plan_key = 0;   ///< PlanCache key (FNV-1a) or 0
+  bool ok = true;               ///< whether the Expected held a value
+  std::uint8_t outcome = 0;     ///< util ErrorCode numeric value (0 = ok)
+  const char* outcome_name = "ok";  ///< static error_code_name() string
+  std::int8_t rung = -1;        ///< core ServeRung (0-3) or -1; >= 2 degraded
   bool deadline_missed = false;
-  bool slo_breach = false;       ///< caller-determined SLO breach
-  double wall_seconds = 0.0;
+  bool slo_breach = false;      ///< caller-determined SLO breach
+  double wall_seconds = 0.0;    ///< entry-to-exit wall time
+  std::uint64_t targets = 0;    ///< targets served (0 for non-evaluations)
+  std::uint64_t plan_bytes = 0;   ///< resident compiled-plan bytes at exit
+  std::uint64_t basis_bytes = 0;  ///< resident evaluation-basis bytes at exit
+  double deadline_slack_seconds = 0.0;  ///< deadline - wall; NaN = none
+  double audit_max_tightness = 0.0;     ///< max |error|/bound this request
+  std::uint32_t threads = 0;    ///< session pool width
+  std::uint32_t batch_width = 0;  ///< multi-RHS columns (0 = not a batch)
+  std::uint64_t trace_hi = 0;   ///< the request's trace id, high half
+  std::uint64_t trace_lo = 0;   ///< low half
+  double queue_wait_seconds = 0.0;  ///< admission -> batch pickup (service)
+  std::uint64_t batch_seq = 0;  ///< service scheduler round (0 = no batch)
 };
+
+/// Request-log ring slots. Power of two so the slot index is a mask.
+inline constexpr std::size_t kRequestRingCapacity = 1024;
 
 /// One retained trace: identity, why the sampler kept it, and its spans in
 /// start order.
@@ -133,21 +185,21 @@ std::string trace_id_hex(std::uint64_t hi, std::uint64_t lo);
 /// 16-lowercase-hex rendering of a 64-bit span id.
 std::string span_id_hex(std::uint64_t id);
 
-#if defined(TREECODE_TRACING_ENABLED)
-
 /// Begin recording and sampling under `config`; resets the timestamp epoch.
 /// Does not clear rings or retained traces — call reset() first for a
 /// clean, replay-deterministic id stream.
 void enable(const SamplerConfig& config = {});
 
-/// Stop recording. Recorded spans and retained traces stay readable.
+/// Stop recording. Spans, retained traces and records stay readable; the
+/// sink stays configured.
 void disable();
 
-/// Whether spans are being recorded. One relaxed load.
+/// Whether spans and records are being recorded. One relaxed load.
 bool enabled() noexcept;
 
-/// Disable, then clear rings, retained traces and the id counter. Not safe
-/// concurrently with recording; intended for run and test setup.
+/// Disable, then clear rings, retained traces, the id counter and the
+/// request log, and close the sink. Not safe concurrently with recording;
+/// intended for run and test setup.
 void reset();
 
 /// Nanoseconds since enable() (0 before the first enable()).
@@ -187,13 +239,37 @@ void record_timeline_span(const char* name, std::int64_t start_ns,
 /// `force_keep_link` names another (not yet finished) trace — the batch a
 /// retained member rode in — that trace is force-kept too, so flow links
 /// in an export always resolve.
-void finish_request(const TraceContext& ctx, const Verdict& verdict,
+void finish_request(const TraceContext& ctx, const RequestRecord& record,
                     const TraceContext* force_keep_link = nullptr);
 
-/// A non-root scope's verdict: a keep-worthy child (an errored engine call
+/// A non-root scope's record: a keep-worthy child (an errored engine call
 /// inside a healthy-looking batch) force-keeps its enclosing trace at the
 /// root's later finish_request.
-void note_child_verdict(const TraceContext& ctx, const Verdict& verdict);
+void note_child_verdict(const TraceContext& ctx, const RequestRecord& record);
+
+/// Log one finished request: stamp seq and ts_us, bump telemetry.requests,
+/// telemetry.errors and the telemetry.request_seconds histogram, push the
+/// record into the request ring and append it to the sink. No-op while
+/// disabled.
+void log_request(RequestRecord record);
+
+/// The request ring, oldest first. Torn slots skipped.
+[[nodiscard]] std::vector<RequestRecord> records();
+
+/// Records ever logged, including ones the ring has overwritten.
+[[nodiscard]] std::uint64_t logged_count();
+
+/// Append every logged record as one JSON line to `path` (truncated
+/// first). Write failures count telemetry.sink_errors and drop the line;
+/// the ring is unaffected.
+void set_sink(const std::string& path);
+
+/// Flush and detach the sink. Records keep flowing to the ring.
+void close_sink();
+
+/// One record as a `treecode-request-record/v2` JSON object — the shape
+/// of a sink line (scripts/telemetry_record_schema.json).
+[[nodiscard]] Json record_json(const RequestRecord& record);
 
 /// Whether `ctx`'s trace is currently in the retained set.
 [[nodiscard]] bool is_retained(const TraceContext& ctx);
@@ -220,49 +296,15 @@ void note_child_verdict(const TraceContext& ctx, const Verdict& verdict);
 bool write_jsonl(const std::string& path);
 bool write_chrome_json(const std::string& path);
 
-#else  // tracing compiled out: every call is a no-op the optimizer deletes.
-
-inline void enable(const SamplerConfig& = {}) {}
-inline void disable() {}
-[[nodiscard]] inline bool enabled() noexcept { return false; }
-inline void reset() {}
-[[nodiscard]] inline std::int64_t now_ns() noexcept { return 0; }
-[[nodiscard]] inline TraceContext mint_request() noexcept { return {}; }
-[[nodiscard]] inline TraceContext child_of(const TraceContext&) noexcept {
-  return {};
-}
-[[nodiscard]] inline const TraceContext& current() noexcept {
-  static constexpr TraceContext kNone{};
-  return kNone;
-}
-inline void set_current(const TraceContext&) noexcept {}
-inline void record_span(const TraceContext&, const char*, SpanKind,
-                        std::int64_t, std::int64_t,
-                        std::span<const std::uint64_t> = {}) noexcept {}
-inline void record_timeline_span(const char*, std::int64_t, std::int64_t) noexcept {}
-inline void finish_request(const TraceContext&, const Verdict&,
-                           const TraceContext* = nullptr) {}
-inline void note_child_verdict(const TraceContext&, const Verdict&) {}
-[[nodiscard]] inline bool is_retained(const TraceContext&) { return false; }
-[[nodiscard]] inline std::vector<SpanRecord> spans() { return {}; }
-[[nodiscard]] inline std::vector<RetainedTrace> retained() { return {}; }
-[[nodiscard]] inline std::string jsonl(std::size_t = 0) { return {}; }
-[[nodiscard]] inline std::string chrome_json() { return "[]"; }
-inline bool write_jsonl(const std::string&) { return true; }
-inline bool write_chrome_json(const std::string&) { return true; }
-
-#endif
-
-#if defined(TREECODE_TRACING_ENABLED)
-
 /// RAII request scope for an entry point (engine try_* / service submit).
 /// With no active context it mints a new root trace; inside one (an engine
 /// call under a service batch) it becomes a child span. Either way it
 /// installs itself as the thread's current context for its lifetime.
-/// finish(verdict) records the span and runs the tail decision (root) or
-/// the forced-keep note (child); an unfinished, unreleased scope finishes
-/// with a default-healthy verdict on destruction, so no exit path can leak
-/// an undecided trace.
+/// finish(record) is the request's one exit: it logs the record, records
+/// the span and runs the tail decision (root) or the forced-keep note
+/// (child). An unfinished, unreleased scope closes its span with a
+/// default-healthy record on destruction, so no exit path can leak an
+/// undecided trace.
 class RequestScope {
  public:
   explicit RequestScope(const char* name) noexcept : name_(name) {
@@ -283,30 +325,23 @@ class RequestScope {
 
   ~RequestScope() {
     if (installed_) set_current(prev_);
-    if (ctx_.valid() && !done_) finish(Verdict{});
+    if (ctx_.valid() && !closed_) close(RequestRecord{});
   }
 
   RequestScope(const RequestScope&) = delete;
   RequestScope& operator=(const RequestScope&) = delete;
 
-  /// Record the scope span and decide retention. Idempotent.
-  void finish(const Verdict& verdict) {
-    if (!ctx_.valid() || done_) return;
-    done_ = true;
-    record_span(ctx_, name_, root_ ? SpanKind::kRequest : SpanKind::kPhase,
-                start_ns_, now_ns());
-    if (root_) {
-      finish_request(ctx_, verdict);
-    } else {
-      note_child_verdict(ctx_, verdict);
-    }
-  }
+  /// Log `record` under this scope's trace id, stamped inside its span,
+  /// then record the span and decide retention. Once only; after
+  /// release() it logs the record alone. No-op while tracing was off at
+  /// construction.
+  void finish(RequestRecord record);
 
   /// Hand span recording + tail decision to the caller (async admission:
   /// the request outlives the submit call). The context stays installed
-  /// until destruction; finish() becomes a no-op.
+  /// until destruction.
   TraceContext release() noexcept {
-    done_ = true;
+    closed_ = true;
     return ctx_;
   }
 
@@ -315,13 +350,16 @@ class RequestScope {
   [[nodiscard]] std::int64_t start_ns() const noexcept { return start_ns_; }
 
  private:
+  void close(const RequestRecord& record);
+
   TraceContext ctx_{};
   TraceContext prev_{};
   const char* name_;
   std::int64_t start_ns_ = 0;
   bool root_ = false;
   bool installed_ = false;
-  bool done_ = false;
+  bool closed_ = false;  ///< span recorded and retention decided (or handed off)
+  bool logged_ = false;
 };
 
 /// RAII span, recorded on destruction: a child of the thread's current
@@ -370,35 +408,5 @@ class ContextGuard {
  private:
   TraceContext prev_;
 };
-
-#else
-
-class RequestScope {
- public:
-  explicit RequestScope(const char*) noexcept {}
-  RequestScope(const RequestScope&) = delete;
-  RequestScope& operator=(const RequestScope&) = delete;
-  void finish(const Verdict&) noexcept {}
-  TraceContext release() noexcept { return {}; }
-  [[nodiscard]] TraceContext context() const noexcept { return {}; }
-  [[nodiscard]] bool root() const noexcept { return false; }
-  [[nodiscard]] std::int64_t start_ns() const noexcept { return 0; }
-};
-
-class PhaseSpan {
- public:
-  explicit PhaseSpan(const char*) noexcept {}
-  PhaseSpan(const PhaseSpan&) = delete;
-  PhaseSpan& operator=(const PhaseSpan&) = delete;
-};
-
-class ContextGuard {
- public:
-  explicit ContextGuard(const TraceContext&) noexcept {}
-  ContextGuard(const ContextGuard&) = delete;
-  ContextGuard& operator=(const ContextGuard&) = delete;
-};
-
-#endif
 
 }  // namespace treecode::obs::reqtrace

@@ -1,12 +1,12 @@
 #pragma once
 
 /// \file seq_ring.hpp
-/// The one lock-free ring behind the flight recorder (obs/recorder.hpp),
-/// request telemetry (obs/telemetry.hpp) and the request-trace span rings
-/// (obs/reqtrace.hpp): a fixed-size ring of trivially copyable records,
-/// each slot guarded by a seqlock stamp pair. Writers never wait, readers
-/// never block writers, and records travel as relaxed atomic 64-bit words,
-/// so a racing reader sees a torn value, never a data race.
+/// The one lock-free ring behind the flight recorder (obs/recorder.hpp)
+/// and the tracer's request log and span rings (obs/reqtrace.hpp): a
+/// fixed-size ring of trivially copyable records, each slot guarded by a
+/// seqlock stamp pair. Writers never wait, readers never block writers, and
+/// records travel as relaxed atomic 64-bit words, so a racing reader sees a
+/// torn value, never a data race.
 ///
 /// Stamp protocol (Boehm, "Can seqlocks get along with programming
 /// language memory models?", MSPC 2012). Both stamps hold seq+1, so an

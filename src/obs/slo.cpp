@@ -126,8 +126,9 @@ std::vector<Rule> default_engine_rules() {
   error_rate.kind = RuleKind::kCounterRatio;
   error_rate.metric = metric::kEngineErrors;
   // engine.requests, not telemetry.requests: the engine counts every
-  // entry-point call even when no telemetry session is active, so the
-  // error rate cannot be inflated by an undercounted denominator.
+  // entry-point call even while tracing (and with it the request log) is
+  // off, so the error rate cannot be inflated by an undercounted
+  // denominator.
   error_rate.denominator = metric::kEngineRequests;
   error_rate.threshold = 0.01;
 

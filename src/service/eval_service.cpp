@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <utility>
 
 #include "engine/introspect.hpp"
@@ -11,7 +12,6 @@
 #include "obs/metrics.hpp"
 #include "obs/openmetrics.hpp"
 #include "obs/spans.hpp"
-#include "obs/telemetry.hpp"
 #include "util/timer.hpp"
 #include "util/validate.hpp"
 
@@ -69,61 +69,45 @@ Error service_rejection(const std::string& tenant, std::string message) {
   return Error{ErrorCode::kRejected, std::move(message)};
 }
 
-/// Emit one telemetry RequestRecord at a service entry point's exit,
-/// mirroring the engine's emit_request contract: service.requests is
-/// counted unconditionally (the per-tenant SLO denominators divide by it),
-/// the record itself only while telemetry is enabled.
-void emit_request(obs::telemetry::Api api, std::uint64_t plan_key, double wall,
-                  bool ok, ErrorCode code, std::uint32_t batch_width,
-                  obs::reqtrace::RequestScope& scope) {
+/// Finish a service entry point with its one RequestRecord, mirroring the
+/// engine's emit_request contract: service.requests is counted
+/// unconditionally (the per-tenant SLO denominators divide by it), the
+/// record filled and finished only while the request is traced. A scope
+/// released at admission logs the record alone.
+void emit_request(const char* api, std::uint64_t plan_key, double wall,
+                  const Error* error, obs::reqtrace::RequestScope& scope) {
   obs::registry().counter(obs::metric::kServiceRequests).add(1);
-  obs::reqtrace::Verdict verdict;
-  verdict.ok = ok;
-  verdict.error_code = static_cast<std::uint8_t>(code);
-  verdict.deadline_missed = code == ErrorCode::kDeadline;
-  verdict.wall_seconds = wall;
-  scope.finish(verdict);  // no-op when the scope was released at admission
-  if (!obs::telemetry::enabled()) return;
-  obs::telemetry::RequestRecord r;
+  if (!scope.context().valid()) return;
+  const ErrorCode code = error != nullptr ? error->code : ErrorCode::kOk;
+  obs::reqtrace::RequestRecord r;
   r.api = api;
   r.plan_key = plan_key;
+  r.ok = error == nullptr;
   r.outcome = static_cast<std::uint8_t>(code);
   r.outcome_name = error_code_name(code);
-  r.ok = ok;
+  r.deadline_missed = code == ErrorCode::kDeadline;
   r.wall_seconds = wall;
-  r.batch_width = batch_width;
-  r.trace_hi = scope.context().trace_hi;
-  r.trace_lo = scope.context().trace_lo;
-  obs::telemetry::emit(r);
+  scope.finish(r);
 }
 
-/// One Api::kServiceServe record per coalesced request at fulfillment —
-/// where the v2 fields (trace id, queue wait, scheduler round) carry real
-/// values. Not an entry point: it neither counts service.requests nor owns
-/// a trace scope (run_round finishes the request's trace itself).
-void emit_served(std::uint64_t plan_key, double wall, bool ok, ErrorCode code,
-                 std::int8_t rung, std::uint64_t targets, double deadline_slack,
-                 double queue_wait, std::uint64_t batch_seq,
-                 std::uint32_t batch_width, std::uint32_t threads,
-                 const obs::reqtrace::TraceContext& trace) {
-  if (!obs::telemetry::enabled()) return;
-  obs::telemetry::RequestRecord r;
-  r.api = obs::telemetry::Api::kServiceServe;
-  r.plan_key = plan_key;
-  r.rung = rung;
-  r.outcome = static_cast<std::uint8_t>(code);
-  r.outcome_name = error_code_name(code);
-  r.ok = ok;
-  r.wall_seconds = wall;
-  r.targets = targets;
-  r.deadline_slack_seconds = deadline_slack;
-  r.threads = threads;
-  r.batch_width = batch_width;
+/// Close an admitted request at fulfillment or cancellation with its one
+/// "service_serve" record: log the record, record the root span (submit ->
+/// now) and run the tail decision. When the request is kept, `batch` (the
+/// trace it rode in) is force-kept too, so the batch's flow link resolves.
+/// Not an entry point: it neither counts service.requests nor owns a scope.
+void finish_admitted(const obs::reqtrace::TraceContext& trace,
+                     std::int64_t submit_ns, obs::reqtrace::RequestRecord r,
+                     const obs::reqtrace::TraceContext* batch = nullptr) {
+  if (!trace.valid()) return;
+  r.api = "service_serve";
   r.trace_hi = trace.trace_hi;
   r.trace_lo = trace.trace_lo;
-  r.queue_wait_seconds = queue_wait;
-  r.batch_seq = batch_seq;
-  obs::telemetry::emit(r);
+  // Logged first, so the record's timestamp falls inside the root span.
+  obs::reqtrace::log_request(r);
+  obs::reqtrace::record_span(trace, obs::span::kServiceRequest,
+                             obs::reqtrace::SpanKind::kRequest, submit_ns,
+                             obs::reqtrace::now_ns());
+  obs::reqtrace::finish_request(trace, r, batch);
 }
 
 /// Complete one request exactly once and wake its waiter. Called with no
@@ -202,17 +186,16 @@ EvalService::~EvalService() {
 
 void EvalService::cancel_pending(std::vector<Request>& pending,
                                  const char* message) {
-  const std::int64_t now = obs::reqtrace::now_ns();
+  const auto now = std::chrono::steady_clock::now();
   for (Request& request : pending) {
-    // Close the root span at cancellation and run the tail decision with
-    // an error verdict: every cancelled request's trace is retained.
-    obs::reqtrace::record_span(request.trace, obs::span::kServiceRequest,
-                               obs::reqtrace::SpanKind::kRequest,
-                               request.submit_ns, now);
-    obs::reqtrace::Verdict verdict;
-    verdict.ok = false;
-    verdict.error_code = static_cast<std::uint8_t>(ErrorCode::kCancelled);
-    obs::reqtrace::finish_request(request.trace, verdict);
+    // An error record: every cancelled request's trace is retained.
+    obs::reqtrace::RequestRecord r;
+    r.ok = false;
+    r.outcome = static_cast<std::uint8_t>(ErrorCode::kCancelled);
+    r.outcome_name = error_code_name(ErrorCode::kCancelled);
+    r.wall_seconds =
+        std::chrono::duration<double>(now - request.submitted_at).count();
+    finish_admitted(request.trace, request.submit_ns, r);
     fulfill(request.state, Error{ErrorCode::kCancelled, message});
   }
 }
@@ -232,9 +215,8 @@ Expected<void> EvalService::try_register_tenant(const std::string& name,
       key = it->second.plan->key;
     }
   }
-  emit_request(obs::telemetry::Api::kServiceRegister, key, timer.seconds(),
-               result.ok(), result.ok() ? ErrorCode::kOk : result.error().code,
-               /*batch_width=*/0, rscope);
+  emit_request("service_register", key, timer.seconds(),
+               result.ok() ? nullptr : &result.error(), rscope);
   return result;
 }
 
@@ -307,12 +289,12 @@ Expected<EvalService::Ticket> EvalService::try_submit(
   // The root span of the request trace. On admission the impl releases the
   // scope — the request outlives this call, so the scheduler records the
   // root span and runs the tail decision at fulfillment. On rejection the
-  // scope finishes here (inside emit_request) with the rejection verdict.
+  // scope finishes here (inside emit_request) with the rejection record;
+  // on admission it logs the service_submit record alone.
   obs::reqtrace::RequestScope rscope(obs::span::kServiceRequest);
   Expected<Ticket> result = try_submit_impl(name, charges, rscope);
-  emit_request(obs::telemetry::Api::kServiceSubmit, 0, timer.seconds(),
-               result.ok(), result.ok() ? ErrorCode::kOk : result.error().code,
-               /*batch_width=*/0, rscope);
+  emit_request("service_submit", 0, timer.seconds(),
+               result.ok() ? nullptr : &result.error(), rscope);
   return result;
 }
 
@@ -394,9 +376,8 @@ Expected<void> EvalService::try_unregister_tenant(const std::string& name) {
   const Timer timer;
   obs::reqtrace::RequestScope rscope(obs::span::kReqServiceUnregister);
   Expected<void> result = try_unregister_tenant_impl(name);
-  emit_request(obs::telemetry::Api::kServiceUnregister, 0, timer.seconds(),
-               result.ok(), result.ok() ? ErrorCode::kOk : result.error().code,
-               /*batch_width=*/0, rscope);
+  emit_request("service_unregister", 0, timer.seconds(),
+               result.ok() ? nullptr : &result.error(), rscope);
   return result;
 }
 
@@ -551,10 +532,10 @@ std::size_t EvalService::run_round() {
   }
   idle_cv_.notify_all();
 
-  // Per-request accounting at fulfillment: close the root span, run the
-  // tail decision (a retained member force-keeps the batch trace so its
-  // flow links resolve), feed the tenant latency histograms, emit the
-  // kServiceServe record, wake the waiter.
+  // Per-request accounting at fulfillment: finish each request with its
+  // one record (log, root span, tail decision; a retained member
+  // force-keeps the batch trace so its flow links resolve), feed the tenant
+  // latency histograms, wake the waiter.
   const std::int64_t done_ns = obs::reqtrace::now_ns();
   const auto done_at = std::chrono::steady_clock::now();
   obs::Registry& reg = obs::registry();
@@ -571,23 +552,29 @@ std::size_t EvalService::run_round() {
     const bool ok = served.ok();
     const EvalStats* stats = ok ? &served.value()[c].stats : nullptr;
     const ErrorCode code = ok ? stats->outcome : served.error().code;
-    const std::int8_t rung =
-        stats != nullptr ? static_cast<std::int8_t>(stats->served_rung) : -1;
 
-    obs::reqtrace::Verdict verdict;
-    verdict.ok = ok;
-    verdict.error_code = static_cast<std::uint8_t>(code);
-    verdict.rung = rung;
-    verdict.deadline_missed = code == ErrorCode::kDeadline;
-    verdict.slo_breach = latency_slo > 0.0 && latency > latency_slo;
-    verdict.wall_seconds = latency;
-    if (verdict.deadline_missed) any_deadline = true;
-    max_rung = std::max(max_rung, rung);
-
-    obs::reqtrace::record_span(request.trace, obs::span::kServiceRequest,
-                               obs::reqtrace::SpanKind::kRequest,
-                               request.submit_ns, done_ns);
-    obs::reqtrace::finish_request(request.trace, verdict, &batch_ctx);
+    obs::reqtrace::RequestRecord r;
+    r.plan_key = plan->key;
+    r.ok = ok;
+    r.outcome = static_cast<std::uint8_t>(code);
+    r.outcome_name = error_code_name(code);
+    if (stats != nullptr) {
+      r.rung = static_cast<std::int8_t>(stats->served_rung);
+      r.targets = stats->targets_served;
+    }
+    r.deadline_missed = code == ErrorCode::kDeadline;
+    r.slo_breach = latency_slo > 0.0 && latency > latency_slo;
+    r.wall_seconds = latency;
+    r.deadline_slack_seconds = deadline_seconds > 0.0
+                                   ? deadline_seconds - latency
+                                   : std::numeric_limits<double>::quiet_NaN();
+    r.threads = threads;
+    r.batch_width = static_cast<std::uint32_t>(width);
+    r.queue_wait_seconds = queue_wait;
+    r.batch_seq = batch_seq;
+    if (r.deadline_missed) any_deadline = true;
+    max_rung = std::max(max_rung, r.rung);
+    finish_admitted(request.trace, request.submit_ns, r, &batch_ctx);
     if (obs::reqtrace::is_retained(request.trace)) {
       flows.push_back(request.trace.span_id);
     }
@@ -602,20 +589,14 @@ std::size_t EvalService::run_round() {
                   request_seconds_bounds())
         .observe(queue_wait);
     if (deadline_seconds > 0.0) {
-      const double slack = deadline_seconds - latency;
       reg.histogram(obs::metric::kServiceDeadlineSlackSeconds,
                     deadline_slack_bounds())
-          .observe(slack);
+          .observe(r.deadline_slack_seconds);
       reg.histogram(service_tenant_metric(
                         obs::metric::kServiceDeadlineSlackSeconds, name),
                     deadline_slack_bounds())
-          .observe(slack);
+          .observe(r.deadline_slack_seconds);
     }
-    emit_served(plan->key, latency, ok, code, rung,
-                stats != nullptr ? stats->targets_served : 0,
-                deadline_seconds > 0.0 ? deadline_seconds - latency : 0.0,
-                queue_wait, batch_seq, static_cast<std::uint32_t>(width),
-                threads, request.trace);
 
     if (ok) {
       fulfill(request.state, std::move(served.value()[c]));
@@ -626,20 +607,21 @@ std::size_t EvalService::run_round() {
 
   // The batch span fans in from every *retained* member request span (flow
   // links must resolve in an export), then runs its own tail decision under
-  // the members' aggregated verdict — so an errored or degraded member also
-  // keeps the batch trace even when force-keep notes were not needed.
-  obs::reqtrace::Verdict batch_verdict;
-  batch_verdict.ok = served.ok();
-  batch_verdict.error_code = static_cast<std::uint8_t>(
+  // the members' aggregated record — so an errored or degraded member also
+  // keeps the batch trace even when force-keep notes were not needed. The
+  // batch is not a request: its record decides retention but is not logged.
+  obs::reqtrace::RequestRecord batch_record;
+  batch_record.ok = served.ok();
+  batch_record.outcome = static_cast<std::uint8_t>(
       served.ok() ? ErrorCode::kOk : served.error().code);
-  batch_verdict.rung = max_rung;
-  batch_verdict.deadline_missed = any_deadline;
-  batch_verdict.wall_seconds =
+  batch_record.rung = max_rung;
+  batch_record.deadline_missed = any_deadline;
+  batch_record.wall_seconds =
       std::chrono::duration<double>(done_at - pickup_at).count();
   obs::reqtrace::record_span(batch_ctx, obs::span::kServiceBatch,
                              obs::reqtrace::SpanKind::kBatch, pickup_ns,
                              done_ns, flows);
-  obs::reqtrace::finish_request(batch_ctx, batch_verdict);
+  obs::reqtrace::finish_request(batch_ctx, batch_record);
   return width;
 }
 

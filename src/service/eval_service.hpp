@@ -32,8 +32,9 @@
 ///
 /// Every rejection and error increments both the aggregate service.*
 /// counters and the per-tenant `service.<counter>.<tenant>` fan-out
-/// series, and every entry point emits one telemetry RequestRecord
-/// (Api::kServiceRegister/kServiceSubmit/kServiceUnregister), so the SLO
+/// series, and every entry point and every admitted request's fulfillment
+/// finishes one obs::reqtrace RequestRecord ("service_register",
+/// "service_submit", "service_unregister", "service_serve"), so the SLO
 /// watchdog can hold per-tenant objectives (see slo_rules()).
 ///
 /// ## Threading model
@@ -187,7 +188,7 @@ class EvalService {
   /// SLO status, 503 on breach), /state (state_json document), /traces?n=K
   /// (retained request traces as treecode-trace/v1 JSONL). Returns the
   /// bound port. Not a try_* entry point: serving scrapes is control
-  /// plane, not request flow, so it emits no telemetry record.
+  /// plane, not request flow, so it logs no request record.
   [[nodiscard]] Expected<std::uint16_t> start_http(std::uint16_t port);
 
   /// Stop the observability endpoint. Idempotent; also run by ~EvalService
@@ -205,7 +206,7 @@ class EvalService {
     std::int64_t submit_ns = 0;   ///< reqtrace clock at submit entry
     std::int64_t enqueue_ns = 0;  ///< reqtrace clock at queue push
     /// Wall clock at admission, for latency/queue-wait metrics (valid even
-    /// when tracing is compiled out).
+    /// when tracing is off).
     std::chrono::steady_clock::time_point submitted_at;
   };
 

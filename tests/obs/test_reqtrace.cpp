@@ -5,16 +5,20 @@
 // the JSONL / Chrome export shapes, and the process timeline: a disabled
 // tracer records nothing, nested spans nest, reset drops stale spans,
 // worker spans outlive their pool, a ScopedTimer records exactly once, and
-// parallel regions never draw request ids at any pool width. Concurrent
-// record/finish stress lives in tests/parallel/test_stress.cpp (TSan).
-// With -DTREECODE_TRACING=OFF every check degrades to the no-op contract.
+// parallel regions never draw request ids at any pool width. The request
+// log: a disabled log is a no-op, records round-trip through the ring,
+// ring overflow keeps the newest (logged_count keeps the true total),
+// registry side effects, the JSON shape and the JSONL sink. Concurrent
+// record/finish/log stress lives in tests/parallel/test_stress.cpp (TSan).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <string>
 #include <thread>
@@ -34,14 +38,6 @@ namespace treecode {
 namespace {
 
 namespace rt = obs::reqtrace;
-
-bool tracing_compiled_in() {
-#if defined(TREECODE_TRACING_ENABLED)
-  return true;
-#else
-  return false;
-#endif
-}
 
 class ReqTraceTest : public ::testing::Test {
  protected:
@@ -74,19 +70,6 @@ class ReqTraceTest : public ::testing::Test {
   }
 };
 
-// enable() under `config`, skipping the test when tracing is compiled out
-// (the OFF stubs keep everything a no-op, which DisabledCallsAreInert
-// covers). Must be a macro: GTEST_SKIP() returns from the *enclosing*
-// function, so it only skips when expanded in the test body itself.
-#define ENABLE_OR_SKIP(config)                                           \
-  do {                                                                   \
-    rt::enable(config);                                                  \
-    if (!rt::enabled()) {                                                \
-      ASSERT_FALSE(tracing_compiled_in());                               \
-      GTEST_SKIP() << "tracing compiled out (TREECODE_TRACING=OFF)";     \
-    }                                                                    \
-  } while (0)
-
 TEST_F(ReqTraceTest, HexRenderingsAreStable) {
   EXPECT_EQ(rt::trace_id_hex(0, 0), std::string(32, '0'));
   EXPECT_EQ(rt::trace_id_hex(0x0123456789abcdefULL, 0xfedcba9876543210ULL),
@@ -103,13 +86,13 @@ TEST_F(ReqTraceTest, DisabledCallsAreInert) {
   const rt::TraceContext ctx = rt::mint_request();
   EXPECT_FALSE(ctx.valid());
   rt::record_span(ctx, obs::span::kServiceRequest, rt::SpanKind::kRequest, 0, 1);
-  rt::finish_request(ctx, rt::Verdict{.ok = false});
+  rt::finish_request(ctx, rt::RequestRecord{.ok = false});
   EXPECT_TRUE(rt::retained().empty());
   EXPECT_TRUE(rt::jsonl().empty());
 }
 
 TEST_F(ReqTraceTest, MintedIdsAreDeterministicForAFixedSeed) {
-  ENABLE_OR_SKIP(keep_nothing());
+  rt::enable(keep_nothing());
   std::vector<rt::TraceContext> first;
   for (int i = 0; i < 4; ++i) first.push_back(rt::mint_request());
   rt::reset();
@@ -129,7 +112,7 @@ TEST_F(ReqTraceTest, MintedIdsAreDeterministicForAFixedSeed) {
 }
 
 TEST_F(ReqTraceTest, ChildSharesTraceAndLinksParentSpan) {
-  ENABLE_OR_SKIP(keep_nothing());
+  rt::enable(keep_nothing());
   const rt::TraceContext root = rt::mint_request();
   ASSERT_TRUE(root.valid());
   EXPECT_EQ(root.parent_span_id, 0u);
@@ -142,22 +125,22 @@ TEST_F(ReqTraceTest, ChildSharesTraceAndLinksParentSpan) {
 }
 
 TEST_F(ReqTraceTest, TailKeepRulesAndReasonPrecedence) {
-  ENABLE_OR_SKIP(keep_nothing());
+  rt::enable(keep_nothing());
   struct Case {
-    rt::Verdict verdict;
+    rt::RequestRecord record;
     const char* reason;  // nullptr = dropped
   };
   const std::vector<Case> cases = {
-      {rt::Verdict{}, nullptr},  // healthy at sample_rate 0: dropped
-      {rt::Verdict{.ok = false, .rung = 2, .deadline_missed = true}, "error"},
-      {rt::Verdict{.rung = 2, .deadline_missed = true}, "deadline"},
-      {rt::Verdict{.rung = 2, .slo_breach = true}, "degraded"},
-      {rt::Verdict{.slo_breach = true}, "slo"},
+      {rt::RequestRecord{}, nullptr},  // healthy at sample_rate 0: dropped
+      {rt::RequestRecord{.ok = false, .rung = 2, .deadline_missed = true}, "error"},
+      {rt::RequestRecord{.rung = 2, .deadline_missed = true}, "deadline"},
+      {rt::RequestRecord{.rung = 2, .slo_breach = true}, "degraded"},
+      {rt::RequestRecord{.slo_breach = true}, "slo"},
   };
   for (const Case& c : cases) {
     const rt::TraceContext ctx = rt::mint_request();
     rt::record_span(ctx, obs::span::kServiceRequest, rt::SpanKind::kRequest, 0, 1);
-    rt::finish_request(ctx, c.verdict);
+    rt::finish_request(ctx, c.record);
     EXPECT_EQ(rt::is_retained(ctx), c.reason != nullptr);
   }
   const std::vector<rt::RetainedTrace> retained = rt::retained();
@@ -175,12 +158,12 @@ TEST_F(ReqTraceTest, TailKeepRulesAndReasonPrecedence) {
 TEST_F(ReqTraceTest, SlowRuleKeepsOverThresholdRequests) {
   rt::SamplerConfig config = keep_nothing();
   config.keep_slower_than_seconds = 0.5;
-  ENABLE_OR_SKIP(config);
+  rt::enable(config);
   const rt::TraceContext fast = rt::mint_request();
-  rt::finish_request(fast, rt::Verdict{.wall_seconds = 0.1});
+  rt::finish_request(fast, rt::RequestRecord{.wall_seconds = 0.1});
   EXPECT_FALSE(rt::is_retained(fast));
   const rt::TraceContext slow = rt::mint_request();
-  rt::finish_request(slow, rt::Verdict{.wall_seconds = 0.9});
+  rt::finish_request(slow, rt::RequestRecord{.wall_seconds = 0.9});
   ASSERT_TRUE(rt::is_retained(slow));
   EXPECT_STREQ(rt::retained().back().reason, "slow");
 }
@@ -188,9 +171,9 @@ TEST_F(ReqTraceTest, SlowRuleKeepsOverThresholdRequests) {
 TEST_F(ReqTraceTest, SampleRateOneKeepsHealthyTracesAsSampled) {
   rt::SamplerConfig config = keep_nothing();
   config.sample_rate = 1.0;
-  ENABLE_OR_SKIP(config);
+  rt::enable(config);
   const rt::TraceContext ctx = rt::mint_request();
-  rt::finish_request(ctx, rt::Verdict{});
+  rt::finish_request(ctx, rt::RequestRecord{});
   ASSERT_TRUE(rt::is_retained(ctx));
   EXPECT_STREQ(rt::retained().back().reason, "sampled");
 }
@@ -198,12 +181,12 @@ TEST_F(ReqTraceTest, SampleRateOneKeepsHealthyTracesAsSampled) {
 TEST_F(ReqTraceTest, SamplingCoinDependsOnIdentityNotCompletionOrder) {
   rt::SamplerConfig config = keep_nothing();
   config.sample_rate = 0.5;
-  ENABLE_OR_SKIP(config);
+  rt::enable(config);
   std::vector<rt::TraceContext> contexts;
   for (int i = 0; i < 32; ++i) contexts.push_back(rt::mint_request());
   std::set<std::pair<std::uint64_t, std::uint64_t>> forward;
   for (const rt::TraceContext& ctx : contexts) {
-    rt::finish_request(ctx, rt::Verdict{});
+    rt::finish_request(ctx, rt::RequestRecord{});
     if (rt::is_retained(ctx)) forward.insert({ctx.trace_hi, ctx.trace_lo});
   }
   // A 0.5 coin over 32 ids keeps some and drops some with overwhelming
@@ -220,20 +203,20 @@ TEST_F(ReqTraceTest, SamplingCoinDependsOnIdentityNotCompletionOrder) {
   for (int i = 0; i < 32; ++i) contexts.push_back(rt::mint_request());
   std::set<std::pair<std::uint64_t, std::uint64_t>> backward;
   for (auto it = contexts.rbegin(); it != contexts.rend(); ++it) {
-    rt::finish_request(*it, rt::Verdict{});
+    rt::finish_request(*it, rt::RequestRecord{});
     if (rt::is_retained(*it)) backward.insert({it->trace_hi, it->trace_lo});
   }
   EXPECT_EQ(forward, backward);
 }
 
 TEST_F(ReqTraceTest, RetainedMemberForceKeepsItsBatchTrace) {
-  ENABLE_OR_SKIP(keep_nothing());
+  rt::enable(keep_nothing());
   const rt::TraceContext member = rt::mint_request();
   const rt::TraceContext batch = rt::mint_request();
-  rt::finish_request(member, rt::Verdict{.ok = false}, &batch);
+  rt::finish_request(member, rt::RequestRecord{.ok = false}, &batch);
   // The batch finishes healthy later; the member's retention already
   // demanded it be kept so the flow link resolves in exports.
-  rt::finish_request(batch, rt::Verdict{});
+  rt::finish_request(batch, rt::RequestRecord{});
   ASSERT_TRUE(rt::is_retained(batch));
   EXPECT_STREQ(rt::retained().back().reason, "forced");
   EXPECT_EQ(obs::registry().snapshot().counters.at(obs::metric::kTraceForcedKeeps),
@@ -241,32 +224,32 @@ TEST_F(ReqTraceTest, RetainedMemberForceKeepsItsBatchTrace) {
 }
 
 TEST_F(ReqTraceTest, DroppedMemberDoesNotForceItsBatch) {
-  ENABLE_OR_SKIP(keep_nothing());
+  rt::enable(keep_nothing());
   const rt::TraceContext member = rt::mint_request();
   const rt::TraceContext batch = rt::mint_request();
-  rt::finish_request(member, rt::Verdict{}, &batch);  // healthy: sampled out
-  rt::finish_request(batch, rt::Verdict{});
+  rt::finish_request(member, rt::RequestRecord{}, &batch);  // healthy: sampled out
+  rt::finish_request(batch, rt::RequestRecord{});
   EXPECT_FALSE(rt::is_retained(member));
   EXPECT_FALSE(rt::is_retained(batch));
 }
 
 TEST_F(ReqTraceTest, NoteChildVerdictForcesEnclosingTrace) {
-  ENABLE_OR_SKIP(keep_nothing());
+  rt::enable(keep_nothing());
   const rt::TraceContext root = rt::mint_request();
   const rt::TraceContext child = rt::child_of(root);
-  rt::note_child_verdict(child, rt::Verdict{.ok = false});
-  rt::finish_request(root, rt::Verdict{});  // root itself looks healthy
+  rt::note_child_verdict(child, rt::RequestRecord{.ok = false});
+  rt::finish_request(root, rt::RequestRecord{});  // root itself looks healthy
   ASSERT_TRUE(rt::is_retained(root));
   EXPECT_STREQ(rt::retained().back().reason, "forced");
   // A healthy child leaves no demand behind.
   const rt::TraceContext root2 = rt::mint_request();
-  rt::note_child_verdict(rt::child_of(root2), rt::Verdict{});
-  rt::finish_request(root2, rt::Verdict{});
+  rt::note_child_verdict(rt::child_of(root2), rt::RequestRecord{});
+  rt::finish_request(root2, rt::RequestRecord{});
   EXPECT_FALSE(rt::is_retained(root2));
 }
 
 TEST_F(ReqTraceTest, RingWraparoundKeepsNewestSpans) {
-  ENABLE_OR_SKIP(keep_nothing());
+  rt::enable(keep_nothing());
   // Overfill this thread's 512-slot ring with timeline spans; the oldest
   // 100 must be overwritten, the newest 512 all readable.
   const std::int64_t total = 512 + 100;
@@ -285,11 +268,11 @@ TEST_F(ReqTraceTest, RingWraparoundKeepsNewestSpans) {
 TEST_F(ReqTraceTest, RetainedSetEvictsOldestBeyondCapacity) {
   rt::SamplerConfig config = keep_nothing();
   config.retain_capacity = 2;
-  ENABLE_OR_SKIP(config);
+  rt::enable(config);
   std::vector<rt::TraceContext> contexts;
   for (int i = 0; i < 3; ++i) {
     contexts.push_back(rt::mint_request());
-    rt::finish_request(contexts.back(), rt::Verdict{.ok = false});
+    rt::finish_request(contexts.back(), rt::RequestRecord{.ok = false});
   }
   EXPECT_FALSE(rt::is_retained(contexts[0]));
   EXPECT_TRUE(rt::is_retained(contexts[1]));
@@ -298,15 +281,15 @@ TEST_F(ReqTraceTest, RetainedSetEvictsOldestBeyondCapacity) {
 }
 
 TEST_F(ReqTraceTest, JsonlExportShapeAndTruncation) {
-  ENABLE_OR_SKIP(keep_nothing());
+  rt::enable(keep_nothing());
   const rt::TraceContext root = rt::mint_request();
   rt::record_span(root, obs::span::kServiceRequest, rt::SpanKind::kRequest, 0, 10);
   rt::record_span(rt::child_of(root), obs::span::kServiceQueueWait,
                   rt::SpanKind::kQueue, 1, 4);
-  rt::finish_request(root, rt::Verdict{.ok = false});
+  rt::finish_request(root, rt::RequestRecord{.ok = false});
   const rt::TraceContext second = rt::mint_request();
   rt::record_span(second, obs::span::kServiceRequest, rt::SpanKind::kRequest, 0, 2);
-  rt::finish_request(second, rt::Verdict{.ok = false});
+  rt::finish_request(second, rt::RequestRecord{.ok = false});
 
   const std::vector<std::string> lines = lines_of(rt::jsonl());
   ASSERT_EQ(lines.size(), 2u);
@@ -333,15 +316,15 @@ TEST_F(ReqTraceTest, JsonlExportShapeAndTruncation) {
 }
 
 TEST_F(ReqTraceTest, ChromeExportCarriesSlicesAndFlowEvents) {
-  ENABLE_OR_SKIP(keep_nothing());
+  rt::enable(keep_nothing());
   const rt::TraceContext member = rt::mint_request();
   rt::record_span(member, obs::span::kServiceRequest, rt::SpanKind::kRequest, 0, 20);
   const rt::TraceContext batch = rt::mint_request();
   const std::uint64_t flow[] = {member.span_id};
   rt::record_span(batch, obs::span::kServiceBatch, rt::SpanKind::kBatch, 5, 15,
                   flow);
-  rt::finish_request(member, rt::Verdict{.ok = false}, &batch);
-  rt::finish_request(batch, rt::Verdict{});
+  rt::finish_request(member, rt::RequestRecord{.ok = false}, &batch);
+  rt::finish_request(batch, rt::RequestRecord{});
 
   const obs::Json events = obs::Json::parse(rt::chrome_json());
   bool saw_slice = false;
@@ -366,7 +349,7 @@ TEST_F(ReqTraceTest, ChromeExportCarriesSlicesAndFlowEvents) {
 TEST_F(ReqTraceTest, RequestScopeMintsRootAndChildAndDefaultFinishes) {
   rt::SamplerConfig config = keep_nothing();
   config.sample_rate = 1.0;
-  ENABLE_OR_SKIP(config);
+  rt::enable(config);
   rt::TraceContext root_ctx;
   {
     rt::RequestScope scope(obs::span::kServiceRequest);
@@ -378,7 +361,7 @@ TEST_F(ReqTraceTest, RequestScopeMintsRootAndChildAndDefaultFinishes) {
       rt::RequestScope inner(obs::span::kReqEngineEvaluatePlan);
       EXPECT_FALSE(inner.root());
       EXPECT_EQ(inner.context().trace_lo, root_ctx.trace_lo);
-      inner.finish(rt::Verdict{});
+      inner.finish(rt::RequestRecord{});
     }
     // No explicit finish: the destructor default-finishes the root.
   }
@@ -396,10 +379,10 @@ TEST_F(ReqTraceTest, RequestScopeMintsRootAndChildAndDefaultFinishes) {
 }
 
 TEST_F(ReqTraceTest, WriteJsonlRoundTripsThroughAFile) {
-  ENABLE_OR_SKIP(keep_nothing());
+  rt::enable(keep_nothing());
   const rt::TraceContext ctx = rt::mint_request();
   rt::record_span(ctx, obs::span::kServiceRequest, rt::SpanKind::kRequest, 0, 5);
-  rt::finish_request(ctx, rt::Verdict{.ok = false});
+  rt::finish_request(ctx, rt::RequestRecord{.ok = false});
   const std::string path = ::testing::TempDir() + "/reqtrace_export.jsonl";
   std::remove(path.c_str());
   ASSERT_TRUE(rt::write_jsonl(path));
@@ -423,7 +406,7 @@ TEST_F(ReqTraceTest, DisabledTracerRecordsNothing) {
 }
 
 TEST_F(ReqTraceTest, NestedTimelineSpansNest) {
-  ENABLE_OR_SKIP(keep_nothing());
+  rt::enable(keep_nothing());
   {
     const rt::PhaseSpan outer(obs::span::kTreeBuild);
     const rt::PhaseSpan inner(obs::span::kBhP2m);
@@ -447,7 +430,7 @@ TEST_F(ReqTraceTest, NestedTimelineSpansNest) {
 }
 
 TEST_F(ReqTraceTest, ResetDropsStaleSpans) {
-  ENABLE_OR_SKIP(keep_nothing());
+  rt::enable(keep_nothing());
   { const rt::PhaseSpan span(obs::span::kTreeBuild); }
   rt::reset();
   rt::enable(keep_nothing());
@@ -458,7 +441,7 @@ TEST_F(ReqTraceTest, ResetDropsStaleSpans) {
 }
 
 TEST_F(ReqTraceTest, WorkerSpansSurviveThreadPoolDestruction) {
-  ENABLE_OR_SKIP(keep_nothing());
+  rt::enable(keep_nothing());
   {
     ThreadPool pool(4);
     parallel_for(
@@ -476,12 +459,6 @@ TEST_F(ReqTraceTest, WorkerSpansSurviveThreadPoolDestruction) {
 
 TEST_F(ReqTraceTest, ChromeTimelineIsParseableWithSubMicrosecondTimes) {
   rt::enable(keep_nothing());
-  if (!rt::enabled()) {
-    // Compiled out: the stub must still emit a valid (empty) JSON array.
-    EXPECT_TRUE(obs::Json::parse(rt::chrome_json()).is_array());
-    ASSERT_FALSE(tracing_compiled_in());
-    GTEST_SKIP() << "tracing compiled out (TREECODE_TRACING=OFF)";
-  }
   // A quoted, backslashed name must not corrupt the document.
   const char* const name = "test.chrome \"quoted\\name";
   rt::record_timeline_span(name, 1500, 2750);
@@ -498,7 +475,7 @@ TEST_F(ReqTraceTest, ChromeTimelineIsParseableWithSubMicrosecondTimes) {
 }
 
 TEST_F(ReqTraceTest, ScopedTimerInsideRequestScopeIsRecordedOnce) {
-  ENABLE_OR_SKIP(keep_nothing());
+  rt::enable(keep_nothing());
   rt::TraceContext root;
   {
     rt::RequestScope scope(obs::span::kReqEngineEvaluatePlan);
@@ -520,7 +497,7 @@ TEST_F(ReqTraceTest, ScopedTimerInsideRequestScopeIsRecordedOnce) {
 TEST_F(ReqTraceTest, PoolWidthDoesNotChangeIds) {
   rt::SamplerConfig config = keep_nothing();
   config.sample_rate = 1.0;
-  ENABLE_OR_SKIP(config);
+  rt::enable(config);
   // The same request around a parallel region, on pools of width 1, 2 and
   // 4. At width 1 the region runs on the caller thread, which holds the
   // request context; the region must still draw no ids and add no spans
@@ -561,6 +538,154 @@ TEST_F(ReqTraceTest, PoolWidthDoesNotChangeIds) {
     EXPECT_EQ(other.ids, base.ids) << "width=" << width;
     EXPECT_EQ(other.names, base.names) << "width=" << width;
   }
+}
+
+// ---- request log -----------------------------------------------------------
+
+using TelemetryTest = ReqTraceTest;
+
+rt::RequestRecord sample_record(std::uint64_t key) {
+  rt::RequestRecord r;
+  r.api = "evaluate_plan";
+  r.plan_key = key;
+  r.rung = 0;
+  r.wall_seconds = 0.001;
+  r.targets = 64;
+  r.plan_bytes = 1024;
+  r.basis_bytes = 2048;
+  r.deadline_slack_seconds = std::numeric_limits<double>::quiet_NaN();
+  r.audit_max_tightness = 0.5;
+  r.threads = 4;
+  return r;
+}
+
+TEST_F(TelemetryTest, DisabledEmitIsANoOp) {
+  EXPECT_FALSE(rt::enabled());
+  rt::log_request(sample_record(1));
+  EXPECT_EQ(rt::logged_count(), 0u);
+  EXPECT_TRUE(rt::records().empty());
+}
+
+TEST_F(TelemetryTest, RecordRoundTripsThroughRing) {
+  rt::enable();
+  rt::log_request(sample_record(0xabcd));
+  const std::vector<rt::RequestRecord> records = rt::records();
+  ASSERT_EQ(records.size(), 1u);
+  const rt::RequestRecord& r = records[0];
+  EXPECT_EQ(r.seq, 0u);
+  EXPECT_EQ(r.plan_key, 0xabcdu);
+  EXPECT_STREQ(r.api, "evaluate_plan");
+  EXPECT_EQ(r.rung, 0);
+  EXPECT_TRUE(r.ok);
+  EXPECT_STREQ(r.outcome_name, "ok");
+  EXPECT_EQ(r.targets, 64u);
+  EXPECT_EQ(r.threads, 4u);
+  EXPECT_TRUE(std::isnan(r.deadline_slack_seconds));
+}
+
+TEST_F(TelemetryTest, RingOverflowKeepsNewestRecords) {
+  rt::enable();
+  const std::uint64_t total = rt::kRequestRingCapacity + 100;
+  for (std::uint64_t i = 0; i < total; ++i) rt::log_request(sample_record(i));
+  EXPECT_EQ(rt::logged_count(), total);
+  const std::vector<rt::RequestRecord> records = rt::records();
+  ASSERT_EQ(records.size(), rt::kRequestRingCapacity);
+  // Oldest surviving record is exactly `total - capacity`; order is oldest
+  // first and contiguous.
+  EXPECT_EQ(records.front().seq, total - rt::kRequestRingCapacity);
+  EXPECT_EQ(records.back().seq, total - 1);
+  for (std::size_t i = 1; i < records.size(); ++i) {
+    EXPECT_EQ(records[i].seq, records[i - 1].seq + 1);
+  }
+}
+
+TEST_F(TelemetryTest, EmitFeedsRegistryMetrics) {
+  rt::enable();
+  rt::log_request(sample_record(1));
+  rt::RequestRecord bad = sample_record(2);
+  bad.ok = false;
+  bad.outcome = 3;
+  bad.outcome_name = "deadline_expired";
+  rt::log_request(bad);
+  const obs::MetricsSnapshot snapshot = obs::registry().snapshot();
+  EXPECT_EQ(snapshot.counters.at(obs::metric::kTelemetryRequests), 2u);
+  EXPECT_EQ(snapshot.counters.at(obs::metric::kTelemetryErrors), 1u);
+  EXPECT_EQ(snapshot.histograms.at(obs::metric::kTelemetryRequestSeconds).total, 2u);
+}
+
+TEST_F(TelemetryTest, ToJsonShapeAndSentinels) {
+  rt::RequestRecord r = sample_record(0xdeadbeef);
+  r.seq = 41;
+  const obs::Json j = rt::record_json(r);
+  EXPECT_EQ(j.at("schema").as_string(), "treecode-request-record/v2");
+  EXPECT_EQ(j.at("api").as_string(), "evaluate_plan");
+  EXPECT_EQ(j.at("plan_key").as_string(), "0x00000000deadbeef");
+  EXPECT_EQ(j.at("rung").as_int(), 0);
+  EXPECT_EQ(j.at("rung_name").as_string(), "basis_replay");
+  EXPECT_TRUE(j.at("ok").as_bool());
+  // NaN slack (no deadline) must serialize as null, not a bare NaN token
+  // (which JSON has no syntax for). The writer maps non-finite to null.
+  EXPECT_NE(j.dump(0).find("\"deadline_slack_seconds\":null"), std::string::npos);
+  // A record logged outside any trace renders the zero trace id as 32 '0'
+  // hex chars; queue wait and scheduler round default to their sentinels.
+  EXPECT_EQ(j.at("trace_id").as_string(), std::string(32, '0'));
+  EXPECT_EQ(j.at("queue_wait_seconds").as_double(), 0.0);
+  EXPECT_EQ(j.at("batch_seq").as_int(), 0);
+}
+
+TEST_F(TelemetryTest, ToJsonCarriesTraceFields) {
+  rt::RequestRecord r = sample_record(7);
+  r.api = "service_serve";
+  r.trace_hi = 0x0123456789abcdefULL;
+  r.trace_lo = 0xfedcba9876543210ULL;
+  r.queue_wait_seconds = 0.25;
+  r.batch_seq = 9;
+  const obs::Json j = rt::record_json(r);
+  EXPECT_EQ(j.at("api").as_string(), "service_serve");
+  EXPECT_EQ(j.at("trace_id").as_string(), "0123456789abcdeffedcba9876543210");
+  EXPECT_EQ(j.at("queue_wait_seconds").as_double(), 0.25);
+  EXPECT_EQ(j.at("batch_seq").as_int(), 9);
+}
+
+TEST_F(TelemetryTest, SinkWritesOneJsonLinePerRecord) {
+  const std::string path = ::testing::TempDir() + "/telemetry_sink.jsonl";
+  std::remove(path.c_str());
+  rt::enable();
+  rt::set_sink(path);
+  rt::log_request(sample_record(1));
+  rt::log_request(sample_record(2));
+  rt::close_sink();
+  std::ifstream in(path);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  ASSERT_EQ(lines.size(), 2u);
+  for (const std::string& line : lines) {
+    const obs::Json j = obs::Json::parse(line);
+    EXPECT_EQ(j.at("schema").as_string(), "treecode-request-record/v2");
+  }
+  std::remove(path.c_str());
+}
+
+TEST_F(TelemetryTest, ResetClearsRingCountersAndSink) {
+  const std::string path = ::testing::TempDir() + "/telemetry_reset.jsonl";
+  rt::enable();
+  rt::set_sink(path);
+  rt::log_request(sample_record(1));
+  EXPECT_EQ(rt::logged_count(), 1u);
+  rt::reset();
+  EXPECT_FALSE(rt::enabled());
+  EXPECT_EQ(rt::logged_count(), 0u);
+  EXPECT_TRUE(rt::records().empty());
+  // The sink is closed too: records logged after a re-enable reach the
+  // ring only.
+  rt::enable();
+  rt::log_request(sample_record(2));
+  std::ifstream in(path);
+  std::string line;
+  std::size_t lines = 0;
+  while (std::getline(in, line)) ++lines;
+  EXPECT_EQ(lines, 1u);
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -30,14 +30,6 @@ namespace {
 
 namespace rt = obs::reqtrace;
 
-bool tracing_compiled_in() {
-#if defined(TREECODE_TRACING_ENABLED)
-  return true;
-#else
-  return false;
-#endif
-}
-
 class ServiceTraceTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -67,6 +59,13 @@ class ServiceTraceTest : public ::testing::Test {
     return q;
   }
 
+  static void enable_tracing(std::uint64_t seed, double sample_rate) {
+    rt::SamplerConfig config;
+    config.seed = seed;
+    config.sample_rate = sample_rate;
+    rt::enable(config);
+  }
+
   static bool has_span(const rt::RetainedTrace& trace, const std::string& name,
                        rt::SpanKind kind) {
     for (const rt::SpanRecord& span : trace.spans) {
@@ -83,23 +82,8 @@ class ServiceTraceTest : public ::testing::Test {
   }
 };
 
-// enable() tracing for the test, skipping when compiled out. Must be a
-// macro: GTEST_SKIP() returns from the *enclosing* function, so it only
-// skips when expanded in the test body itself.
-#define ENABLE_OR_SKIP(seed_value, rate_value)                           \
-  do {                                                                   \
-    rt::SamplerConfig config_;                                           \
-    config_.seed = (seed_value);                                         \
-    config_.sample_rate = (rate_value);                                  \
-    rt::enable(config_);                                                 \
-    if (!rt::enabled()) {                                                \
-      ASSERT_FALSE(tracing_compiled_in());                               \
-      GTEST_SKIP() << "tracing compiled out (TREECODE_TRACING=OFF)";     \
-    }                                                                    \
-  } while (0)
-
 TEST_F(ServiceTraceTest, UnhealthyRequestsRetainTheFullCausalPath) {
-  ENABLE_OR_SKIP(/*seed=*/1, /*sample_rate=*/0.0);
+  enable_tracing(/*seed=*/1, /*sample_rate=*/0.0);
   const ParticleSystem ps = dist::uniform_cube(600, 17);
   service::EvalService svc(
       service::EvalService::Options{.start_scheduler = false});
@@ -178,7 +162,7 @@ TEST_F(ServiceTraceTest, UnhealthyRequestsRetainTheFullCausalPath) {
 }
 
 TEST_F(ServiceTraceTest, CancelledQueuedRequestsAreTailKept) {
-  ENABLE_OR_SKIP(/*seed=*/1, /*sample_rate=*/0.0);
+  enable_tracing(/*seed=*/1, /*sample_rate=*/0.0);
   const ParticleSystem ps = dist::uniform_cube(400, 3);
   service::EvalService svc(
       service::EvalService::Options{.start_scheduler = false});
@@ -193,7 +177,7 @@ TEST_F(ServiceTraceTest, CancelledQueuedRequestsAreTailKept) {
   EXPECT_EQ(first.value().wait().error().code, ErrorCode::kCancelled);
   EXPECT_EQ(second.value().wait().error().code, ErrorCode::kCancelled);
 
-  // Both cancelled requests finished their traces with an error verdict,
+  // Both cancelled requests finished their traces with an error record,
   // so the tail sampler kept them even at sample rate 0.
   std::size_t cancelled_traces = 0;
   for (const rt::RetainedTrace& trace : rt::retained()) {
@@ -202,10 +186,20 @@ TEST_F(ServiceTraceTest, CancelledQueuedRequestsAreTailKept) {
     ++cancelled_traces;
   }
   EXPECT_EQ(cancelled_traces, 2u);
+  // ...and each logged that record, under its own trace id.
+  std::size_t cancelled_records = 0;
+  for (const rt::RequestRecord& record : rt::records()) {
+    if (std::string(record.api) != "service_serve") continue;
+    EXPECT_FALSE(record.ok);
+    EXPECT_EQ(record.outcome, static_cast<std::uint8_t>(ErrorCode::kCancelled));
+    EXPECT_NE(record.trace_hi | record.trace_lo, 0u);
+    ++cancelled_records;
+  }
+  EXPECT_EQ(cancelled_records, 2u);
 }
 
 TEST_F(ServiceTraceTest, PerTenantLatencySummarySurfacesInStateJson) {
-  ENABLE_OR_SKIP(/*seed=*/1, /*sample_rate=*/0.0);
+  enable_tracing(/*seed=*/1, /*sample_rate=*/0.0);
   const ParticleSystem ps = dist::uniform_cube(500, 9);
   service::EvalService svc(
       service::EvalService::Options{.start_scheduler = false});
@@ -269,7 +263,7 @@ std::string body_of(const std::string& response) {
 }
 
 TEST_F(ServiceTraceTest, HttpEndpointServesAllObservabilityRoutes) {
-  ENABLE_OR_SKIP(/*seed=*/1, /*sample_rate=*/0.0);
+  enable_tracing(/*seed=*/1, /*sample_rate=*/0.0);
   const ParticleSystem ps = dist::uniform_cube(400, 7);
   service::EvalService svc(
       service::EvalService::Options{.start_scheduler = false});
@@ -319,9 +313,6 @@ TEST_F(ServiceTraceTest, HttpEndpointServesAllObservabilityRoutes) {
 }
 
 TEST_F(ServiceTraceTest, RetainedSetIsBitwiseDeterministicAcrossThreadCounts) {
-  if (!tracing_compiled_in()) {
-    GTEST_SKIP() << "tracing compiled out (TREECODE_TRACING=OFF)";
-  }
   // The same pump-driven workload, varying only the session's worker
   // thread count. Ids are minted exclusively on driver threads and the
   // sampling coin hashes the trace id, so the retained set — ids, order,

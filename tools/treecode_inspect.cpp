@@ -44,7 +44,6 @@
 #include "obs/recorder.hpp"
 #include "obs/reqtrace.hpp"
 #include "obs/slo.hpp"
-#include "obs/telemetry.hpp"
 #include "service/eval_service.hpp"
 #include "tree/octree.hpp"
 #include "util/cli.hpp"
@@ -150,13 +149,12 @@ int main(int argc, char** argv) {
       return 1;
     }
 
-    obs::telemetry::enable();
-    if (!telemetry_out.empty()) obs::telemetry::set_sink(telemetry_out);
     obs::recorder::start();
     obs::reqtrace::SamplerConfig trace_cfg;
     trace_cfg.seed = 1;
     trace_cfg.sample_rate = flags.get_double("trace-sample-rate", 1.0);
     obs::reqtrace::enable(trace_cfg);
+    if (!telemetry_out.empty()) obs::reqtrace::set_sink(telemetry_out);
 
     EvalConfig cfg;
     cfg.alpha = flags.get_double("alpha", 0.5);
@@ -228,7 +226,7 @@ int main(int argc, char** argv) {
         !obs::reqtrace::write_chrome_json(trace_chrome_out)) {
       return 1;
     }
-    obs::telemetry::close_sink();
+    obs::reqtrace::close_sink();
 
     if (out.empty()) {
       std::printf("%s\n", doc.dump(2).c_str());
