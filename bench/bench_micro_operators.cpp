@@ -82,6 +82,71 @@ void BM_M2P(benchmark::State& state) {
 }
 BENCHMARK(BM_M2P)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
 
+// Two expansions per call through the two-lane kernel (bitwise two m2p()
+// calls); items are M2P evaluations, comparable with BM_M2P's time/2.
+void BM_M2P_Pair(benchmark::State& state) {
+  const Fixture f;
+  const int p = static_cast<int>(state.range(0));
+  MultipoleExpansion a(p);
+  MultipoleExpansion b(p);
+  p2m(f.center, f.pos, f.q, a);
+  p2m(f.center, f.pos, std::vector<double>(f.q.rbegin(), f.q.rend()), b);
+  const Vec3 point{3.0, 2.0, 1.0};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(m2p_pair(a, f.center, b, f.center, point));
+  }
+  state.SetItemsProcessed(state.iterations() * 2);
+}
+BENCHMARK(BM_M2P_Pair)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
+
+// The walk's view of M2P: 4,096 distinct expansions about distinct centres,
+// visited in turn, so the coefficients come from cache rather than
+// registers and no two consecutive calls share a direction. Items are M2P
+// evaluations in both.
+struct ColdExpansions {
+  static constexpr std::size_t kCount = 4096;
+  std::vector<MultipoleExpansion> m;
+  std::vector<Vec3> center;
+  Vec3 point{3.0, 2.0, 1.0};
+
+  explicit ColdExpansions(int p) {
+    const Fixture f(16);
+    std::mt19937_64 rng(7);
+    std::uniform_real_distribution<double> u(-0.5, 0.5);
+    for (std::size_t i = 0; i < kCount; ++i) {
+      const Vec3 shift{u(rng), u(rng), u(rng)};
+      std::vector<Vec3> pos = f.pos;
+      for (Vec3& x : pos) x += shift;
+      center.push_back(f.center + shift);
+      m.emplace_back(p);
+      p2m(center.back(), pos, f.q, m.back());
+    }
+  }
+};
+
+void BM_M2P_Cold(benchmark::State& state) {
+  const ColdExpansions e(static_cast<int>(state.range(0)));
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(m2p(e.m[i], e.center[i], e.point));
+    i = (i + 1) % ColdExpansions::kCount;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_M2P_Cold)->DenseRange(4, 10);
+
+void BM_M2P_PairCold(benchmark::State& state) {
+  const ColdExpansions e(static_cast<int>(state.range(0)));
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        m2p_pair(e.m[i], e.center[i], e.m[i + 1], e.center[i + 1], e.point));
+    i = (i + 2) % ColdExpansions::kCount;
+  }
+  state.SetItemsProcessed(state.iterations() * 2);
+}
+BENCHMARK(BM_M2P_PairCold)->DenseRange(4, 10);
+
 // The two halves of replayed M2P, beside BM_M2P (the fused on-the-fly
 // kernel) at the same degrees: filling one target's basis, and applying an
 // expansion to a stored basis (bitwise-equal to m2p()).

@@ -90,6 +90,7 @@ EvalResult BarnesHutEvaluator::run(ThreadPool& pool, std::span<const Vec3> point
   TargetRows rows(n, 1, want_grad, want_bounds);
   std::vector<obs::audit::Reservoir> audits(auditing ? pool.width() : 0);
   for (auto& r : audits) r.set_capacity(config_.audit_samples);
+  std::vector<DeferredM2p> deferred(pool.width());
   InteractionWalk walk(tree_,
                        WalkRules{.alpha = config_.alpha,
                                  .degree = degrees_.degree,
@@ -108,43 +109,40 @@ EvalResult BarnesHutEvaluator::run(ThreadPool& pool, std::span<const Vec3> point
           // coordinate fails every MAC test and would otherwise degrade to
           // an all-P2P sweep that still produces NaN.
           if (!std::isfinite(x.x) || !std::isfinite(x.y) || !std::isfinite(x.z)) return;
-          double my_phi = 0.0;
+          DeferredM2p& terms = deferred[t];
+          terms.start();
           Vec3 my_grad{};
-          // Per-target acceptance ordinal: combined with the target index it
-          // keys the audit sampling, and both are schedule-independent (the
-          // DFS visit order per target is fixed), so the sampled set is
-          // bitwise identical across thread counts and block sizes.
-          std::uint64_t audit_ord = 0;
           const double my_bound = walk.target(
               x, t,
               [&](int ni, const TreeNode& node, double r, double thm1) {
                 const MultipoleExpansion& m = multipoles_[static_cast<std::size_t>(ni)];
-                double contribution;
+                std::size_t slot;
                 if (want_grad) {
                   const PotentialGrad pg = m2p_grad(m, node.center, x);
-                  contribution = pg.potential;
+                  slot = terms.add(pg.potential);
                   my_grad += pg.gradient;
                 } else {
-                  contribution = m2p(m, node.center, x);
+                  slot = terms.defer(m, node.center);
                 }
-                my_phi += contribution;
-                if (auditing) {
-                  audits[t].offer(audit_sample(config_.audit_seed, i, audit_ord, ni, node,
-                                               m.degree(), contribution, thm1, r));
-                }
-                ++audit_ord;
+                if (auditing) terms.note_audit(slot, ni, m.degree(), r, thm1);
               },
               [&](int, const TreeNode& node) {
                 const std::span<const Vec3> ppos(pos.data() + node.begin, node.count());
                 const std::span<const double> pq(q.data() + node.begin, node.count());
                 if (want_grad) {
                   const PotentialGrad pg = p2p_grad(x, ppos, pq, softening2);
-                  my_phi += pg.potential;
+                  terms.add(pg.potential);
                   my_grad += pg.gradient;
                 } else {
-                  my_phi += p2p(x, ppos, pq, softening2);
+                  terms.add(p2p(x, ppos, pq, softening2));
                 }
               });
+          const double my_phi = terms.flush(x);
+          // The per-target acceptance ordinal, combined with the target
+          // index, keys the audit sampling; both are schedule-independent
+          // (the DFS visit order per target is fixed), so the sampled set is
+          // bitwise identical across thread counts and block sizes.
+          if (auditing) terms.offer_audits(audits[t], config_.audit_seed, i, tree_.nodes());
           // Inputs are validated at tree build, but override charges,
           // softening underflow, or an evaluation point sitting exactly on
           // an expansion center can still poison a potential; fail loudly

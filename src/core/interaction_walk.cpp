@@ -1,5 +1,7 @@
 #include "core/interaction_walk.hpp"
 
+#include <bit>
+
 #include "multipole/operators.hpp"
 #include "parallel/parallel_for.hpp"
 
@@ -52,6 +54,36 @@ WalkTally InteractionWalk::total() const noexcept {
   WalkTally sum;
   for (const Lane& lane : lanes_) sum.merge(lane.tally);
   return sum;
+}
+
+double DeferredM2p::flush(const Vec3& point) {
+  for (std::uint64_t pending = degrees_; pending != 0; pending &= pending - 1) {
+    std::vector<Pending>& list = by_degree_[static_cast<std::size_t>(std::countr_zero(pending))];
+    std::size_t j = 0;
+    for (; j + 2 <= list.size(); j += 2) {
+      const Pending& a = list[j];
+      const Pending& b = list[j + 1];
+      const std::array<double, 2> pair = m2p_pair(*a.m, *a.center, *b.m, *b.center, point);
+      terms_[a.slot] = pair[0];
+      terms_[b.slot] = pair[1];
+    }
+    if (j < list.size()) terms_[list[j].slot] = m2p(*list[j].m, *list[j].center, point);
+    list.clear();
+  }
+  degrees_ = 0;
+  double phi = 0.0;
+  for (const double term : terms_) phi += term;
+  return phi;
+}
+
+void DeferredM2p::offer_audits(obs::audit::Reservoir& reservoir, std::uint64_t seed,
+                               std::size_t target, std::span<const TreeNode> nodes) const {
+  for (std::size_t ordinal = 0; ordinal < audits_.size(); ++ordinal) {
+    const Audit& a = audits_[ordinal];
+    reservoir.offer(audit_sample(seed, target, ordinal, a.node,
+                                 nodes[static_cast<std::size_t>(a.node)], a.degree,
+                                 terms_[a.slot], a.thm1, a.r));
+  }
 }
 
 void TargetRows::scatter(const Tree& tree, bool self, std::span<EvalResult> results) const {

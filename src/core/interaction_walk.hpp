@@ -14,6 +14,7 @@
 /// bitwise-equal to the fresh walk.
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -151,6 +152,72 @@ class InteractionWalk {
   const std::vector<TreeNode>& nodes_;
   WalkRules rules_;
   std::vector<Lane> lanes_;
+};
+
+/// One target's potential terms in walk order, with its on-the-fly M2P
+/// deferred so that same-degree clusters run through m2p_pair() two at a
+/// time. Per-thread scratch: start() a target, then defer() reserves the
+/// next term slot for a cluster's M2P and files it under its degree, add()
+/// appends a term already computed (P2P, a basis apply, a gradient
+/// evaluation's potential). flush() evaluates the filed M2P into their
+/// slots and returns 0.0 + the terms summed in slot order: the additions,
+/// operands and order of the `phi += term` loop it replaces, since
+/// m2p_pair() lanes are bitwise m2p().
+class alignas(64) DeferredM2p {
+ public:
+  void start() noexcept {
+    terms_.clear();
+    audits_.clear();
+  }
+
+  /// Reserve the slot of m2p(m, center, point); both must outlive flush().
+  std::size_t defer(const MultipoleExpansion& m, const Vec3& center) {
+    const std::size_t slot = terms_.size();
+    terms_.push_back(0.0);
+    const auto p = static_cast<std::size_t>(m.degree());
+    by_degree_[p].push_back({slot, &m, &center});
+    degrees_ |= std::uint64_t{1} << p;
+    return slot;
+  }
+
+  /// Append a finished term; returns its slot.
+  std::size_t add(double term) {
+    terms_.push_back(term);
+    return terms_.size() - 1;
+  }
+
+  /// Note the accepted cluster whose term sits in `slot` for the audit;
+  /// call in acceptance order.
+  void note_audit(std::size_t slot, int node_id, int degree, double r, double thm1) {
+    audits_.push_back({slot, node_id, degree, r, thm1});
+  }
+
+  /// Evaluate the deferred M2P at `point`, then sum the terms.
+  double flush(const Vec3& point);
+
+  /// Offer every noted cluster to `reservoir` with its flushed term as the
+  /// approximation and its acceptance ordinal (0, 1, ...) in the key.
+  void offer_audits(obs::audit::Reservoir& reservoir, std::uint64_t seed, std::size_t target,
+                    std::span<const TreeNode> nodes) const;
+
+ private:
+  struct Pending {
+    std::size_t slot;
+    const MultipoleExpansion* m;
+    const Vec3* center;
+  };
+  struct Audit {
+    std::size_t slot;
+    int node;
+    int degree;
+    double r;
+    double thm1;
+  };
+  static_assert(kMaxDegree < 64, "degrees_ is a 64-bit mask");
+  std::vector<double> terms_;
+  std::array<std::vector<Pending>, kMaxDegree + 1> by_degree_;
+  std::uint64_t degrees_ = 0;  ///< bit p set: by_degree_[p] is non-empty
+  std::vector<Audit> audits_;
 };
 
 /// Sorted-order outputs of one sweep over n targets: k potential rows

@@ -781,15 +781,18 @@ Expected<void> EvalSession::replay_columns(const EvalPlan& plan, const Columns& 
   // columns [c0, c0 + K). Per column it makes the single-RHS kernel calls
   // on identical operands in identical order (DESIGN.md §5c), so a column's
   // bits do not depend on K. Gradients and audits exist only at K = 1; the
-  // batch path serves them column by column.
+  // batch path serves them column by column. At K = 1 the terms go through
+  // the thread's DeferredM2p, which runs basis-less M2P entries two at a
+  // time.
   auto kernel = [&]<std::size_t K>(std::size_t i, std::size_t c0, double(&acc)[K],
-                                   double& bound, Vec3& grad, obs::audit::Reservoir* audit) {
+                                   double& bound, Vec3& grad, DeferredM2p& terms,
+                                   obs::audit::Reservoir* audit) {
     const Vec3 x = plan.targets[i];
     const double* q = columns.charges + c0 * columns.stride;
     // Target i's basis slots follow its M2P entries from its start; a slot
     // holds a basis iff it ends within the pool (the covered prefix).
     std::uint64_t slot = plan.basis_offset.empty() ? 0 : plan.basis_offset[i];
-    std::uint64_t audit_ord = 0;
+    if constexpr (K == 1) terms.start();
     for (std::uint64_t idx = plan.offsets[i]; idx < plan.offsets[i + 1]; ++idx) {
       const std::int32_t e = plan.entries[idx];
       const auto nu = static_cast<std::size_t>(EvalPlan::node_of(e));
@@ -800,10 +803,10 @@ Expected<void> EvalSession::replay_columns(const EvalPlan& plan, const Columns& 
           const std::span<const double> pq(q + node.begin, node.count());
           if (want_grad) {
             const PotentialGrad pg = p2p_grad(x, ppos, pq, softening2);
-            acc[0] += pg.potential;
+            terms.add(pg.potential);
             grad += pg.gradient;
           } else {
-            acc[0] += p2p(x, ppos, pq, softening2);
+            terms.add(p2p(x, ppos, pq, softening2));
           }
         } else {
           std::span<const double> cq[K];
@@ -824,15 +827,16 @@ Expected<void> EvalSession::replay_columns(const EvalPlan& plan, const Columns& 
       // Bounds are charge-independent: accumulated by the first block only.
       if (c0 == 0 && want_bounds) bound += plan.entry_bounds[idx];
       if constexpr (K == 1) {
-        double contribution;
+        std::size_t term;
         if (want_grad) {
           const PotentialGrad pg = m2p_grad(*m, node.center, x);
-          contribution = pg.potential;
+          term = terms.add(pg.potential);
           grad += pg.gradient;
+        } else if (basis != nullptr) {
+          term = terms.add(m2p_apply_basis(*m, basis));
         } else {
-          contribution = basis != nullptr ? m2p_apply_basis(*m, basis) : m2p(*m, node.center, x);
+          term = terms.defer(*m, node.center);
         }
-        acc[0] += contribution;
         // M2P entries sit in per-target DFS acceptance order, so the
         // (target, ordinal) keys audit exactly the fresh walk's samples.
         if (audit != nullptr) {
@@ -843,10 +847,8 @@ Expected<void> EvalSession::replay_columns(const EvalPlan& plan, const Columns& 
                                   ? multipole_error_bound(node.abs_charge, node.radius, r,
                                                           degrees_.degree[nu])
                                   : plan.entry_bounds[idx];
-          audit->offer(audit_sample(config_.audit_seed, i, audit_ord, EvalPlan::node_of(e),
-                                    node, m->degree(), contribution, thm1, r));
+          terms.note_audit(term, EvalPlan::node_of(e), m->degree(), r, thm1);
         }
-        ++audit_ord;
       } else {
         if (basis != nullptr) {
           double out[K];
@@ -857,11 +859,16 @@ Expected<void> EvalSession::replay_columns(const EvalPlan& plan, const Columns& 
         }
       }
     }
+    if constexpr (K == 1) {
+      acc[0] = terms.flush(x);
+      if (audit != nullptr) terms.offer_audits(*audit, config_.audit_seed, i, nodes);
+    }
   };
 
   TargetRows rows(n, k, want_grad, want_bounds);
   std::vector<obs::audit::Reservoir> audits(auditing ? pool_.width() : 0);
   for (auto& r : audits) r.set_capacity(config_.audit_samples);
+  std::vector<DeferredM2p> deferred(pool_.width());
 
   Expected<void> swept = sweep(
       pool_, governor_, config_, batch ? SweepKind::kBatch : SweepKind::kReplay, rows, tree_,
@@ -872,7 +879,7 @@ Expected<void> EvalSession::replay_columns(const EvalPlan& plan, const Columns& 
           with_width(std::min(kMaxWidth, k - c0), [&](auto width) {
             constexpr std::size_t kWidth = decltype(width)::value;
             double acc[kWidth] = {};
-            kernel(i, c0, acc, bound, grad, auditing ? &audits[t] : nullptr);
+            kernel(i, c0, acc, bound, grad, deferred[t], auditing ? &audits[t] : nullptr);
             for (std::size_t w = 0; w < kWidth; ++w) rows.phi[(c0 + w) * n + i] = acc[w];
           });
         }

@@ -1,7 +1,9 @@
 #include "multipole/operators.hpp"
 
+#include <array>
 #include <cassert>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 namespace treecode {
@@ -379,6 +381,119 @@ double m2p(const MultipoleExpansion& mexp, const Vec3& center, const Vec3& point
     rpow *= inv_r;
   }
   return phi;
+}
+
+namespace {
+
+/// Two doubles in one SSE2 register (GCC vector extension). Every +, -, *
+/// and / acts lane by lane with the scalar operation's IEEE rounding, so a
+/// lane that performs m2p()'s operations in m2p()'s order yields m2p()'s
+/// bits. No FMA exists at the baseline ISA, and -ffp-contract=off keeps
+/// wider ISAs from fusing (CMakeLists.txt).
+using Lanes = double __attribute__((vector_size(16)));
+
+/// Highest degree with an unrolled pair kernel; above it one runtime-degree
+/// instance serves up to kMaxDegree.
+constexpr int kUnrolledPairDegree = 12;
+
+/// m2p() for two same-degree expansions at once, lane 0 on (ca, ua) and
+/// lane 1 on (cb, ub): degree_brackets()' recurrence, PhaseChain and
+/// bracket folds, then the 1/r^(n+1) sum, each as the scalar statements
+/// write them. The two lanes' dependency chains (the Legendre column
+/// recurrence above all) then run side by side. P >= 0 fixes the degree at
+/// compile time so the loops unroll and the brackets stay in registers;
+/// P < 0 reads it from `degree`.
+template <int P>
+void m2p_pair_kernel(int degree, const Complex* ca, const Complex* cb, const Direction& ua,
+                     const Direction& ub, double* out) noexcept {
+  const int p = P >= 0 ? P : degree;
+  const detail::HarmonicTables& t = detail::harmonic_tables();
+  const Lanes x = {ua.cos_theta, ub.cos_theta};
+  const Lanes sin_theta = {ua.sin_theta, ub.sin_theta};
+  const Lanes c = {ua.eiphi.real(), ub.eiphi.real()};  // PhaseChain
+  const Lanes s = {ua.eiphi.imag(), ub.eiphi.imag()};
+  Lanes er = {1.0, 1.0};
+  Lanes ei = {0.0, 0.0};
+  Lanes bracket[P >= 0 ? P + 1 : kMaxDegree + 1];
+  // degree_brackets()' fold of v_n^m = t.norm[i] * P_n^m into bracket[n].
+  const auto fold = [&](int n, int m, std::size_t i, Lanes pnm) {
+    const Lanes v = t.norm[i] * pnm;
+    const Lanes yr = v * er;
+    const Lanes yi = v * ei;
+    const Lanes cr = {ca[i].real(), cb[i].real()};
+    const Lanes cim = {ca[i].imag(), cb[i].imag()};
+    const Lanes term = cr * yr - cim * yi;
+    if (m == 0) {
+      bracket[n] = term;
+    } else {
+      bracket[n] += 2.0 * term;
+    }
+  };
+  Lanes pmm = {1.0, 1.0};
+#pragma GCC unroll 16
+  for (int m = 0; m <= p; ++m) {
+    std::size_t i = tri_index(m, m);
+    fold(m, m, i, pmm);
+    if (m < p) {
+      Lanes p2 = pmm;
+      Lanes p1 = x * static_cast<double>(2 * m + 1) * pmm;
+      i += static_cast<std::size_t>(m) + 1;
+      fold(m + 1, m, i, p1);
+#pragma GCC unroll 16
+      for (int n = m + 2; n <= p; ++n) {
+        i += static_cast<std::size_t>(n);
+        const Lanes pn = t.a[i] * x * p1 - t.b[i] * p2;
+        fold(n, m, i, pn);
+        p2 = p1;
+        p1 = pn;
+      }
+    }
+    pmm *= static_cast<double>(-(2 * m + 1)) * sin_theta;
+    const Lanes er_next = er * c - ei * s;
+    ei = er * s + ei * c;
+    er = er_next;
+  }
+  const Lanes inv_r = 1.0 / Lanes{ua.r, ub.r};
+  Lanes phi = {0.0, 0.0};
+  Lanes rpow = inv_r;  // 1/r^(n+1)
+#pragma GCC unroll 16
+  for (int n = 0; n <= p; ++n) {
+    phi += bracket[n] * rpow;
+    rpow *= inv_r;
+  }
+  out[0] = phi[0];
+  out[1] = phi[1];
+}
+
+using PairKernel = void (*)(int, const Complex*, const Complex*, const Direction&,
+                            const Direction&, double*) noexcept;
+
+template <std::size_t... P>
+constexpr std::array<PairKernel, kMaxDegree + 1> pair_kernels(std::index_sequence<P...>) {
+  std::array<PairKernel, kMaxDegree + 1> table{};
+  ((table[P] = &m2p_pair_kernel<static_cast<int>(P)>), ...);
+  for (std::size_t p = sizeof...(P); p < table.size(); ++p) table[p] = &m2p_pair_kernel<-1>;
+  return table;
+}
+
+/// The pair kernel of each degree 0..kMaxDegree.
+constexpr std::array<PairKernel, kMaxDegree + 1> kPairKernels =
+    pair_kernels(std::make_index_sequence<kUnrolledPairDegree + 1>{});
+
+}  // namespace
+
+std::array<double, 2> m2p_pair(const MultipoleExpansion& a, const Vec3& center_a,
+                               const MultipoleExpansion& b, const Vec3& center_b,
+                               const Vec3& point) noexcept {
+  const int p = a.degree();
+  assert(b.degree() == p && p >= 0 && p <= kMaxDegree);
+  const Direction ua = direction_of(point - center_a);
+  const Direction ub = direction_of(point - center_b);
+  assert(ua.r > 0.0 && ub.r > 0.0);
+  std::array<double, 2> out;
+  kPairKernels[static_cast<std::size_t>(p)](p, a.data().data(), b.data().data(), ua, ub,
+                                            out.data());
+  return out;
 }
 
 void m2p_basis(int p, const Vec3& center, const Vec3& point, std::span<double> out) {

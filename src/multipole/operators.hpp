@@ -20,6 +20,7 @@
 /// L2L are exact given the truncated source. Sources of lower degree than
 /// the target are handled transparently (missing orders read as zero).
 
+#include <array>
 #include <span>
 
 #include "geom/vec3.hpp"
@@ -80,6 +81,16 @@ struct PotentialGrad {
 /// Fused kernel: the harmonics are consumed as the recurrence produces them,
 /// with no Y array.
 double m2p(const MultipoleExpansion& m, const Vec3& center, const Vec3& point);
+
+/// Two m2p() calls at once: {m2p(a, center_a, point), m2p(b, center_b,
+/// point)}, bitwise. Precondition: a.degree() == b.degree(). The two
+/// evaluations run as the two lanes of one 16-byte vector, each performing
+/// exactly m2p()'s scalar operations in m2p()'s order, so the Legendre
+/// recurrence's dependency chain is paid once per pair rather than once
+/// per expansion. Degrees up to 12 run a compile-time-unrolled kernel.
+std::array<double, 2> m2p_pair(const MultipoleExpansion& a, const Vec3& center_a,
+                               const MultipoleExpansion& b, const Vec3& center_b,
+                               const Vec3& point) noexcept;
 
 // ---------------------------------------------------------------------------
 // Precomputed evaluation basis

@@ -355,17 +355,19 @@ void note_child_verdict(const TraceContext& ctx, const RequestRecord& record) {
   add_forced_locked(s, TraceId{ctx.trace_hi, ctx.trace_lo});
 }
 
-void log_request(RequestRecord record) {
+void log_request(RequestRecord record, bool counted) {
   State& s = state();
   if (!s.enabled.load(std::memory_order_relaxed)) return;
   record.ts_us = now_ns() / 1000;
   record.seq = s.requests.push(record);
 
   Registry& reg = registry();
-  reg.counter(metric::kTelemetryRequests).add(1);
-  if (!record.ok) reg.counter(metric::kTelemetryErrors).add(1);
-  reg.histogram(metric::kTelemetryRequestSeconds, request_seconds_bounds())
-      .observe(record.wall_seconds);
+  if (counted) {
+    reg.counter(metric::kTelemetryRequests).add(1);
+    if (!record.ok) reg.counter(metric::kTelemetryErrors).add(1);
+    reg.histogram(metric::kTelemetryRequestSeconds, request_seconds_bounds())
+        .observe(record.wall_seconds);
+  }
 
   const std::scoped_lock lock(s.sink_mutex);
   if (!s.sink.is_open()) return;
@@ -440,8 +442,9 @@ void RequestScope::finish(RequestRecord record) {
   record.trace_hi = ctx_.trace_hi;
   record.trace_lo = ctx_.trace_lo;
   // Logged before the span closes, so the record's timestamp falls inside
-  // the span on the one epoch.
-  log_request(record);
+  // the span on the one epoch. A nested scope works on its root's behalf,
+  // and a released root is counted at its later service_serve record.
+  log_request(record, /*counted=*/root_ && !closed_);
   if (!closed_) close(record);
 }
 

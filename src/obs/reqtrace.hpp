@@ -247,11 +247,15 @@ void finish_request(const TraceContext& ctx, const RequestRecord& record,
 /// root's later finish_request.
 void note_child_verdict(const TraceContext& ctx, const RequestRecord& record);
 
-/// Log one finished request: stamp seq and ts_us, bump telemetry.requests,
-/// telemetry.errors and the telemetry.request_seconds histogram, push the
-/// record into the request ring and append it to the sink. No-op while
-/// disabled.
-void log_request(RequestRecord record);
+/// Log one finished request: stamp seq and ts_us, push the record into the
+/// request ring and append it to the sink. A `counted` record also bumps
+/// telemetry.requests, telemetry.errors and the telemetry.request_seconds
+/// histogram, so those count each request once: its root scope's record,
+/// or for an admitted service request the "service_serve" record, not the
+/// admission's. Records of work done on a request's behalf (a nested
+/// scope: a batch's evaluate_batch, a registration's compile_self) are
+/// logged uncounted. No-op while disabled.
+void log_request(RequestRecord record, bool counted = true);
 
 /// The request ring, oldest first. Torn slots skipped.
 [[nodiscard]] std::vector<RequestRecord> records();

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -499,6 +500,46 @@ TEST(FusedP2M, BatchApplyEqualsSingleAppliesBitwise) {
               EXPECT_EQ(bits(b.imag()), bits(want.imag()))
                   << "p=" << p << " K=" << k << " col=" << col << " n=" << n << " m=" << m;
             }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(FusedM2P, PairKernelEqualsScalarBitwise) {
+  // Each lane of m2p_pair() must carry the bits of its own m2p() at every
+  // degree (the unrolled kernels up to 12 and the runtime-degree one above).
+  // The lanes mix a z-axis direction (rho = 0, e^{i phi} = 1) with an
+  // off-axis one, offsets with -0.0 components, equal centres (the batch
+  // replay's column pairs) and coefficients scaled by 1e+-150.
+  const std::vector<Vec3> points = {{-0.0, 0.0, 0.0}, {0.5, -0.0, -0.25}};
+  const std::vector<Vec3> centers = {{0.0, 0.0, 2.5},  {0.5, 0.0, -1.95}, {1.3, -0.7, 2.0},
+                                     {0.0, 1.9, 0.4},  {-2.2, 0.0, 0.9}};
+  const double scales[] = {1.0, 1e150, 1e-150};
+  for (int p = 0; p <= kMaxDegree; ++p) {
+    std::vector<MultipoleExpansion> m;
+    for (std::size_t c = 0; c < centers.size(); ++c) {
+      const Cloud cloud = make_cloud(40 + c, centers[c], 0.3, 12);
+      m.emplace_back(p);
+      p2m(cloud.center, cloud.pos, cloud.q, m.back());
+    }
+    for (const Vec3& x : points) {
+      for (std::size_t a = 0; a < centers.size(); ++a) {
+        for (std::size_t b = 0; b < centers.size(); ++b) {
+          for (std::size_t s = 0; s < std::size(scales); ++s) {
+            MultipoleExpansion ma = m[a];
+            MultipoleExpansion mb = m[b];
+            for (Complex& v : ma.data()) v *= scales[s];
+            for (Complex& v : mb.data()) v *= scales[(s + 1) % std::size(scales)];
+            const std::array<double, 2> pair = m2p_pair(ma, centers[a], mb, centers[b], x);
+            const double want_a = m2p(ma, centers[a], x);
+            const double want_b = m2p(mb, centers[b], x);
+            ASSERT_TRUE(std::isfinite(want_a) && std::isfinite(want_b)) << "p=" << p;
+            EXPECT_EQ(bits(pair[0]), bits(want_a))
+                << "p=" << p << " point=" << x << " a=" << a << " b=" << b << " s=" << s;
+            EXPECT_EQ(bits(pair[1]), bits(want_b))
+                << "p=" << p << " point=" << x << " a=" << a << " b=" << b << " s=" << s;
           }
         }
       }

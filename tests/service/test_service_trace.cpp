@@ -21,6 +21,7 @@
 
 #include "dist/distributions.hpp"
 #include "obs/json.hpp"
+#include "obs/metric_names.hpp"
 #include "obs/metrics.hpp"
 #include "obs/reqtrace.hpp"
 #include "service/eval_service.hpp"
@@ -196,6 +197,56 @@ TEST_F(ServiceTraceTest, CancelledQueuedRequestsAreTailKept) {
     ++cancelled_records;
   }
   EXPECT_EQ(cancelled_records, 2u);
+}
+
+TEST_F(ServiceTraceTest, RequestLogCountsEachRequestOnce) {
+  // treecode-inspect --service --evals 8's shape: two tenants, eight
+  // submissions each. The log holds every record (admissions, serves,
+  // registrations and the engine calls made on their behalf), but
+  // telemetry.requests counts 16 served requests plus 2 registrations.
+  enable_tracing(/*seed=*/1, /*sample_rate=*/0.0);
+  service::EvalService svc(
+      service::EvalService::Options{.start_scheduler = false});
+  const char* names[2] = {"cloud-a", "cloud-b"};
+  for (std::uint64_t t = 0; t < 2; ++t) {
+    const ParticleSystem ps = dist::uniform_cube(300 + 100 * t, 42 + t);
+    ASSERT_TRUE(svc.try_register_tenant(names[t], ps, {}, tenant_options()).ok());
+  }
+  std::vector<service::EvalService::Ticket> tickets;
+  for (std::uint64_t t = 0; t < 2; ++t) {
+    for (std::uint64_t i = 0; i < 8; ++i) {
+      auto ticket = svc.try_submit(names[t], charges_for(300 + 100 * t, 10 * t + i));
+      ASSERT_TRUE(ticket.ok());
+      tickets.push_back(std::move(ticket).value());
+    }
+  }
+  while (svc.pump() > 0) {
+  }
+  for (auto& ticket : tickets) ASSERT_TRUE(ticket.wait().ok());
+
+  std::size_t submits = 0;
+  std::size_t serves = 0;
+  std::size_t batches = 0;
+  for (const rt::RequestRecord& record : rt::records()) {
+    const std::string api = record.api;
+    submits += api == "service_submit" ? 1 : 0;
+    serves += api == "service_serve" ? 1 : 0;
+    batches += api == "evaluate_batch" ? 1 : 0;
+  }
+  EXPECT_EQ(submits, 16u);
+  EXPECT_EQ(serves, 16u);
+  EXPECT_GT(batches, 0u);
+  const auto count = [](const char* name) {
+    return obs::registry().snapshot().counters.at(name);
+  };
+  EXPECT_EQ(count(obs::metric::kTelemetryRequests), 18u);
+  EXPECT_EQ(obs::registry().snapshot().histograms.at(obs::metric::kTelemetryRequestSeconds).total,
+            18u);
+
+  // A rejected submission has no serve record: its own record counts.
+  EXPECT_FALSE(svc.try_submit("no-such-tenant", charges_for(300, 1)).ok());
+  EXPECT_EQ(count(obs::metric::kTelemetryRequests), 19u);
+  EXPECT_EQ(count(obs::metric::kTelemetryErrors), 1u);
 }
 
 TEST_F(ServiceTraceTest, PerTenantLatencySummarySurfacesInStateJson) {
