@@ -12,6 +12,8 @@
 #include <random>
 #include <string>
 
+#include "core/degree_policy.hpp"
+#include "core/interaction_walk.hpp"
 #include "dist/distributions.hpp"
 #include "geom/hilbert.hpp"
 #include "multipole/operators.hpp"
@@ -19,6 +21,7 @@
 #include "obs/instrument.hpp"
 #include "obs/report.hpp"
 #include "obs/reqtrace.hpp"
+#include "obs/spans.hpp"
 #include "tree/octree.hpp"
 
 namespace {
@@ -50,7 +53,7 @@ void BM_P2M(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * static_cast<long long>(f.pos.size()));
 }
-BENCHMARK(BM_P2M)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
+BENCHMARK(BM_P2M)->Arg(2)->Arg(4)->DenseRange(8, 11)->Arg(16);
 
 // The refresh half of replayed P2M, beside BM_P2M: the same 64 sources
 // applied from a stored p2m basis (bitwise-equal to p2m()).
@@ -355,7 +358,28 @@ void BM_TreeBuild(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_TreeBuild)->Arg(10'000)->Arg(100'000);
+BENCHMARK(BM_TreeBuild)->Arg(6'000)->Arg(10'000)->Arg(100'000);
+
+// The cold upward pass of one bh-cold-sized instance: P2M of every node of
+// a 6,000-particle overlapped-Gaussian tree at its Theorem-3 degree
+// (alpha 0.5, p_min 4), over a pool of width 1 or 4.
+void BM_BuildMultipoles(benchmark::State& state) {
+  const ParticleSystem ps = dist::overlapped_gaussians(6'000, 8, 3);
+  const Tree tree(ps);
+  EvalConfig config;
+  config.alpha = 0.5;
+  config.degree = 4;
+  config.mode = DegreeMode::kAdaptive;
+  const DegreeAssignment degrees = assign_degrees(tree, config);
+  ThreadPool pool(static_cast<unsigned>(state.range(0)));
+  for (auto _ : state) {
+    const std::vector<MultipoleExpansion> m =
+        build_multipoles(tree, degrees.degree, tree.charges(), &pool, obs::span::kBhP2mWorker);
+    benchmark::DoNotOptimize(m.data());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<long long>(tree.num_nodes()));
+}
+BENCHMARK(BM_BuildMultipoles)->Arg(1)->Arg(4)->UseRealTime();
 
 /// Remove `--metrics-out path` / `--metrics-out=path` from argv (returning
 /// the path) so benchmark::Initialize's strict flag parser never sees it.

@@ -32,7 +32,8 @@ DipoleBarnesHutEvaluator::DipoleBarnesHutEvaluator(const Tree& tree, const EvalC
   const auto& nodes = tree_.nodes();
   multipoles_.resize(nodes.size());
   const auto& pos = tree_.positions();
-  for_each_node(pool, nodes.size(), obs::span::kDipoleBhP2mWorker, [&](std::size_t i) {
+  const NodeCost cost = [&](std::size_t i) { return p2m_cost(nodes[i], degrees_.degree[i]); };
+  for_each_node(pool, nodes.size(), cost, obs::span::kDipoleBhP2mWorker, [&](std::size_t i) {
     const TreeNode& node = nodes[i];
     if (node.count() == 0) return;
     multipoles_[i].reset(degrees_.degree[i]);

@@ -100,18 +100,48 @@ void TargetRows::scatter(const Tree& tree, bool self, std::span<EvalResult> resu
   }
 }
 
-void for_each_node(ThreadPool* pool, std::size_t count, const char* worker_span,
-                   const std::function<void(std::size_t)>& fn) {
-  if (pool != nullptr && pool->width() > 1) {
-    parallel_for(
-        *pool, count, 8,
-        [&](std::size_t b, std::size_t e, unsigned) {
-          for (std::size_t i = b; i < e; ++i) fn(i);
-        },
-        nullptr, worker_span);
-  } else {
-    for (std::size_t i = 0; i < count; ++i) fn(i);
+std::vector<std::size_t> node_run_ends(std::size_t count, const NodeCost& cost,
+                                       unsigned width) {
+  constexpr std::size_t kRunNodes = 8;
+  std::uint64_t total = 0;
+  for (std::size_t i = 0; i < count; ++i) total += cost(i);
+  const std::uint64_t share = std::max<std::uint64_t>(1, total / (4 * std::uint64_t{width}));
+  std::vector<std::size_t> ends;
+  std::size_t begin = 0;
+  std::uint64_t run_cost = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::uint64_t c = cost(i);
+    if (i > begin && c >= share) {  // a heavy index starts its own run
+      ends.push_back(i);
+      begin = i;
+      run_cost = 0;
+    }
+    run_cost += c;
+    if (i + 1 - begin == kRunNodes || run_cost >= share) {
+      ends.push_back(i + 1);
+      begin = i + 1;
+      run_cost = 0;
+    }
   }
+  if (begin < count) ends.push_back(count);
+  return ends;
+}
+
+void for_each_node(ThreadPool* pool, std::size_t count, const NodeCost& cost,
+                   const char* worker_span, const std::function<void(std::size_t)>& fn) {
+  if (pool == nullptr || pool->width() <= 1) {
+    for (std::size_t i = 0; i < count; ++i) fn(i);
+    return;
+  }
+  const std::vector<std::size_t> ends = node_run_ends(count, cost, pool->width());
+  parallel_for(
+      *pool, ends.size(), 1,
+      [&](std::size_t b, std::size_t e, unsigned) {
+        for (std::size_t r = b; r < e; ++r) {
+          for (std::size_t i = r == 0 ? 0 : ends[r - 1]; i < ends[r]; ++i) fn(i);
+        }
+      },
+      nullptr, worker_span);
 }
 
 std::vector<MultipoleExpansion> build_multipoles(const Tree& tree, std::span<const int> degree,
@@ -119,7 +149,8 @@ std::vector<MultipoleExpansion> build_multipoles(const Tree& tree, std::span<con
                                                  ThreadPool* pool, const char* worker_span) {
   std::vector<MultipoleExpansion> multipoles(tree.nodes().size());
   const auto& pos = tree.positions();
-  for_each_node(pool, multipoles.size(), worker_span, [&](std::size_t i) {
+  const NodeCost cost = [&](std::size_t i) { return p2m_cost(tree.node(i), degree[i]); };
+  for_each_node(pool, multipoles.size(), cost, worker_span, [&](std::size_t i) {
     const TreeNode& node = tree.node(i);
     if (node.count() == 0) return;
     multipoles[i].reset(degree[i]);

@@ -241,10 +241,31 @@ struct TargetRows {
   std::vector<double> bound;
 };
 
-/// Run fn(i) for every node index i in [0, count): over `pool` in blocks of
-/// eight nodes, or inline when there is no pool or it is one wide.
-void for_each_node(ThreadPool* pool, std::size_t count, const char* worker_span,
-                   const std::function<void(std::size_t)>& fn);
+/// P2M work of one node at `degree`: particles times coefficients.
+[[nodiscard]] inline std::uint64_t p2m_cost(const TreeNode& node, int degree) noexcept {
+  return static_cast<std::uint64_t>(node.count()) * tri_size(degree);
+}
+
+/// Per-index work, the weight for_each_node schedules by.
+using NodeCost = std::function<std::uint64_t(std::size_t)>;
+
+/// The runs for_each_node hands out at pool width `width`, as their end
+/// indices in order (run r covers [ends[r-1], ends[r]), the first from 0).
+/// A run holds at most eight consecutive indices and closes once its cost
+/// reaches total / (4 * width); an index whose own cost reaches that share
+/// starts a run of its own. Without such shares the runs are the old fixed
+/// blocks of eight.
+std::vector<std::size_t> node_run_ends(std::size_t count, const NodeCost& cost,
+                                       unsigned width);
+
+/// Run fn(i) for every index i in [0, count): inline when there is no pool
+/// or it is one wide, else over `pool`, whose workers claim node_run_ends()
+/// runs in index order. Parents precede their children in node order, so
+/// the root and the top levels (whose P2M spans most particles at the
+/// highest degrees) run alone or in short runs and are claimed first,
+/// instead of sharing one eight-node block while the other workers idle.
+void for_each_node(ThreadPool* pool, std::size_t count, const NodeCost& cost,
+                   const char* worker_span, const std::function<void(std::size_t)>& fn);
 
 /// The upward pass: P2M of every non-empty node, from its own particles, to
 /// its Theorem-3 degree; `charges` are in tree-sorted order.

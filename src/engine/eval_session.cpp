@@ -630,7 +630,8 @@ Expected<void> EvalSession::try_ensure_refreshed(const EvalPlan& plan) {
 
   cover_p2m_basis(stale_);
   try {
-    for_each_node(&pool_, stale_.size(), obs::span::kEngineRefreshWorker, [&](std::size_t j) {
+    for_each_node(&pool_, stale_.size(), p2m_cost_of(stale_), obs::span::kEngineRefreshWorker,
+                  [&](std::size_t j) {
       const auto nu = static_cast<std::size_t>(stale_[j]);
       MultipoleExpansion& m = multipoles_[nu];
       // First build allocates to the node's assigned degree; later
@@ -650,6 +651,13 @@ Expected<void> EvalSession::try_ensure_refreshed(const EvalPlan& plan) {
   }
   obs::registry().counter(obs::metric::kEngineNodesRefreshed).add(stale_.size());
   return {};
+}
+
+NodeCost EvalSession::p2m_cost_of(std::span<const std::int32_t> node_ids) const {
+  return [this, node_ids](std::size_t j) {
+    const auto nu = static_cast<std::size_t>(node_ids[j]);
+    return p2m_cost(tree_.node(nu), degrees_.degree[nu]);
+  };
 }
 
 void EvalSession::build_node_multipoles(std::size_t nu, const double* sorted_charges,
@@ -718,7 +726,8 @@ void EvalSession::cover_p2m_basis(std::span<const std::int32_t> node_ids) {
   try {
     p2m_basis_pool_.resize(pool_size);
     p2m_reservation_.absorb(std::move(growth));
-    for_each_node(&pool_, fresh.size(), obs::span::kEngineRefreshWorker, [&](std::size_t j) {
+    for_each_node(&pool_, fresh.size(), p2m_cost_of(fresh), obs::span::kEngineRefreshWorker,
+                  [&](std::size_t j) {
       const auto nu = static_cast<std::size_t>(fresh[j]);
       const TreeNode& node = nodes[nu];
       const int deg = degrees_.degree[nu];
@@ -1117,7 +1126,8 @@ Expected<std::vector<EvalResult>> EvalSession::try_evaluate_batch_impl(
       for (std::size_t si = 0; si < orig.size(); ++si) col[si] = src[orig[si]];
     }
     cover_p2m_basis(plan.m2p_nodes);
-    for_each_node(&pool_, num_m2p, obs::span::kEngineRefreshWorker, [&](std::size_t j) {
+    for_each_node(&pool_, num_m2p, p2m_cost_of(plan.m2p_nodes), obs::span::kEngineRefreshWorker,
+                  [&](std::size_t j) {
       const auto nu = static_cast<std::size_t>(plan.m2p_nodes[j]);
       m2p_slot[nu] = static_cast<std::int32_t>(j);
       const std::span<MultipoleExpansion> out(batch_m.data() + j * k, k);

@@ -83,6 +83,7 @@
 /// evaluate all mutate session state (cache, epochs, multipoles).
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -260,6 +261,9 @@ class EvalSession {
   /// session's pool (shared by the refresh and the batch). Never fails:
   /// uncovered nodes rebuild through the full kernel.
   void cover_p2m_basis(std::span<const std::int32_t> node_ids);
+  /// for_each_node's cost of index j: the P2M work of node node_ids[j].
+  std::function<std::uint64_t(std::size_t)> p2m_cost_of(
+      std::span<const std::int32_t> node_ids) const;
   /// Build node `nu`'s (reset or cleared) expansions: out[c] from the
   /// tree-sorted charge column at sorted_charges + c * stride, through the
   /// p2m basis when covered (one basis pass for every column) — bitwise the

@@ -11,8 +11,12 @@
 ///
 /// The implementation uses John Skilling's transpose-form algorithm
 /// ("Programming the Hilbert curve", AIP Conf. Proc. 707, 2004): axes are
-/// converted in place to the transposed Hilbert index with O(bits) bit
-/// manipulation, then the transpose is interleaved into a single 63-bit key.
+/// converted to the transposed Hilbert index with O(bits) bit manipulation,
+/// then the transpose is interleaved into a single 63-bit key. The encoder
+/// is branchless: mask selects stand in for Skilling's per-bit if/else (an
+/// unpredictable branch per bit and axis), the Gray step's loop is a suffix
+/// XOR, and the interleave is morton_part_bits on each axis, so a key costs
+/// a fixed chain of ALU operations and no mispredictions.
 
 #include <cstdint>
 

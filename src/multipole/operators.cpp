@@ -3,6 +3,8 @@
 #include <array>
 #include <cassert>
 #include <cmath>
+#include <cstring>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -122,26 +124,6 @@ void add_coincident(const Expansion& src, Expansion& dst) {
 }
 
 }  // namespace
-
-void p2m(const Vec3& center, std::span<const Vec3> positions, std::span<const double> charges,
-         MultipoleExpansion& out) {
-  assert(positions.size() == charges.size());
-  const int p = out.degree();
-  assert(p >= 0 && p <= kMaxDegree);
-  double qr[kMaxDegree + 1] = {};  // q rho^n of the current source
-  for (std::size_t i = 0; i < positions.size(); ++i) {
-    const Direction u = direction_of(positions[i] - center);
-    double rho_n = 1.0;  // rho^n, advanced as p2m_apply_basis advances it
-    for (int n = 0; n <= p; ++n) {
-      qr[n] = charges[i] * rho_n;
-      rho_n *= u.r;
-    }
-    // M_n^m += q rho^n Y_n^{-m} = q rho^n conj(Y_n^m)
-    for_each_harmonic(p, u, [&out, &qr](int n, int m, Complex y) {
-      out.coeff(n, m) += qr[n] * std::conj(y);
-    });
-  }
-}
 
 void p2m_basis(int p, const Vec3& center, std::span<const Vec3> positions,
                std::span<double> out) {
@@ -391,6 +373,7 @@ namespace {
 /// bits. No FMA exists at the baseline ISA, and -ffp-contract=off keeps
 /// wider ISAs from fusing (CMakeLists.txt).
 using Lanes = double __attribute__((vector_size(16)));
+using LaneIndex = long long __attribute__((vector_size(16)));
 
 /// Highest degree with an unrolled pair kernel; above it one runtime-degree
 /// instance serves up to kMaxDegree.
@@ -468,17 +451,97 @@ void m2p_pair_kernel(int degree, const Complex* ca, const Complex* cb, const Dir
 using PairKernel = void (*)(int, const Complex*, const Complex*, const Direction&,
                             const Direction&, double*) noexcept;
 
-template <std::size_t... P>
-constexpr std::array<PairKernel, kMaxDegree + 1> pair_kernels(std::index_sequence<P...>) {
-  std::array<PairKernel, kMaxDegree + 1> table{};
-  ((table[P] = &m2p_pair_kernel<static_cast<int>(P)>), ...);
-  for (std::size_t p = sizeof...(P); p < table.size(); ++p) table[p] = &m2p_pair_kernel<-1>;
+/// One kernel per degree 0..kMaxDegree: pick(integral_constant<int, P>) for
+/// the unrolled degrees P <= kUnrolledPairDegree, pick(...<-1>) above.
+template <typename Pick, std::size_t... P>
+constexpr auto degree_table(Pick pick, std::index_sequence<P...>) {
+  std::array<decltype(pick(std::integral_constant<int, 0>{})), kMaxDegree + 1> table{};
+  ((table[P] = pick(std::integral_constant<int, static_cast<int>(P)>{})), ...);
+  for (std::size_t p = sizeof...(P); p < table.size(); ++p) {
+    table[p] = pick(std::integral_constant<int, -1>{});
+  }
   return table;
 }
 
 /// The pair kernel of each degree 0..kMaxDegree.
-constexpr std::array<PairKernel, kMaxDegree + 1> kPairKernels =
-    pair_kernels(std::make_index_sequence<kUnrolledPairDegree + 1>{});
+constexpr std::array<PairKernel, kMaxDegree + 1> kPairKernels = degree_table(
+    [](auto P) -> PairKernel { return &m2p_pair_kernel<decltype(P)::value>; },
+    std::make_index_sequence<kUnrolledPairDegree + 1>{});
+
+/// p2m() for two sources at once, lane 0 on (ua, qa) and lane 1 on
+/// (ub, qb): the q rho^n chain, for_each_scaled_legendre()'s recurrence and
+/// the PhaseChain, each as the scalar statements write them. Every
+/// coefficient then takes lane 0's q rho^n conj(Y), then lane 1's (skipped
+/// when !both, for an odd last source), so the sums see p2m()'s additions
+/// in source order. P as in m2p_pair_kernel.
+template <int P>
+void p2m_pair_kernel(int degree, const Direction& ua, const Direction& ub, double qa,
+                     double qb, bool both, Complex* coeff) noexcept {
+  const int p = P >= 0 ? P : degree;
+  const detail::HarmonicTables& t = detail::harmonic_tables();
+  const Lanes x = {ua.cos_theta, ub.cos_theta};
+  const Lanes sin_theta = {ua.sin_theta, ub.sin_theta};
+  const Lanes c = {ua.eiphi.real(), ub.eiphi.real()};  // PhaseChain
+  const Lanes s = {ua.eiphi.imag(), ub.eiphi.imag()};
+  Lanes er = {1.0, 1.0};
+  Lanes ei = {0.0, 0.0};
+  Lanes qr[P >= 0 ? P + 1 : kMaxDegree + 1];  // q rho^n per lane
+  {
+    const Lanes q = {qa, qb};
+    const Lanes r = {ua.r, ub.r};
+    Lanes rho_n = {1.0, 1.0};
+#pragma GCC unroll 16
+    for (int n = 0; n <= p; ++n) {
+      qr[n] = q * rho_n;
+      rho_n *= r;
+    }
+  }
+  // M_n^m += q rho^n conj(Y_n^m), conj(Y) = (v er, -(v ei)), v = norm P_n^m.
+  const auto add = [&](int n, std::size_t i, Lanes pnm) {
+    const Lanes v = t.norm[i] * pnm;
+    const Lanes re = qr[n] * (v * er);
+    const Lanes im = qr[n] * -(v * ei);
+    // coeff[i] as one (Re, Im) vector takes lane 0's (re, im), then lane 1's.
+    double* cell = reinterpret_cast<double*>(&coeff[i]);  // [complex.numbers]
+    Lanes sum;
+    std::memcpy(&sum, cell, sizeof sum);
+    sum += __builtin_shuffle(re, im, LaneIndex{0, 2});
+    if (both) sum += __builtin_shuffle(re, im, LaneIndex{1, 3});
+    std::memcpy(cell, &sum, sizeof sum);
+  };
+  Lanes pmm = {1.0, 1.0};
+#pragma GCC unroll 16
+  for (int m = 0; m <= p; ++m) {
+    std::size_t i = tri_index(m, m);
+    add(m, i, pmm);
+    if (m < p) {
+      Lanes p2 = pmm;
+      Lanes p1 = x * static_cast<double>(2 * m + 1) * pmm;
+      i += static_cast<std::size_t>(m) + 1;
+      add(m + 1, i, p1);
+#pragma GCC unroll 16
+      for (int n = m + 2; n <= p; ++n) {
+        i += static_cast<std::size_t>(n);
+        const Lanes pn = t.a[i] * x * p1 - t.b[i] * p2;
+        add(n, i, pn);
+        p2 = p1;
+        p1 = pn;
+      }
+    }
+    pmm *= static_cast<double>(-(2 * m + 1)) * sin_theta;
+    const Lanes er_next = er * c - ei * s;
+    ei = er * s + ei * c;
+    er = er_next;
+  }
+}
+
+using P2mPairKernel = void (*)(int, const Direction&, const Direction&, double, double, bool,
+                               Complex*) noexcept;
+
+/// The p2m pair kernel of each degree 0..kMaxDegree.
+constexpr std::array<P2mPairKernel, kMaxDegree + 1> kP2mPairKernels = degree_table(
+    [](auto P) -> P2mPairKernel { return &p2m_pair_kernel<decltype(P)::value>; },
+    std::make_index_sequence<kUnrolledPairDegree + 1>{});
 
 }  // namespace
 
@@ -494,6 +557,25 @@ std::array<double, 2> m2p_pair(const MultipoleExpansion& a, const Vec3& center_a
   kPairKernels[static_cast<std::size_t>(p)](p, a.data().data(), b.data().data(), ua, ub,
                                             out.data());
   return out;
+}
+
+void p2m(const Vec3& center, std::span<const Vec3> positions, std::span<const double> charges,
+         MultipoleExpansion& out) {
+  assert(positions.size() == charges.size());
+  const int p = out.degree();
+  assert(p >= 0 && p <= kMaxDegree);
+  const P2mPairKernel kernel = kP2mPairKernels[static_cast<std::size_t>(p)];
+  Complex* coeff = out.data().data();
+  const std::size_t count = positions.size();
+  std::size_t i = 0;
+  for (; i + 2 <= count; i += 2) {
+    kernel(p, direction_of(positions[i] - center), direction_of(positions[i + 1] - center),
+           charges[i], charges[i + 1], /*both=*/true, coeff);
+  }
+  if (i < count) {
+    const Direction u = direction_of(positions[i] - center);
+    kernel(p, u, u, charges[i], charges[i], /*both=*/false, coeff);
+  }
 }
 
 void m2p_basis(int p, const Vec3& center, const Vec3& point, std::span<double> out) {

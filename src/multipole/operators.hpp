@@ -33,6 +33,9 @@ namespace treecode {
 
 /// Accumulate the multipole expansion of point charges about `center` into
 /// `out` (which fixes the degree). Positions/charges are parallel spans.
+/// Sources run two at a time as the lanes of one 16-byte vector (as in
+/// m2p_pair); each coefficient takes the two contributions in source
+/// order, so the result is bitwise that of one source at a time.
 void p2m(const Vec3& center, std::span<const Vec3> positions, std::span<const double> charges,
          MultipoleExpansion& out);
 

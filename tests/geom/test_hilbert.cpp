@@ -9,6 +9,67 @@
 namespace treecode {
 namespace {
 
+/// Skilling's loop encoder as hilbert_encode() first shipped it: per-bit
+/// if/else in the inverse undo and the Gray step, then a bit-at-a-time
+/// interleave. The branchless encoder must reproduce every key it gives.
+std::uint64_t reference_hilbert_encode(std::uint32_t xi, std::uint32_t yi,
+                                       std::uint32_t zi) {
+  constexpr int kBits = kSfcBitsPerAxis;
+  std::uint32_t x[3] = {xi, yi, zi};
+  const std::uint32_t m = 1u << (kBits - 1);
+  for (std::uint32_t q = m; q > 1; q >>= 1) {
+    const std::uint32_t p = q - 1;
+    for (int i = 0; i < 3; ++i) {
+      if (x[i] & q) {
+        x[0] ^= p;
+      } else {
+        const std::uint32_t t = (x[0] ^ x[i]) & p;
+        x[0] ^= t;
+        x[i] ^= t;
+      }
+    }
+  }
+  for (int i = 1; i < 3; ++i) x[i] ^= x[i - 1];
+  std::uint32_t t = 0;
+  for (std::uint32_t q = m; q > 1; q >>= 1) {
+    if (x[2] & q) t ^= q - 1;
+  }
+  for (int i = 0; i < 3; ++i) x[i] ^= t;
+  std::uint64_t key = 0;
+  for (int b = kBits - 1; b >= 0; --b) {
+    for (int i = 0; i < 3; ++i) key = (key << 1) | ((x[i] >> b) & 1u);
+  }
+  return key;
+}
+
+TEST(Hilbert, EncodeMatchesSkillingReference) {
+  // Exhaustive on a 128^3 grid placed at the low, middle and high bits of
+  // the 21-bit axes, then random full-width triples.
+  std::size_t mismatches = 0;
+  for (const int shift : {0, 7, 14}) {
+    for (std::uint32_t x = 0; x < 128; ++x) {
+      for (std::uint32_t y = 0; y < 128; ++y) {
+        for (std::uint32_t z = 0; z < 128; ++z) {
+          const std::uint32_t a = x << shift, b = y << shift, c = z << shift;
+          if (hilbert_encode(a, b, c) != reference_hilbert_encode(a, b, c) &&
+              ++mismatches <= 5) {
+            ADD_FAILURE() << "x=" << a << " y=" << b << " z=" << c;
+          }
+        }
+      }
+    }
+  }
+  std::mt19937_64 rng(21);
+  std::uniform_int_distribution<std::uint32_t> u(0, (1u << kSfcBitsPerAxis) - 1);
+  for (int i = 0; i < 1'000'000; ++i) {
+    const std::uint32_t a = u(rng), b = u(rng), c = u(rng);
+    if (hilbert_encode(a, b, c) != reference_hilbert_encode(a, b, c) && ++mismatches <= 5) {
+      ADD_FAILURE() << "x=" << a << " y=" << b << " z=" << c;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
 TEST(Hilbert, EncodeDecodeRoundTrip) {
   std::mt19937_64 rng(2);
   std::uniform_int_distribution<std::uint32_t> u(0, (1u << kSfcBitsPerAxis) - 1);

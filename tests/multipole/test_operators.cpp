@@ -547,6 +547,64 @@ TEST(FusedM2P, PairKernelEqualsScalarBitwise) {
   }
 }
 
+/// p2m() as it ran before its two-lane kernel: one source at a time, the
+/// q rho^n chain and then for_each_harmonic()'s Y_n^m folded as
+/// coeff += q rho^n conj(Y). The lane kernel must reproduce its bits.
+void reference_p2m(const Vec3& center, std::span<const Vec3> positions,
+                   std::span<const double> charges, MultipoleExpansion& out) {
+  const int p = out.degree();
+  double qr[kMaxDegree + 1] = {};
+  for (std::size_t i = 0; i < positions.size(); ++i) {
+    const Direction u = direction_of(positions[i] - center);
+    double rho_n = 1.0;
+    for (int n = 0; n <= p; ++n) {
+      qr[n] = charges[i] * rho_n;
+      rho_n *= u.r;
+    }
+    for_each_harmonic(p, u, [&out, &qr](int n, int m, Complex y) {
+      out.coeff(n, m) += qr[n] * std::conj(y);
+    });
+  }
+}
+
+TEST(FusedP2M, PairLanesEqualScalarBitwise) {
+  // Every degree (the unrolled kernels up to 12 and the runtime-degree one
+  // above), odd and even source counts (an odd count ends on a one-lane
+  // call), and sources at the center (r = 0) and on the z axis on either
+  // side (rho = 0, with -0.0 components) in either lane of a pair.
+  Cloud c = make_cloud(31, {0.2, -0.1, 0.3}, 0.45, 17);
+  const std::vector<Vec3> special = {{0, 0, 0}, {0, 0, 0.25}, {-0.0, 0.0, -0.3},
+                                     {-0.0, 0.2, 0.1}, {0, 0, 0}};
+  for (std::size_t k = 0; k < special.size(); ++k) {
+    const auto at = static_cast<std::ptrdiff_t>(3 * k);  // lanes 0, 1, 0, 1, 0
+    c.pos.insert(c.pos.begin() + at, c.center + special[k]);
+    c.q.insert(c.q.begin() + at, k % 2 == 0 ? 0.7 : -1.3);
+  }
+  for (int p = 0; p <= kMaxDegree; ++p) {
+    for (const std::size_t count : {std::size_t{1}, std::size_t{2}, std::size_t{5},
+                                    std::size_t{12}, c.pos.size() - 1, c.pos.size()}) {
+      const std::span<const Vec3> pos(c.pos.data(), count);
+      const std::span<const double> q(c.q.data(), count);
+      MultipoleExpansion lanes(p);
+      p2m(c.center, pos, q, lanes);
+      MultipoleExpansion scalar(p);
+      reference_p2m(c.center, pos, q, scalar);
+      for (int n = 0; n <= p; ++n) {
+        for (int m = 0; m <= n; ++m) {
+          const Complex a = lanes.coeff(n, m);
+          const Complex b = scalar.coeff(n, m);
+          ASSERT_TRUE(std::isfinite(b.real()) && std::isfinite(b.imag()))
+              << "p=" << p << " n=" << n << " m=" << m;
+          EXPECT_EQ(bits(a.real()), bits(b.real()))
+              << "p=" << p << " count=" << count << " n=" << n << " m=" << m;
+          EXPECT_EQ(bits(a.imag()), bits(b.imag()))
+              << "p=" << p << " count=" << count << " n=" << n << " m=" << m;
+        }
+      }
+    }
+  }
+}
+
 TEST(EvalBasis, SizeContracts) {
   // A basis entry is a three-double header ([1/r or rho, cos phi, sin phi])
   // plus one scaled Legendre value per (n, m >= 0).
