@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstring>
 #include <random>
+#include <span>
 #include <string>
 
 #include "core/degree_policy.hpp"
@@ -55,23 +56,28 @@ void BM_P2M(benchmark::State& state) {
 }
 BENCHMARK(BM_P2M)->Arg(2)->Arg(4)->DenseRange(8, 11)->Arg(16);
 
-// The refresh half of replayed P2M, beside BM_P2M: the same 64 sources
-// applied from a stored p2m basis (bitwise-equal to p2m()).
-void BM_P2M_ApplyBasis(benchmark::State& state) {
+// K charge columns over the same 64 sources (the batch refresh): the
+// harmonics run once per source for every column. Items are sources times
+// columns, so time per item compares with BM_P2M's per source.
+void BM_P2M_Batch(benchmark::State& state) {
   const Fixture f;
-  const int p = static_cast<int>(state.range(0));
-  std::vector<double> basis(p2m_basis_size(p, f.pos.size()));
-  p2m_basis(p, f.center, f.pos, basis);
-  MultipoleExpansion m(p);
+  const auto k = static_cast<std::size_t>(state.range(0));
+  const int p = static_cast<int>(state.range(1));
+  std::vector<std::vector<double>> q(k, f.q);
+  for (std::size_t c = 0; c < k; ++c) {
+    for (double& x : q[c]) x *= static_cast<double>(c + 1);
+  }
+  const std::vector<std::span<const double>> columns(q.begin(), q.end());
+  std::vector<MultipoleExpansion> m(k, MultipoleExpansion(p));
   for (auto _ : state) {
-    m.clear();
-    p2m_apply_basis(f.q, basis.data(), m);
-    benchmark::DoNotOptimize(m.data().data());
+    for (MultipoleExpansion& e : m) e.clear();
+    p2m_batch(f.center, f.pos, columns, m);
+    benchmark::DoNotOptimize(m.data());
     benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(state.iterations() * static_cast<long long>(f.pos.size()));
+  state.SetItemsProcessed(state.iterations() * static_cast<long long>(k * f.pos.size()));
 }
-BENCHMARK(BM_P2M_ApplyBasis)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
+BENCHMARK(BM_P2M_Batch)->ArgsProduct({{2, 8}, {4, 8}});
 
 void BM_M2P(benchmark::State& state) {
   const Fixture f;
@@ -150,59 +156,30 @@ void BM_M2P_PairCold(benchmark::State& state) {
 }
 BENCHMARK(BM_M2P_PairCold)->DenseRange(4, 10);
 
-// The two halves of replayed M2P, beside BM_M2P (the fused on-the-fly
-// kernel) at the same degrees: filling one target's basis, and applying an
-// expansion to a stored basis (bitwise-equal to m2p()).
-void BM_M2P_Basis(benchmark::State& state) {
+// K expansions about one centre evaluated at one point (the batch replay's
+// M2P entry): one direction and one harmonic recurrence for every column.
+// Items are column evaluations, comparable with BM_M2P_Pair's.
+void BM_M2P_Batch(benchmark::State& state) {
   const Fixture f;
-  const int p = static_cast<int>(state.range(0));
-  std::vector<double> basis(m2p_basis_size(p));
-  const Vec3 point{3.0, 2.0, 1.0};
-  for (auto _ : state) {
-    m2p_basis(p, f.center, point, basis);
-    benchmark::DoNotOptimize(basis.data());
-    benchmark::ClobberMemory();
-  }
-}
-BENCHMARK(BM_M2P_Basis)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
-
-void BM_M2P_ApplyBasis(benchmark::State& state) {
-  const Fixture f;
-  const int p = static_cast<int>(state.range(0));
-  MultipoleExpansion m(p);
-  p2m(f.center, f.pos, f.q, m);
-  std::vector<double> basis(m2p_basis_size(p));
-  m2p_basis(p, f.center, {3.0, 2.0, 1.0}, basis);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(m2p_apply_basis(m, basis.data()));
-  }
-}
-BENCHMARK(BM_M2P_ApplyBasis)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
-
-// One stored basis applied to K = 8 expansions at once (the batch replay's
-// column width): per iteration, the work of eight BM_M2P_ApplyBasis.
-void BM_M2P_ApplyBasisBatch(benchmark::State& state) {
-  constexpr std::size_t kColumns = 8;
-  const Fixture f;
-  const int p = static_cast<int>(state.range(0));
+  const auto k = static_cast<std::size_t>(state.range(0));
+  const int p = static_cast<int>(state.range(1));
   std::vector<MultipoleExpansion> m;
-  for (std::size_t c = 0; c < kColumns; ++c) {
+  for (std::size_t c = 0; c < k; ++c) {
     std::vector<double> q = f.q;
     for (double& x : q) x *= static_cast<double>(c + 1);
     m.emplace_back(p);
     p2m(f.center, f.pos, q, m.back());
   }
-  std::vector<double> basis(m2p_basis_size(p));
-  m2p_basis(p, f.center, {3.0, 2.0, 1.0}, basis);
-  double out[kColumns];
+  const Vec3 point{3.0, 2.0, 1.0};
+  std::vector<double> out(k);
   for (auto _ : state) {
-    m2p_apply_basis_batch(m, basis.data(), out);
-    benchmark::DoNotOptimize(out);
+    m2p_batch(m, f.center, point, out);
+    benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(state.iterations() * static_cast<long long>(kColumns));
+  state.SetItemsProcessed(state.iterations() * static_cast<long long>(k));
 }
-BENCHMARK(BM_M2P_ApplyBasisBatch)->Arg(4)->Arg(8);
+BENCHMARK(BM_M2P_Batch)->ArgsProduct({{2, 8}, {4, 8}});
 
 void BM_M2P_Grad(benchmark::State& state) {
   const Fixture f;

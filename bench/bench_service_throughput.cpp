@@ -167,7 +167,7 @@ int main(int argc, char** argv) {
                              static_cast<std::size_t>(submitters);
       svc.try_register_tenant("bem", gauss_particles(quad), mesh.vertices(), topt)
           .value_or_throw();
-      // Warm the plan and basis before timing.
+      // Warm the plan and build the multipoles before timing.
       (void)svc.try_submit("bem", columns[0]).value_or_throw().wait();
 
       Timer timer;

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Validate a request-record JSONL sink (treecode-request-record/v2).
+"""Validate a request-record JSONL sink (treecode-request-record/v3).
 
 Each line must parse as JSON and conform to
 scripts/telemetry_record_schema.json (checked with the same stdlib subset
@@ -30,7 +30,7 @@ _APIS = {
     "service_register", "service_submit", "service_unregister",
     "service_serve",
 }
-_RUNGS = {"basis_replay", "plain_replay", "traversal", "direct", "none"}
+_RUNGS = {"replay", "traversal", "direct", "none"}
 _ZERO_TRACE = "0" * 32
 
 
@@ -92,11 +92,11 @@ def validate_file(path, schema):
 
 def _self_test():
     good = {
-        "schema": "treecode-request-record/v2", "seq": 0, "ts_us": 12,
+        "schema": "treecode-request-record/v3", "seq": 0, "ts_us": 12,
         "api": "evaluate_plan", "plan_key": "0x00000000deadbeef", "rung": 0,
-        "rung_name": "basis_replay", "outcome": "ok", "ok": True,
+        "rung_name": "replay", "outcome": "ok", "ok": True,
         "wall_seconds": 1e-3, "targets": 64, "plan_bytes": 10,
-        "basis_bytes": 20, "deadline_slack_seconds": None,
+        "deadline_slack_seconds": None,
         "audit_max_tightness": 0.5, "threads": 4, "batch_width": 1,
         "trace_id": "0" * 32, "queue_wait_seconds": 0.0, "batch_seq": 0,
     }
@@ -132,6 +132,9 @@ def _self_test():
     v1["schema"] = "treecode-request-record/v1"
     v1["seq"] = 7
     cases.append(([served, v1], False))  # nothing emits v1 any more
+    old_rung = copy.deepcopy(good)
+    old_rung["rung_name"] = "basis_replay"
+    cases.append(([old_rung], False))  # the v2 ladder's rung names are gone
     untraced = copy.deepcopy(good)
     untraced["seq"] = 3  # logged outside any trace: zero id, repeatable
     cases.append(([served, good, untraced], True))
@@ -182,7 +185,7 @@ def main(argv):
         return 1
     with open(path, encoding="utf-8") as f:
         n = sum(1 for line in f if line.strip())
-    print(f"OK {path}: {n} valid treecode-request-record/v2 line(s)")
+    print(f"OK {path}: {n} valid treecode-request-record/v3 line(s)")
     return 0
 
 

@@ -20,7 +20,7 @@ uses). Per-trace structural checks:
 
 With a request-record sink as the second positional argument, the
 tail-sampling invariant is checked against it: every record carrying a
-nonzero trace_id that is errored (ok=false), degraded (rung >= 2: served
+nonzero trace_id that is errored (ok=false), degraded (rung >= 1: served
 by the fresh traversal or direct summation, not by replay) or
 deadline-missed (outcome "deadline") must have its trace retained in the
 export; for fulfilled service requests (api "service_serve", batch_seq > 0)
@@ -48,7 +48,7 @@ _ROOT_KINDS = {"request", "batch"}
 _MAX_FLOWS = 8
 _ZERO_SPAN = "0" * 16
 _ZERO_TRACE = "0" * 32
-_TRAVERSAL_RUNG = 2  # core ServeRung::kTraversal: the first degraded rung
+_TRAVERSAL_RUNG = 1  # core ServeRung::kTraversal: the first degraded rung
 
 
 def _hex_id(value, width):
@@ -287,7 +287,7 @@ def _self_test():
     cases.append(([flows_on_phase, batch], None, False))
 
     serve = {
-        "schema": "treecode-request-record/v2", "api": "service_serve",
+        "schema": "treecode-request-record/v3", "api": "service_serve",
         "trace_id": "11" * 16, "ok": False, "rung": 0, "outcome": "deadline",
         "batch_seq": 1,
     }
@@ -304,12 +304,9 @@ def _self_test():
     healthy["ok"] = True
     healthy["outcome"] = "ok"
     healthy["batch_seq"] = 0  # admission record: retention-only rule
-    cases.append(([], [healthy], True))  # healthy + sampled out is fine
-    plain = copy.deepcopy(healthy)
-    plain["rung"] = 1  # plain replay (a plan without a basis) is healthy
-    cases.append(([], [plain], True))
+    cases.append(([], [healthy], True))  # rung-0 replay, sampled out: fine
     degraded = copy.deepcopy(healthy)
-    degraded["rung"] = 2  # fresh traversal: must be retained
+    degraded["rung"] = 1  # fresh traversal: must be retained
     cases.append(([], [degraded], False))
 
     schema = load_schema("trace_schema.json")

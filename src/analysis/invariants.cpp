@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <limits>
 #include <utility>
 
@@ -11,7 +10,6 @@
 #include "multipole/error_bounds.hpp"
 #include "obs/recorder.hpp"
 #include "multipole/harmonics.hpp"
-#include "multipole/operators.hpp"
 
 namespace treecode::analysis {
 
@@ -468,52 +466,25 @@ InvariantReport check_plan(const engine::EvalPlan& plan, const Tree& tree,
     }
     skipped[s] = 1;
   }
-  const bool have_basis = !plan.basis_offset.empty();
-  if (have_basis && plan.basis_offset.size() != n + 1) {
-    fail(report, "basis_offset has %zu starts for %zu targets, want n + 1",
-         plan.basis_offset.size(), n);
-    return report;
-  }
-  // Starts and pool exist together; the pool is a prefix of the slots.
-  if (have_basis == plan.basis.empty() ||
-      (have_basis &&
-       (plan.basis_offset[0] != 0 || plan.basis_offset[n] < plan.basis.size()))) {
-    fail(report, "basis of %zu doubles does not fit its %zu slot starts", plan.basis.size(),
-         plan.basis_offset.size());
-    return report;
-  }
-
   // ---- Per-entry and per-target checks.
   std::uint64_t m2p_count = 0;
   std::uint64_t p2p_pairs = 0;
   std::uint64_t terms = 0;
   std::vector<char> referenced(num_nodes, 0);
   std::vector<std::pair<std::size_t, std::size_t>> intervals;
-  // Full basis recompute on every entry would triple the check's cost; the
-  // layout and inv_r are verified everywhere, the harmonics on this stride.
-  constexpr std::uint64_t kBasisSampleStride = 997;
-  std::vector<double> basis_scratch;
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint64_t begin = plan.offsets[i];
     const std::uint64_t end = plan.offsets[i + 1];
-    if (skipped[i] != 0 && begin != end) {
-      fail(report, "skipped target %zu owns %llu entries, want 0", i,
-           static_cast<unsigned long long>(end - begin));
-      continue;
-    }
     if (skipped[i] != 0) {
-      if (have_basis && plan.basis_offset[i + 1] != plan.basis_offset[i]) {
-        fail(report, "skipped target %zu owns basis slots", i);
+      if (begin != end) {
+        fail(report, "skipped target %zu owns %llu entries, want 0", i,
+             static_cast<unsigned long long>(end - begin));
       }
       continue;
     }
     const Vec3 x = plan.targets[i];
     double my_bound = 0.0;
     std::uint64_t cost = 0;
-    // Target i's basis slots run consecutively from its start, one per M2P
-    // entry; the pool must end exactly on a slot boundary (the covered
-    // prefix), never inside a slot.
-    std::uint64_t slot = have_basis ? plan.basis_offset[i] : 0;
     intervals.clear();
     bool structural_failure = false;
     for (std::uint64_t idx = begin; idx < end && !structural_failure; ++idx) {
@@ -548,37 +519,9 @@ InvariantReport check_plan(const engine::EvalPlan& plan, const Tree& tree,
         cost += (p + 1) * (p + 1);
         ++m2p_count;
         if (want_bounds) my_bound += plan.entry_bounds[idx];
-        const std::uint64_t off = slot;
-        const std::size_t need = m2p_basis_size(static_cast<int>(p));
-        slot += need;
-        if (off < plan.basis.size() && slot > plan.basis.size()) {
-          fail(report, "target %zu: basis pool (%zu doubles) ends inside the slot at %llu", i,
-               plan.basis.size(), static_cast<unsigned long long>(off));
-        } else if (slot <= plan.basis.size()) {
-          // The precomputed basis must be exactly what m2p would recompute:
-          // 1/r stored bitwise (r is the same norm the MAC check just
-          // evaluated). The full basis is recomputed on a sample.
-          if (plan.basis[off] != 1.0 / r) {
-            fail(report, "target %zu: basis inv_r %.17g != 1/r %.17g for node %d", i,
-                 plan.basis[off], 1.0 / r, ni);
-          }
-          if (idx % kBasisSampleStride == 0) {
-            basis_scratch.resize(need);
-            m2p_basis(static_cast<int>(p), node.center, x, basis_scratch);
-            if (std::memcmp(basis_scratch.data(), plan.basis.data() + off,
-                            need * sizeof(double)) != 0) {
-              fail(report, "target %zu: basis for node %d differs from recompute", i, ni);
-            }
-          }
-        }
       }
     }
     if (structural_failure) continue;
-    if (have_basis && slot != plan.basis_offset[i + 1]) {
-      fail(report, "target %zu: basis slots end at %llu, next target starts at %llu", i,
-           static_cast<unsigned long long>(slot),
-           static_cast<unsigned long long>(plan.basis_offset[i + 1]));
-    }
     if (config.enforce_budget && my_bound > config.error_budget * (1.0 + kRelTol)) {
       fail(report, "target %zu: accumulated bound %.17g exceeds budget %.17g", i, my_bound,
            config.error_budget);

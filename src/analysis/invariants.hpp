@@ -113,10 +113,7 @@ InvariantReport check_eval_result(const EvalResult& result, const EvalConfig& co
 /// leaf-ness of every P2P entry, exact once-per-target source coverage
 /// (skipped targets excepted — they must own zero entries), budget
 /// feasibility of the recorded bound accumulation, refresh-set and
-/// statistics consistency, precomputed-basis layout (per-target slot
-/// starts consecutive, the pool ending on a slot boundary) and values (1/r
-/// in every covered slot, the full basis on a sample), and delegates the
-/// degree law to check_degrees.
+/// statistics consistency, and delegates the degree law to check_degrees.
 InvariantReport check_plan(const engine::EvalPlan& plan, const Tree& tree,
                            const DegreeAssignment& degrees, const EvalConfig& config);
 

@@ -132,11 +132,11 @@ struct EvalConfig {
   std::uint64_t audit_seed = 0;
 
   /// Hard session-wide byte budget for the engine's durable evaluation
-  /// state (compiled plans, evaluation bases, multipole coefficients),
+  /// state (compiled plans, multipole coefficients, batch workspaces),
   /// enforced by the session's ResourceGovernor. A denied reservation never
   /// fails the evaluation outright: the engine steps down its degradation
-  /// ladder (basis replay -> plain replay -> uncompiled traversal ->
-  /// direct P2P) and reports the serving rung in EvalStats::served_rung.
+  /// ladder (plan replay -> uncompiled traversal -> direct P2P) and
+  /// reports the serving rung in EvalStats::served_rung.
   /// 0 (default) = unlimited; the ladder never engages on memory grounds.
   std::size_t memory_budget_bytes = 0;
 
@@ -186,14 +186,13 @@ struct EvalConfig {
 /// The engine's degradation ladder (engine/eval_session.hpp). Rung choice
 /// is driven only by the resource-governor ledger (and injected faults) —
 /// never wall time — so it is bitwise-identical across thread counts.
-/// Rungs 0-2 produce bitwise-identical potentials and Theorem-1 bounds;
-/// rung 3 is exact summation (zero truncation error), so every rung
+/// Rungs 0-1 produce bitwise-identical potentials and Theorem-1 bounds;
+/// rung 2 is exact summation (zero truncation error), so every rung
 /// preserves the error guarantee of the rung above it.
 enum class ServeRung : int {
-  kBasisReplay = 0,  ///< compiled plan + precomputed m2p evaluation basis
-  kPlainReplay = 1,  ///< compiled plan, full m2p kernels (no basis kept)
-  kTraversal = 2,    ///< uncompiled alpha-MAC traversal (no plan kept)
-  kDirect = 3,       ///< per-target direct P2P summation (no multipoles)
+  kReplay = 0,     ///< compiled plan replay
+  kTraversal = 1,  ///< uncompiled alpha-MAC traversal (no plan kept)
+  kDirect = 2,     ///< per-target direct P2P summation (no multipoles)
 };
 
 /// Instrumentation of one evaluation. `multipole_terms` is the paper's
@@ -230,10 +229,10 @@ struct EvalStats {
   std::uint64_t audit_bound_violations = 0;
   double audit_max_tightness = 0.0;
   double audit_mean_tightness = 0.0;
-  /// Degradation-ladder rung that served the evaluation. Always
-  /// kBasisReplay for evaluators outside the engine's ladder (fresh
-  /// Barnes-Hut, FMM, direct): the field is engine-specific reporting.
-  ServeRung served_rung = ServeRung::kBasisReplay;
+  /// Degradation-ladder rung that served the evaluation. Always kReplay
+  /// (0) for evaluators outside the engine's ladder (fresh Barnes-Hut,
+  /// FMM, direct): the field is engine-specific reporting.
+  ServeRung served_rung = ServeRung::kReplay;
   /// kOk, or kDeadline when EvalConfig::deadline_partial returned a
   /// partial result. Hard failures are reported as errors, not here.
   ErrorCode outcome = ErrorCode::kOk;

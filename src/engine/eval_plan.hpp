@@ -80,26 +80,9 @@ struct EvalPlan {
   /// coordinates). They keep their (zero) output slot and own no entries.
   std::vector<std::uint32_t> skipped_targets;
 
-  /// Per-target start of the m2p basis: target i's M2P entries own
-  /// consecutive slots of m2p_basis_size(degree) doubles from
-  /// basis_offset[i] on, in entry order (P2P entries own none), and
-  /// basis_offset[i + 1] is where target i's slots end. Compile lays the
-  /// slots out in schedule order and stops filling at the first entry that
-  /// does not fit the budget, so the covered entries are a prefix of the
-  /// entry stream: an M2P entry whose slot starts at `off` has a basis iff
-  /// off + m2p_basis_size(degree) <= basis.size(); the rest evaluate m2p()
-  /// on the fly. n + 1 values, or empty when no entry has a precomputed
-  /// basis (gradient configs, basis budget exhausted or zero).
+  /// Always empty (plans hold no basis); kept for bench/suite/probes.cpp.
   std::vector<std::uint64_t> basis_offset;
-  /// Pooled m2p evaluation basis: for each covered M2P entry,
-  /// m2p_basis_size(degree) doubles (1/r, e^{i phi} and the scaled
-  /// Legendre values of the target direction — see m2p_basis() in
-  /// multipole/operators.hpp). m2p_apply_basis() rebuilds the harmonics
-  /// from them with the fresh kernel's own operations, so replay is
-  /// bitwise-identical while skipping the Legendre recurrence (the fresh
-  /// kernel evaluates no transcendentals either).
-  /// The trade is memory ~ O(plan entries * terms), bounded by the
-  /// session's basis budget; entries past the budget fall back to m2p().
+  /// Always empty (plans hold no basis); kept for bench/suite/probes.cpp.
   std::vector<double> basis;
 
   /// Charge-independent schedule statistics: interaction counts, budget
@@ -120,8 +103,7 @@ struct EvalPlan {
            entries.size() * sizeof(std::int32_t) + entry_bounds.size() * sizeof(double) +
            target_cost.size() * sizeof(std::uint64_t) +
            m2p_nodes.size() * sizeof(std::int32_t) +
-           skipped_targets.size() * sizeof(std::uint32_t) +
-           basis_offset.size() * sizeof(std::uint64_t) + basis.size() * sizeof(double);
+           skipped_targets.size() * sizeof(std::uint32_t);
   }
 };
 

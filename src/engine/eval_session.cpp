@@ -144,7 +144,6 @@ void emit_request(const char* api, std::uint64_t key, double wall, const Error* 
   r.deadline_missed = code == ErrorCode::kDeadline;
   r.wall_seconds = wall;
   r.plan_bytes = session.cache().bytes();
-  r.basis_bytes = session.cache().basis_bytes();
   const double deadline = session.config().deadline_seconds;
   r.deadline_slack_seconds =
       deadline > 0.0 ? deadline - wall : std::numeric_limits<double>::quiet_NaN();
@@ -156,10 +155,6 @@ void emit_request(const char* api, std::uint64_t key, double wall, const Error* 
 std::uint64_t next_session_id() noexcept {
   static std::atomic<std::uint64_t> next{1};
   return next.fetch_add(1, std::memory_order_relaxed);
-}
-
-ServeRung replay_rung(const EvalPlan& plan) noexcept {
-  return plan.basis_offset.empty() ? ServeRung::kPlainReplay : ServeRung::kBasisReplay;
 }
 
 /// A result of `out_n` zeroed slots carrying `stats` (a plan's schedule
@@ -310,7 +305,6 @@ void with_width(std::size_t width, F&& f) {
 EvalSession::EvalSession(Tree tree, const EvalConfig& config, const Options& options)
     : tree_(std::move(tree)),
       config_(config),
-      options_(options),
       degrees_(assign_degrees(tree_, config_)),  // validates config
       pool_(config.threads),
       governor_(config.memory_budget_bytes),
@@ -491,94 +485,19 @@ Expected<std::shared_ptr<const EvalPlan>> EvalSession::try_compile_impl(
     if (referenced[nu] != 0) plan->m2p_nodes.push_back(static_cast<std::int32_t>(nu));
   }
 
-  // Governed commit of the plan's durable core (everything but the basis).
-  // A denial discards the compiled schedule; the ladder serves rung 2/3.
+  // Governed commit of the plan. A denial discards the compiled schedule;
+  // the ladder serves rung 1/2.
   // The RAII reservation travels with cache residency: released on
   // eviction, replacement, clear — or right here if anything below throws
   // before the insert.
-  const std::size_t plan_core_bytes = plan->memory_bytes();
+  const std::size_t plan_bytes = plan->memory_bytes();
   ResourceGovernor::Reservation plan_reservation =
-      governor_.reserve(plan_core_bytes, "engine.plan");
+      governor_.reserve(plan_bytes, "engine.plan");
   if (!plan_reservation) {
     reg.counter(obs::metric::kEnginePlanDenied).add(1);
     return engine_error(denial_code(governor_),
                         "EvalSession::compile: plan storage denied (" +
-                            std::to_string(plan_core_bytes) + " bytes)");
-  }
-
-  // Precompute the charge-independent m2p evaluation basis (1/r, e^{i phi}
-  // and the scaled Legendre values per entry), so replay skips the Legendre
-  // recurrence. Slots are laid out serially in schedule order, one start
-  // per target; the basis is the prefix of slots that fits the budget (slot
-  // ends increase, so the largest end within budget closes the prefix).
-  // The fill is parallel. Gradient plans skip it (m2p_grad has no basis
-  // form). The budget is clamped to the governor's remaining bytes: a tight
-  // session budget yields a thinner basis (or none: rung 1), never a failed
-  // compile.
-  if (options_.basis_budget_bytes > 0 && !config_.compute_gradient && total > 0) {
-    std::uint64_t budget_bytes = options_.basis_budget_bytes;
-    if (governor_.enabled()) {
-      const std::size_t starts_bytes = (n + 1) * sizeof(std::uint64_t);
-      const std::size_t rem = governor_.remaining();
-      budget_bytes = std::min<std::uint64_t>(
-          budget_bytes, rem > starts_bytes ? rem - starts_bytes : 0);
-    }
-    const std::uint64_t budget_doubles = budget_bytes / sizeof(double);
-    plan->basis_offset.assign(n + 1, 0);
-    std::uint64_t slot = 0;
-    std::uint64_t basis_total = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      plan->basis_offset[i] = slot;
-      for (std::uint64_t idx = plan->offsets[i]; idx < plan->offsets[i + 1]; ++idx) {
-        const std::int32_t e = plan->entries[idx];
-        if (EvalPlan::is_p2p(e)) continue;
-        slot += m2p_basis_size(degrees_.degree[static_cast<std::size_t>(EvalPlan::node_of(e))]);
-        if (slot <= budget_doubles) basis_total = slot;
-      }
-    }
-    plan->basis_offset[n] = slot;
-    if (basis_total == 0) {
-      plan->basis_offset.clear();
-    } else {
-      plan->basis.resize(basis_total);
-      const std::size_t basis_delta = plan->memory_bytes() - plan_core_bytes;
-      ResourceGovernor::Reservation basis_reservation =
-          governor_.reserve(basis_delta, "engine.basis");
-      if (!basis_reservation) {
-        // Basis denied (budget raced tighter, or an injected fault): keep
-        // the plan, drop the basis — a rung-1 plan with identical results.
-        reg.counter(obs::metric::kEngineBasisDenied).add(1);
-        std::vector<std::uint64_t>().swap(plan->basis_offset);
-        std::vector<double>().swap(plan->basis);
-      } else try {
-        plan_reservation.absorb(std::move(basis_reservation));
-        parallel_for(
-            pool_, n, config_.block_size,
-            [&](std::size_t block_begin, std::size_t block_end, unsigned) {
-              for (std::size_t i = block_begin; i < block_end; ++i) {
-                std::uint64_t off = plan->basis_offset[i];
-                for (std::uint64_t idx = plan->offsets[i]; idx < plan->offsets[i + 1];
-                     ++idx) {
-                  const std::int32_t e = plan->entries[idx];
-                  if (EvalPlan::is_p2p(e)) continue;
-                  const auto nu = static_cast<std::size_t>(EvalPlan::node_of(e));
-                  const int deg = degrees_.degree[nu];
-                  const std::size_t need = m2p_basis_size(deg);
-                  if (off + need > basis_total) break;  // past the covered prefix
-                  m2p_basis(deg, nodes[nu].center, targets[i],
-                            std::span<double>(plan->basis.data() + off, need));
-                  off += need;
-                }
-              }
-            },
-            nullptr, obs::span::kEngineCompileWorker);
-      } catch (const std::exception& e) {
-        return engine_error(
-            ErrorCode::kInternal,
-            std::string("EvalSession::compile: basis worker exception: ") +
-                e.what());
-      }
-    }
+                            std::to_string(plan_bytes) + " bytes)");
   }
 
   // Per-thread tallies merged in thread order, exactly as the fresh walk's.
@@ -591,9 +510,7 @@ Expected<std::shared_ptr<const EvalPlan>> EvalSession::try_compile_impl(
 
   reg.counter(obs::metric::kEnginePlanCompiles).add(1);
   reg.gauge(obs::metric::kEnginePlanEntries).record_max(static_cast<double>(total));
-  reg.gauge(obs::metric::kEnginePlanBytes).record_max(static_cast<double>(plan->memory_bytes()));
-  reg.gauge(obs::metric::kEngineBasisBytes)
-      .record_max(static_cast<double>(plan->basis.size() * sizeof(double)));
+  reg.gauge(obs::metric::kEnginePlanBytes).record_max(static_cast<double>(plan_bytes));
 
   TREECODE_ASSERT_PLAN_INVARIANTS(*plan, tree_, degrees_, config_,
                                   "EvalSession::compile");
@@ -628,7 +545,6 @@ Expected<void> EvalSession::try_ensure_refreshed(const EvalPlan& plan) {
     multipole_reservation_.absorb(std::move(r));
   }
 
-  cover_p2m_basis(stale_);
   try {
     for_each_node(&pool_, stale_.size(), p2m_cost_of(stale_), obs::span::kEngineRefreshWorker,
                   [&](std::size_t j) {
@@ -667,80 +583,13 @@ void EvalSession::build_node_multipoles(std::size_t nu, const double* sorted_cha
   auto column = [&](std::size_t c) {
     return std::span<const double>(sorted_charges + c * stride + node.begin, node.count());
   };
-  const std::uint64_t off = p2m_basis_offset_.empty() ? kNoBasis : p2m_basis_offset_[nu];
-  if (off == kNoBasis) {
-    const std::span<const Vec3> ppos(tree_.positions().data() + node.begin, node.count());
-    for (std::size_t c = 0; c < out.size(); ++c) p2m(node.center, ppos, column(c), out[c]);
-  } else if (out.size() == 1) {
-    p2m_apply_basis(column(0), p2m_basis_pool_.data() + off, out[0]);
+  const std::span<const Vec3> ppos(tree_.positions().data() + node.begin, node.count());
+  if (out.size() == 1) {
+    p2m(node.center, ppos, column(0), out[0]);
   } else {
     std::vector<std::span<const double>> columns(out.size());
     for (std::size_t c = 0; c < out.size(); ++c) columns[c] = column(c);
-    p2m_apply_basis_batch(columns, p2m_basis_pool_.data() + off, out);
-  }
-}
-
-void EvalSession::cover_p2m_basis(std::span<const std::int32_t> node_ids) {
-  if (options_.refresh_basis_budget_bytes == 0) return;
-  const auto& nodes = tree_.nodes();
-  const auto& pos = tree_.positions();
-  if (p2m_basis_offset_.empty()) {
-    p2m_basis_offset_.assign(nodes.size(), kNoBasis);
-  }
-  // Offsets are assigned serially (the pool layout must not depend on
-  // thread timing). Geometry and degrees are frozen, so a node's basis is
-  // computed exactly once, by whichever path covers it first.
-  const std::uint64_t budget_doubles =
-      options_.refresh_basis_budget_bytes / sizeof(double);
-  const std::uint64_t old_pool = p2m_basis_pool_.size();
-  std::uint64_t pool_size = old_pool;
-  std::vector<std::int32_t> fresh;
-  for (const std::int32_t ni : node_ids) {
-    const auto nu = static_cast<std::size_t>(ni);
-    if (p2m_basis_offset_[nu] != kNoBasis) continue;
-    const auto need = static_cast<std::uint64_t>(
-        p2m_basis_size(degrees_.degree[nu], nodes[nu].count()));
-    if (pool_size + need > budget_doubles) continue;
-    p2m_basis_offset_[nu] = pool_size;
-    pool_size += need;
-    fresh.push_back(ni);
-  }
-  if (pool_size == old_pool) return;
-  // A governor denial, an allocation failure or a worker failure rolls the
-  // coverage back so no node points at unfilled pool storage; the full p2m
-  // kernel produces identical coefficients, just slower.
-  auto roll_back = [&] {
-    for (const std::int32_t ni : fresh) {
-      p2m_basis_offset_[static_cast<std::size_t>(ni)] = kNoBasis;
-    }
-  };
-  const std::size_t growth_bytes =
-      static_cast<std::size_t>(pool_size - old_pool) * sizeof(double);
-  ResourceGovernor::Reservation growth =
-      governor_.reserve(growth_bytes, "engine.p2m_basis");
-  if (!growth) {
-    obs::registry().counter(obs::metric::kEngineP2mBasisDenied).add(1);
-    roll_back();
-    return;
-  }
-  try {
-    p2m_basis_pool_.resize(pool_size);
-    p2m_reservation_.absorb(std::move(growth));
-    for_each_node(&pool_, fresh.size(), p2m_cost_of(fresh), obs::span::kEngineRefreshWorker,
-                  [&](std::size_t j) {
-      const auto nu = static_cast<std::size_t>(fresh[j]);
-      const TreeNode& node = nodes[nu];
-      const int deg = degrees_.degree[nu];
-      p2m_basis(deg, node.center,
-                std::span<const Vec3>(pos.data() + node.begin, node.count()),
-                std::span<double>(p2m_basis_pool_.data() + p2m_basis_offset_[nu],
-                                  p2m_basis_size(deg, node.count())));
-    });
-    obs::registry()
-        .gauge(obs::metric::kEngineRefreshBasisBytes)
-        .record_max(static_cast<double>(pool_size * sizeof(double)));
-  } catch (const std::exception&) {
-    roll_back();
+    p2m_batch(node.center, ppos, columns, out);
   }
 }
 
@@ -760,7 +609,7 @@ Expected<void> EvalSession::check_owned(const EvalPlan& plan) {
 Expected<EvalResult> EvalSession::replay(const EvalPlan& plan) {
   const std::size_t n = plan.num_targets();
   // result.stats starts as the plan's charge-independent schedule statistics.
-  EvalResult result = blank_result(plan.stats, replay_rung(plan), n,
+  EvalResult result = blank_result(plan.stats, ServeRung::kReplay, n,
                                    plan.self ? tree_.source_size() : n, config_);
   if (n == 0 || tree_.num_particles() == 0) return result;
   {
@@ -791,16 +640,13 @@ Expected<void> EvalSession::replay_columns(const EvalPlan& plan, const Columns& 
   // on identical operands in identical order (DESIGN.md §5c), so a column's
   // bits do not depend on K. Gradients and audits exist only at K = 1; the
   // batch path serves them column by column. At K = 1 the terms go through
-  // the thread's DeferredM2p, which runs basis-less M2P entries two at a
-  // time.
+  // the thread's DeferredM2p, which runs M2P entries two at a time; at
+  // K > 1 m2p_batch() runs each entry's harmonics once for the K columns.
   auto kernel = [&]<std::size_t K>(std::size_t i, std::size_t c0, double(&acc)[K],
                                    double& bound, Vec3& grad, DeferredM2p& terms,
                                    obs::audit::Reservoir* audit) {
     const Vec3 x = plan.targets[i];
     const double* q = columns.charges + c0 * columns.stride;
-    // Target i's basis slots follow its M2P entries from its start; a slot
-    // holds a basis iff it ends within the pool (the covered prefix).
-    std::uint64_t slot = plan.basis_offset.empty() ? 0 : plan.basis_offset[i];
     if constexpr (K == 1) terms.start();
     for (std::uint64_t idx = plan.offsets[i]; idx < plan.offsets[i + 1]; ++idx) {
       const std::int32_t e = plan.entries[idx];
@@ -830,9 +676,6 @@ Expected<void> EvalSession::replay_columns(const EvalPlan& plan, const Columns& 
       }
       const std::size_t s = batch ? static_cast<std::size_t>(columns.slot[nu]) : nu;
       const MultipoleExpansion* m = columns.multipoles + s * k + c0;
-      const std::uint64_t slot_end = slot + m2p_basis_size(m->degree());
-      const double* basis = slot_end <= plan.basis.size() ? plan.basis.data() + slot : nullptr;
-      slot = slot_end;
       // Bounds are charge-independent: accumulated by the first block only.
       if (c0 == 0 && want_bounds) bound += plan.entry_bounds[idx];
       if constexpr (K == 1) {
@@ -841,8 +684,6 @@ Expected<void> EvalSession::replay_columns(const EvalPlan& plan, const Columns& 
           const PotentialGrad pg = m2p_grad(*m, node.center, x);
           term = terms.add(pg.potential);
           grad += pg.gradient;
-        } else if (basis != nullptr) {
-          term = terms.add(m2p_apply_basis(*m, basis));
         } else {
           term = terms.defer(*m, node.center);
         }
@@ -859,13 +700,9 @@ Expected<void> EvalSession::replay_columns(const EvalPlan& plan, const Columns& 
           terms.note_audit(term, EvalPlan::node_of(e), m->degree(), r, thm1);
         }
       } else {
-        if (basis != nullptr) {
-          double out[K];
-          m2p_apply_basis_batch({m, K}, basis, out);
-          for (std::size_t w = 0; w < K; ++w) acc[w] += out[w];
-        } else {
-          for (std::size_t w = 0; w < K; ++w) acc[w] += m2p(m[w], node.center, x);
-        }
+        double out[K];
+        m2p_batch({m, K}, node.center, x, out);
+        for (std::size_t w = 0; w < K; ++w) acc[w] += out[w];
       }
     }
     if constexpr (K == 1) {
@@ -904,10 +741,7 @@ Expected<void> EvalSession::replay_columns(const EvalPlan& plan, const Columns& 
   }
   obs::Registry& reg = obs::registry();
   reg.counter(batch ? obs::metric::kEngineBatchReplays : obs::metric::kEngineReplays).add(1);
-  reg.counter(replay_rung(plan) == ServeRung::kBasisReplay
-                  ? obs::metric::kEngineServeBasisReplay
-                  : obs::metric::kEngineServePlainReplay)
-      .add(1);
+  reg.counter(obs::metric::kEngineServeReplay).add(1);
   reg.counter(obs::metric::kEngineMultipoleTerms).add(plan.stats.multipole_terms * k);
   reg.counter(obs::metric::kEngineM2pCount).add(plan.stats.m2p_count * k);
   reg.counter(obs::metric::kEngineP2pPairs).add(plan.stats.p2p_pairs * k);
@@ -928,7 +762,7 @@ Expected<void> EvalSession::replay_columns(const EvalPlan& plan, const Columns& 
 Expected<EvalResult> EvalSession::serve_degraded(std::span<const Vec3> targets,
                                                  bool self) {
   obs::registry().counter(obs::metric::kEngineDegradedServes).add(1);
-  // Rung 2 needs transient multipoles for the whole tree, every node at its
+  // Rung 1 needs transient multipoles for the whole tree, every node at its
   // assigned degree; reserve them for the duration of the traversal so a
   // concurrent-session budget still holds, then hand the bytes back.
   std::size_t traversal_bytes = 0;
@@ -1079,14 +913,14 @@ Expected<std::vector<EvalResult>> EvalSession::try_evaluate_batch_impl(
     }
     return results;
   };
-  // Gradients and audits have no batched form: m2p_grad carries no basis,
-  // and audit reservoirs key on a single charge vector.
+  // Gradients and audits have no batched form: m2p_grad has no K-column
+  // kernel, and audit reservoirs key on a single charge vector.
   if (config_.compute_gradient || config_.audit_samples > 0) return sequential();
 
   const std::size_t n = plan.num_targets();
   const std::size_t np = tree_.num_particles();
   std::vector<EvalResult> results(
-      k, blank_result(plan.stats, replay_rung(plan), n, plan.self ? tree_.source_size() : n,
+      k, blank_result(plan.stats, ServeRung::kReplay, n, plan.self ? tree_.source_size() : n,
                       config_));
   if (n == 0 || np == 0) return results;
 
@@ -1125,7 +959,6 @@ Expected<std::vector<EvalResult>> EvalSession::try_evaluate_batch_impl(
       const std::span<const double> src = charge_columns[c];
       for (std::size_t si = 0; si < orig.size(); ++si) col[si] = src[orig[si]];
     }
-    cover_p2m_basis(plan.m2p_nodes);
     for_each_node(&pool_, num_m2p, p2m_cost_of(plan.m2p_nodes), obs::span::kEngineRefreshWorker,
                   [&](std::size_t j) {
       const auto nu = static_cast<std::size_t>(plan.m2p_nodes[j]);

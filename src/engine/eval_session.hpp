@@ -41,25 +41,22 @@
 /// ## Resource governance and the degradation ladder
 ///
 /// When EvalConfig::memory_budget_bytes is set, every durable allocation —
-/// compiled plan storage, the m2p evaluation basis, multipole coefficient
-/// batches, the p2m refresh basis — is first reserved against the
-/// session's ResourceGovernor. A denial does not fail the evaluation: the
-/// session steps down a fixed ladder, reporting the serving rung in
-/// EvalStats::served_rung:
+/// compiled plan storage, multipole coefficients, the batch workspace — is
+/// first reserved against the session's ResourceGovernor. A denial does
+/// not fail the evaluation: the session steps down a fixed ladder,
+/// reporting the serving rung in EvalStats::served_rung:
 ///
-///   rung 0  kBasisReplay  compiled plan + precomputed m2p basis
-///   rung 1  kPlainReplay  compiled plan, full m2p kernels
-///   rung 2  kTraversal    uncompiled alpha-MAC traversal (transient
-///                         multipoles, nothing retained)
-///   rung 3  kDirect       per-target exact P2P (no multipoles at all)
+///   rung 0  kReplay     compiled plan, M2P/P2M on the fly
+///   rung 1  kTraversal  uncompiled alpha-MAC traversal (transient
+///                       multipoles, nothing retained)
+///   rung 2  kDirect     per-target exact P2P (no multipoles at all)
 ///
-/// Rungs 0-2 produce bitwise-identical potentials and Theorem-1 bounds
-/// (replay is entry-for-entry the fresh traversal; the basis is bitwise-
-/// equal to the full kernel); rung 3 is exact summation with zero
-/// truncation error. Rung choice depends only on the governor's byte
-/// ledger and (serially ordered) injected faults — never wall time or
-/// thread scheduling — so it is bitwise-deterministic across thread
-/// counts. Governance covers the durable evaluation state; the tree,
+/// Rungs 0-1 produce bitwise-identical potentials and Theorem-1 bounds
+/// (replay is entry-for-entry the fresh traversal); rung 2 is exact
+/// summation with zero truncation error. Rung choice depends only on the
+/// governor's byte ledger and (serially ordered) injected faults — never
+/// wall time or thread scheduling — so it is bitwise-deterministic across
+/// thread counts. Governance covers the durable evaluation state; the tree,
 /// charges, and transient compile scratch are documented headroom.
 ///
 /// ## Deadlines
@@ -73,8 +70,8 @@
 ///
 /// Determinism: plans are recorded by the same alpha-MAC walk that
 /// BarnesHutEvaluator evaluates through (core/interaction_walk.hpp), and
-/// every replay — rung 0 or 1, single-RHS or batch column — runs one replay
-/// kernel, templated on its column-block width, over the recorded entries.
+/// every replay — single-RHS or batch column — runs one replay kernel,
+/// templated on its column-block width, over the recorded entries.
 /// Potentials and tracked error bounds are therefore bitwise-equal to
 /// BarnesHutEvaluator output at every thread count, block size and width.
 ///
@@ -112,19 +109,6 @@ class EvalSession {
     /// LRU past it, and declines to retain a single plan larger than it).
     /// 0 = count-bounded only.
     std::size_t plan_cache_byte_capacity = 0;
-    /// Per-plan byte budget for the precomputed m2p evaluation basis (the
-    /// charge-independent 1/r + Y_n^m factors; see eval_plan.hpp). Compile
-    /// covers entries in schedule order until the budget is exhausted;
-    /// uncovered entries replay through the full m2p kernel with identical
-    /// results. 0 disables it; gradient plans never carry one (m2p_grad
-    /// has no basis form).
-    std::size_t basis_budget_bytes = std::size_t{512} << 20;
-    /// Session-wide byte budget for the p2m refresh basis (per-particle rho
-    /// powers and conjugated harmonics, shared across plans). Nodes are
-    /// covered on first refresh until the budget is exhausted; uncovered
-    /// nodes rebuild through the full p2m kernel with identical results.
-    /// 0 disables it; with both budgets 0 no basis is precomputed at all.
-    std::size_t refresh_basis_budget_bytes = std::size_t{512} << 20;
   };
 
   /// Takes ownership of the tree; validates the config and assigns
@@ -142,8 +126,7 @@ class EvalSession {
   /// targets; kSanitize/kWarn keep the offending targets' output slots
   /// (zeroed) and record them in the plan's skipped_targets. A governor
   /// denial of the plan's bytes yields kMemoryBudget (the ladder in
-  /// try_evaluate_at then serves without a plan); a denial of only the
-  /// basis bytes silently yields a basis-free (rung-1) plan.
+  /// try_evaluate_at then serves without a plan).
   [[nodiscard]] Expected<std::shared_ptr<const EvalPlan>> try_compile(
       std::span<const Vec3> targets);
 
@@ -155,7 +138,7 @@ class EvalSession {
   /// order (size tree().source_size()). O(n) gather + epoch bump; the
   /// multipole refresh happens lazily in the next evaluate. Errors:
   /// kInvalidArgument on size mismatch, kNonFinite on non-finite values
-  /// (the session's charges are left untouched — no poisoned basis pools).
+  /// (the session's charges are left untouched).
   [[nodiscard]] Expected<void> try_update_charges(std::span<const double> charges);
 
   /// Same, but already in the tree's sorted order (size
@@ -169,7 +152,7 @@ class EvalSession {
   /// lists. No tree walk, no MAC tests, no degree decisions. The plan must
   /// come from this session (kInvalidArgument otherwise: plans carry their
   /// compiling session's id). A governor denial during refresh degrades to
-  /// rungs 2-3 over the plan's own targets.
+  /// rungs 1-2 over the plan's own targets.
   [[nodiscard]] Expected<EvalResult> try_evaluate(const EvalPlan& plan);
 
   /// Multi-RHS batched replay: evaluate `plan` against k charge columns
@@ -257,22 +240,18 @@ class EvalSession {
   Expected<EvalResult> try_evaluate_impl(const EvalPlan& plan);
   Expected<std::vector<EvalResult>> try_evaluate_batch_impl(
       const EvalPlan& plan, std::span<const std::span<const double>> charge_columns);
-  /// Best-effort, budget-gated p2m-basis coverage of `node_ids` in the
-  /// session's pool (shared by the refresh and the batch). Never fails:
-  /// uncovered nodes rebuild through the full kernel.
-  void cover_p2m_basis(std::span<const std::int32_t> node_ids);
   /// for_each_node's cost of index j: the P2M work of node node_ids[j].
   std::function<std::uint64_t(std::size_t)> p2m_cost_of(
       std::span<const std::int32_t> node_ids) const;
   /// Build node `nu`'s (reset or cleared) expansions: out[c] from the
-  /// tree-sorted charge column at sorted_charges + c * stride, through the
-  /// p2m basis when covered (one basis pass for every column) — bitwise the
-  /// single-RHS p2m() either way.
+  /// tree-sorted charge column at sorted_charges + c * stride, by p2m() for
+  /// one column and p2m_batch() for several — bitwise the single-RHS p2m()
+  /// either way.
   void build_node_multipoles(std::size_t nu, const double* sorted_charges, std::size_t stride,
                              std::span<MultipoleExpansion> out) const;
   /// The replay prologue: kInvalidArgument unless this session compiled `plan`.
   Expected<void> check_owned(const EvalPlan& plan);
-  /// The one replay body behind rungs 0-1 and the batch: the K-templated
+  /// The one replay body behind rung 0 and the batch: the K-templated
   /// kernel over results.size() columns, then metrics and the scatter.
   Expected<void> replay_columns(const EvalPlan& plan, const Columns& columns,
                                 std::span<EvalResult> results);
@@ -280,21 +259,20 @@ class EvalSession {
   /// reports the compiled plan's cache key (0 if compile was denied).
   Expected<EvalResult> try_evaluate_at_impl(std::span<const Vec3> targets,
                                             bool self, std::uint64_t& key_out);
-  /// Rungs 0-1: replay `plan` (refresh + frozen-list accumulation).
+  /// Rung 0: replay `plan` (refresh + frozen-list accumulation).
   Expected<EvalResult> replay(const EvalPlan& plan);
   /// Rebuild the plan-referenced multipoles whose epoch is stale,
   /// reserving first-build coefficient bytes against the governor.
   Expected<void> try_ensure_refreshed(const EvalPlan& plan);
-  /// Rungs 2-3 over raw targets, entered when a plan cannot be afforded.
+  /// Rungs 1-2 over raw targets, entered when a plan cannot be afforded.
   Expected<EvalResult> serve_degraded(std::span<const Vec3> targets, bool self);
-  /// Rung 2: transient BarnesHutEvaluator traversal.
+  /// Rung 1: transient BarnesHutEvaluator traversal.
   Expected<EvalResult> serve_traversal(std::span<const Vec3> targets, bool self);
-  /// Rung 3: exact per-target P2P summation.
+  /// Rung 2: exact per-target P2P summation.
   Expected<EvalResult> serve_direct(std::span<const Vec3> targets, bool self);
 
   Tree tree_;
   EvalConfig config_;
-  Options options_;
   DegreeAssignment degrees_;
   ThreadPool pool_;
   ResourceGovernor governor_;
@@ -306,20 +284,11 @@ class EvalSession {
   std::vector<std::uint64_t> node_epoch_;  ///< 0 = never built
   std::uint64_t charge_epoch_ = 1;
   std::vector<std::int32_t> stale_;  ///< refresh scratch, reused across evaluates
-  /// Absent-basis sentinel of p2m_basis_offset_.
-  static constexpr std::uint64_t kNoBasis = ~std::uint64_t{0};
-  /// Per-node offset into the pooled p2m refresh basis (kNoBasis = not
-  /// covered; assigned on first refresh, budget-gated, then frozen — the
-  /// basis depends only on geometry and the node's frozen degree).
-  std::vector<std::uint64_t> p2m_basis_offset_;
-  std::vector<double> p2m_basis_pool_;
-  /// Budget reservations backing the two durable session pools above
-  /// (multipole coefficients, p2m refresh basis). Grown by absorb() on
-  /// each governed expansion; the bytes return to the ledger when the
-  /// session dies. Declared after governor_: destroyed first, releasing
-  /// into a live ledger.
+  /// Budget reservation backing the multipole coefficients above. Grown by
+  /// absorb() on each governed first build; the bytes return to the ledger
+  /// when the session dies. Declared after governor_: destroyed first,
+  /// releasing into a live ledger.
   ResourceGovernor::Reservation multipole_reservation_;
-  ResourceGovernor::Reservation p2m_reservation_;
   PlanCache cache_;
   std::uint64_t id_;  ///< process-unique; stamped on every plan compiled here
 };

@@ -70,7 +70,6 @@ obs::Json plan_cache_json(const PlanCache& cache) {
   c["capacity"] = static_cast<std::uint64_t>(cache.capacity());
   c["byte_capacity"] = static_cast<std::uint64_t>(cache.byte_capacity());
   c["bytes"] = static_cast<std::uint64_t>(cache.bytes());
-  c["basis_bytes"] = static_cast<std::uint64_t>(cache.basis_bytes());
   c["hits"] = cache.hits();
   c["misses"] = cache.misses();
   c["evictions"] = cache.evictions();
@@ -82,7 +81,6 @@ obs::Json plan_cache_json(const PlanCache& cache) {
     p["num_targets"] = static_cast<std::uint64_t>(info.num_targets);
     p["num_entries"] = static_cast<std::uint64_t>(info.num_entries);
     p["bytes"] = static_cast<std::uint64_t>(info.bytes);
-    p["basis_bytes"] = static_cast<std::uint64_t>(info.basis_bytes);
     plans.push_back(std::move(p));
   }
   c["plans"] = std::move(plans);

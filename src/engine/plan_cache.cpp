@@ -26,19 +26,14 @@ bool same_targets(const EvalPlan& plan, std::span<const Vec3> targets, bool self
                      targets.size() * sizeof(Vec3)) == 0;
 }
 
-std::size_t plan_basis_bytes(const EvalPlan& plan) noexcept {
-  return plan.basis.size() * sizeof(double);
-}
-
-/// Process-wide resident totals across every live PlanCache. The
-/// engine.plan_bytes / engine.basis_bytes gauges publish these aggregates:
-/// with one cache per tenant session, a per-cache gauge `set` would let
-/// caches overwrite each other's totals and leave a destroyed tenant's
-/// bytes on the series forever. Instead each cache contributes a delta on
-/// every mutation and withdraws its whole contribution on destruction, so
-/// the gauges track exactly the plans that are still resident somewhere.
+/// Process-wide resident total across every live PlanCache. The
+/// engine.plan_bytes gauge publishes this aggregate: with one cache per
+/// tenant session, a per-cache gauge `set` would let caches overwrite each
+/// other's totals and leave a destroyed tenant's bytes on the series
+/// forever. Instead each cache contributes a delta on every mutation and
+/// withdraws its whole contribution on destruction, so the gauge tracks
+/// exactly the plans that are still resident somewhere.
 std::atomic<long long> g_plan_bytes_total{0};
-std::atomic<long long> g_basis_bytes_total{0};
 
 }  // namespace
 
@@ -72,7 +67,6 @@ void PlanCache::evict_lru_locked() {
   obs::recorder::record(obs::recorder::Category::kEviction, "plan_cache.evict",
                         static_cast<double>(victim_bytes));
   bytes_ -= victim_bytes;
-  basis_bytes_ -= plan_basis_bytes(*victim.plan);
   plans_.pop_back();  // ~Entry returns the reservation to the budget
   ++evictions_;
 }
@@ -80,19 +74,12 @@ void PlanCache::evict_lru_locked() {
 void PlanCache::publish_gauges_locked() {
   const long long plan_delta = static_cast<long long>(bytes_) -
                                static_cast<long long>(published_bytes_);
-  const long long basis_delta = static_cast<long long>(basis_bytes_) -
-                                static_cast<long long>(published_basis_bytes_);
   const long long plan_total =
       g_plan_bytes_total.fetch_add(plan_delta, std::memory_order_relaxed) +
       plan_delta;
-  const long long basis_total =
-      g_basis_bytes_total.fetch_add(basis_delta, std::memory_order_relaxed) +
-      basis_delta;
   published_bytes_ = bytes_;
-  published_basis_bytes_ = basis_bytes_;
   obs::Registry& reg = obs::registry();
   reg.gauge(obs::metric::kEnginePlanBytes).set(static_cast<double>(plan_total));
-  reg.gauge(obs::metric::kEngineBasisBytes).set(static_cast<double>(basis_total));
 }
 
 bool PlanCache::insert(std::shared_ptr<const EvalPlan> plan,
@@ -103,7 +90,6 @@ bool PlanCache::insert(std::shared_ptr<const EvalPlan> plan,
   const std::size_t new_bytes = plan->memory_bytes();
   if (const auto it = by_key_.find(key); it != by_key_.end()) {
     bytes_ -= it->second->plan->memory_bytes();
-    basis_bytes_ -= plan_basis_bytes(*it->second->plan);
     plans_.erase(it->second);  // ~Entry releases the replaced reservation
     by_key_.erase(it);
   }
@@ -122,7 +108,6 @@ bool PlanCache::insert(std::shared_ptr<const EvalPlan> plan,
     evict_lru_locked();
   }
   bytes_ += new_bytes;
-  basis_bytes_ += plan_basis_bytes(*plan);
   plans_.push_front(Entry{std::move(plan), std::move(reservation)});
   by_key_[key] = plans_.begin();
   publish_gauges_locked();
@@ -134,7 +119,6 @@ void PlanCache::clear() {
   plans_.clear();  // each ~Entry returns its reservation
   by_key_.clear();
   bytes_ = 0;
-  basis_bytes_ = 0;
   publish_gauges_locked();
 }
 
@@ -156,11 +140,6 @@ std::size_t PlanCache::byte_capacity() const {
 std::size_t PlanCache::bytes() const {
   const std::lock_guard<std::mutex> lock(mu_);
   return bytes_;
-}
-
-std::size_t PlanCache::basis_bytes() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return basis_bytes_;
 }
 
 std::uint64_t PlanCache::hits() const {
@@ -190,7 +169,6 @@ std::vector<PlanCache::PlanInfo> PlanCache::contents() const {
     info.num_targets = plan.num_targets();
     info.num_entries = plan.entries.size();
     info.bytes = plan.memory_bytes();
-    info.basis_bytes = plan_basis_bytes(plan);
     out.push_back(info);
   }
   return out;

@@ -12,9 +12,9 @@
 /// collision is treated as a miss and recompiled, never served wrong.
 ///
 /// The cache is the ledger of the session's *durable plan footprint*:
-/// it tracks resident bytes (bytes()/basis_bytes()), evicts by total bytes
-/// as well as by count, publishes the totals to the `engine.plan_bytes` /
-/// `engine.basis_bytes` gauges on every mutation, and holds each resident
+/// it tracks resident bytes (bytes()), evicts by total bytes as well as by
+/// count, publishes the total to the `engine.plan_bytes` gauge on every
+/// mutation, and holds each resident
 /// plan's ResourceGovernor::Reservation alongside the plan itself —
 /// eviction, replacement, clear, or cache destruction returns the bytes to
 /// the budget through the guard's destructor, so no path (including an
@@ -53,9 +53,9 @@ class PlanCache {
   explicit PlanCache(std::size_t capacity = 8, std::size_t byte_capacity = 0);
 
   /// Releases every resident plan's reservation and withdraws this cache's
-  /// contribution from the process-wide engine.plan_bytes /
-  /// engine.basis_bytes gauges — a destroyed session (an unregistered
-  /// tenant) must not leave its bytes on the shared series.
+  /// contribution from the process-wide engine.plan_bytes gauge — a
+  /// destroyed session (an unregistered tenant) must not leave its bytes
+  /// on the shared series.
   ~PlanCache();
   PlanCache(const PlanCache&) = delete;
   PlanCache& operator=(const PlanCache&) = delete;
@@ -86,9 +86,10 @@ class PlanCache {
   [[nodiscard]] std::size_t size() const;
   [[nodiscard]] std::size_t capacity() const;
   [[nodiscard]] std::size_t byte_capacity() const;
-  /// Total memory_bytes() of resident plans / their basis-vector subset.
+  /// Total memory_bytes() of resident plans.
   [[nodiscard]] std::size_t bytes() const;
-  [[nodiscard]] std::size_t basis_bytes() const;
+  /// Always 0 (plans hold no basis); kept for bench/suite/probes.cpp.
+  [[nodiscard]] std::size_t basis_bytes() const { return 0; }
   [[nodiscard]] std::uint64_t hits() const;
   [[nodiscard]] std::uint64_t misses() const;
   [[nodiscard]] std::uint64_t evictions() const;
@@ -100,8 +101,7 @@ class PlanCache {
     bool self = false;
     std::size_t num_targets = 0;
     std::size_t num_entries = 0;
-    std::size_t bytes = 0;        ///< EvalPlan::memory_bytes()
-    std::size_t basis_bytes = 0;  ///< m2p basis subset of `bytes`
+    std::size_t bytes = 0;  ///< EvalPlan::memory_bytes()
   };
   /// Snapshot of every resident plan, most-recently-used first.
   [[nodiscard]] std::vector<PlanInfo> contents() const;
@@ -117,22 +117,20 @@ class PlanCache {
   /// Pop the LRU plan (releasing its reservation), update the ledgers.
   /// Caller holds mu_.
   void evict_lru_locked();
-  /// Push this cache's resident-byte delta into the process-wide totals and
-  /// set the engine.plan_bytes / engine.basis_bytes gauges from the
-  /// aggregate (value, not max — compile keeps the per-plan peak
-  /// separately). Every mutation and the destructor go through here, so the
-  /// gauges always sum the bytes of the caches that are actually alive.
+  /// Push this cache's resident-byte delta into the process-wide total and
+  /// set the engine.plan_bytes gauge from the aggregate (value, not max —
+  /// compile keeps the per-plan peak separately). Every mutation and the
+  /// destructor go through here, so the gauge always sums the bytes of the
+  /// caches that are actually alive.
   void publish_gauges_locked();
 
   mutable std::mutex mu_;
   std::size_t capacity_;
   std::size_t byte_capacity_;
   std::size_t bytes_ = 0;
-  std::size_t basis_bytes_ = 0;
-  /// What this cache last contributed to the process-wide gauge totals;
+  /// What this cache last contributed to the process-wide gauge total;
   /// publish_gauges_locked() applies bytes_ - published_bytes_ as a delta.
   std::size_t published_bytes_ = 0;
-  std::size_t published_basis_bytes_ = 0;
   /// Most-recently-used at the front.
   std::list<Entry> plans_;
   std::unordered_map<std::uint64_t, std::list<Entry>::iterator> by_key_;

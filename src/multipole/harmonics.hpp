@@ -15,8 +15,7 @@
 /// recurrence, for_each_scaled_legendre(), produces every v_n^m =
 /// y_norm(n, m) P_n^m; for_each_harmonic() phases it into Y_n^m, whose
 /// consumers either store the values (eval_harmonics) or fold them into a
-/// running sum as they are produced (the on-the-fly M2P/L2P kernels). The
-/// precomputed evaluation bases store v_n^m unphased (operators.hpp).
+/// running sum as they are produced (the on-the-fly M2P/L2P kernels).
 ///
 /// Also provides the factorial table and the A_n^m = (-1)^n / sqrt((n-m)!(n+m)!)
 /// combinatorial coefficients of the translation operators.
@@ -97,7 +96,7 @@ const HarmonicTables& harmonic_tables() noexcept;
 /// column runs the recurrence (n-m) P_n^m = (2n-1) x P_{n-1}^m -
 /// (n+m-1) P_{n-2}^m from the diagonal P_m^m = (-1)^m (2m-1)!! sin^m.
 /// Y_n^m = v_n^m e^{i m phi}: this is the one recurrence behind every
-/// harmonic, stored (the evaluation bases) or phased (for_each_harmonic).
+/// harmonic (for_each_harmonic phases it).
 template <typename F, typename G>
 void for_each_scaled_legendre(int p, const Direction& u, F&& f, G&& end_column) {
   const detail::HarmonicTables& t = detail::harmonic_tables();
@@ -125,9 +124,9 @@ void for_each_scaled_legendre(int p, const Direction& u, F&& f, G&& end_column) 
 }
 
 /// e^{i m phi} for m = 0, 1, 2, ...: starts at 1 and advances by one
-/// complex multiply with e^{i phi} per step. for_each_harmonic and the
-/// basis replays (operators.cpp) share this chain, so a phase rebuilt from
-/// a stored e^{i phi} is bitwise the recurrence's.
+/// complex multiply with e^{i phi} per step. for_each_harmonic advances it,
+/// and the two-lane kernels (operators.cpp) repeat its operations lane by
+/// lane, so their phases are bitwise the recurrence's.
 struct PhaseChain {
   double c;         ///< cos phi
   double s;         ///< sin phi

@@ -28,7 +28,7 @@ void eval_powers(double rho, int p, std::vector<double>& powers) {
 ///   bracket[n] = Re(C_n^0 Y_n^0) + 2 sum_{m>=1} Re(C_n^m Y_n^m),
 /// folded straight from the recurrence, with no Y array. Each bracket
 /// accumulates in ascending m with Re(C Y) = re*re - im*im, the products and
-/// order of m2p_apply_basis(), so on-the-fly and replayed M2P agree bitwise.
+/// order of add_brackets(), so m2p() and m2p_batch() agree bitwise.
 /// Column m = 0 comes first and assigns every bracket[n], n <= degree, so
 /// callers pass an uninitialized array (zeroing it costs as much as a
 /// low-degree M2P).
@@ -45,44 +45,10 @@ void degree_brackets(const Expansion& e, const Direction& u, double* bracket) {
   });
 }
 
-/// Write an evaluation basis at `out`: the header [head, cos phi, sin phi]
-/// and then v_n^m at tri_index(n, m) (see m2p_basis_size()).
-void fill_basis(int p, const Direction& u, double head, double* out) {
-  out[0] = head;
-  out[1] = u.eiphi.real();
-  out[2] = u.eiphi.imag();
-  double* v = out + kBasisHeader;
-  for_each_scaled_legendre(
-      p, u, [v](int n, int m, double x) { v[tri_index(n, m)] = x; }, [] {});
-}
-
-/// e^{i m phi} (or its conjugate) from a basis's stored e^{i phi}, by the
-/// chain for_each_harmonic advances, so v * re(m) and v * im(m) are bitwise
-/// the recurrence's Y_n^m (or conj(Y_n^m): v * -ei == -(v * ei) exactly, as
-/// negation commutes with rounding). The degree-n row of a basis apply
-/// reads m <= n, so next(n) extends the table by one step per row instead
-/// of up front: the chain's latency then overlaps the rows' accumulation.
-struct BasisPhases {
-  PhaseChain chain;
-  bool conjugate;
-  double e[2 * (kMaxDegree + 1)];  ///< re/im of e^{+-i m phi}, interleaved
-
-  BasisPhases(const double* basis, bool conj) noexcept
-      : chain{basis[1], basis[2]}, conjugate(conj) {}
-  /// Append e^{i n phi}; call for n = 0, 1, 2, ... in turn.
-  void next(int n) noexcept {
-    e[2 * n] = chain.er;
-    e[2 * n + 1] = conjugate ? -chain.ei : chain.ei;
-    chain.advance();
-  }
-  [[nodiscard]] double re(int m) const noexcept { return e[2 * m]; }
-  [[nodiscard]] double im(int m) const noexcept { return e[2 * m + 1]; }
-};
-
-/// Degree n's term of m2p_apply_basis() for G columns at once: out[g] +=
-/// bracket_g * rpow, each bracket with m2p_apply_basis()'s products in its
-/// order, on the shared row Y_n^m = (yr[m], yi[m]). The G independent
-/// chains share every Y load (G = 2 keeps both brackets in registers).
+/// Degree n's term of m2p() for G columns at once: out[g] += bracket_g *
+/// rpow, each bracket with degree_brackets()' products in its order, on the
+/// shared row Y_n^m = (yr[m], yi[m]). The G independent chains share every
+/// Y load (G = 2 keeps both brackets in registers).
 template <std::size_t G>
 void add_brackets(const MultipoleExpansion* mexp, std::size_t i0, int n, const double* yr,
                   const double* yi, double rpow, double* out) noexcept {
@@ -125,72 +91,36 @@ void add_coincident(const Expansion& src, Expansion& dst) {
 
 }  // namespace
 
-void p2m_basis(int p, const Vec3& center, std::span<const Vec3> positions,
-               std::span<double> out) {
-  assert(p >= 0 && p <= kMaxDegree);
-  assert(out.size() >= p2m_basis_size(p, positions.size()));
-  const std::size_t stride = p2m_basis_size(p, 1);
-  for (std::size_t i = 0; i < positions.size(); ++i) {
-    const Direction u = direction_of(positions[i] - center);
-    fill_basis(p, u, u.r, out.data() + i * stride);
-  }
-}
-
-void p2m_apply_basis(std::span<const double> charges, const double* basis,
-                     MultipoleExpansion& out) noexcept {
-  const int p = out.degree();
-  const std::size_t stride = p2m_basis_size(p, 1);
-  Complex* coeff = out.data().data();
-  for (std::size_t i = 0; i < charges.size(); ++i) {
-    const double* b = basis + i * stride;
-    BasisPhases e(b, /*conjugate=*/true);
-    const double* v = b + kBasisHeader;
-    const double r = b[0];
-    const double q = charges[i];
-    double rho_n = 1.0;  // rho^n, advanced as p2m() advances it
-    for (int n = 0; n <= p; ++n) {
-      e.next(n);
-      const double qr = q * rho_n;
-      rho_n *= r;
-      const std::size_t i0 = tri_index(n, 0);
-      for (int m = 0; m <= n; ++m) {
-        // p2m's `coeff += qr * conj(Y)`: the same two products on
-        // conj(Y) = v e^{-i m phi}, formed as the recurrence forms Y.
-        const double vm = v[i0 + m];
-        coeff[i0 + m] += Complex{qr * (vm * e.re(m)), qr * (vm * e.im(m))};
-      }
-    }
-  }
-}
-
-void p2m_apply_basis_batch(std::span<const std::span<const double>> charge_columns,
-                           const double* basis, std::span<MultipoleExpansion> out) noexcept {
+void p2m_batch(const Vec3& center, std::span<const Vec3> positions,
+               std::span<const std::span<const double>> charge_columns,
+               std::span<MultipoleExpansion> out) noexcept {
   const std::size_t k = charge_columns.size();
   if (k == 0) return;
   const int p = out[0].degree();
-  const std::size_t count = charge_columns[0].size();
-  const std::size_t stride = p2m_basis_size(p, 1);
-  double y[2 * (kMaxDegree + 1)];  // one degree's conj(Y) re/im, shared by every column
-  for (std::size_t i = 0; i < count; ++i) {
-    const double* b = basis + i * stride;
-    BasisPhases e(b, /*conjugate=*/true);
-    const double* v = b + kBasisHeader;
-    const double r = b[0];
-    double rho_n = 1.0;
+  assert(p >= 0 && p <= kMaxDegree);
+  // One source's conj(Y_n^m), re/im interleaved by tri_index, shared by
+  // every column: (v er, -(v ei)), the p2m() lanes' operands.
+  double y[2 * tri_size(kMaxDegree)];
+  for (std::size_t i = 0; i < positions.size(); ++i) {
+    const Direction u = direction_of(positions[i] - center);
+    for_each_harmonic(p, u, [&y](int n, int m, Complex ynm) {
+      const std::size_t j = tri_index(n, m);
+      y[2 * j] = ynm.real();
+      y[2 * j + 1] = -ynm.imag();
+    });
+    double rho_n = 1.0;  // rho^n, advanced as p2m() advances it
     for (int n = 0; n <= p; ++n) {
-      e.next(n);
       const std::size_t i0 = tri_index(n, 0);
-      for (int m = 0; m <= n; ++m) {
-        y[2 * m] = v[i0 + m] * e.re(m);
-        y[2 * m + 1] = v[i0 + m] * e.im(m);
-      }
+      const double* row = y + 2 * i0;
       for (std::size_t c = 0; c < k; ++c) {
-        // Column c's single-RHS products, in its single-RHS order.
+        // Column c's single-RHS products: coeff += (q rho^n) conj(Y).
         const double qr = charge_columns[c][i] * rho_n;
         Complex* coeff = out[c].data().data() + i0;
-        for (int m = 0; m <= n; ++m) coeff[m] += Complex{qr * y[2 * m], qr * y[2 * m + 1]};
+        for (int m = 0; m <= n; ++m) {
+          coeff[m] += Complex{qr * row[2 * m], qr * row[2 * m + 1]};
+        }
       }
-      rho_n *= r;
+      rho_n *= u.r;
     }
   }
 }
@@ -578,62 +508,28 @@ void p2m(const Vec3& center, std::span<const Vec3> positions, std::span<const do
   }
 }
 
-void m2p_basis(int p, const Vec3& center, const Vec3& point, std::span<double> out) {
-  assert(out.size() >= m2p_basis_size(p));
-  const Direction u = direction_of(point - center);
-  assert(u.r > 0.0);
-  fill_basis(p, u, 1.0 / u.r, out.data());
-}
-
-double m2p_apply_basis(const MultipoleExpansion& mexp, const double* basis) noexcept {
-  const int p = mexp.degree();
-  BasisPhases e(basis, /*conjugate=*/false);
-  const double inv_r = basis[0];
-  const double* v = basis + kBasisHeader;
-  const Complex* coeff = mexp.data().data();
-  double phi = 0.0;
-  double rpow = inv_r;  // 1/r^(n+1)
-  for (int n = 0; n <= p; ++n) {
-    e.next(n);
-    // The same products, in the same order, as m2p()'s degree_brackets on
-    // Y = v e^{i m phi} formed as the recurrence forms it, keeping the
-    // accumulation bitwise-equal to m2p().
-    const std::size_t i0 = tri_index(n, 0);
-    double bracket =
-        coeff[i0].real() * (v[i0] * e.re(0)) - coeff[i0].imag() * (v[i0] * e.im(0));
-    for (int m = 1; m <= n; ++m) {
-      const Complex c = coeff[i0 + m];
-      const double vm = v[i0 + m];
-      bracket += 2.0 * (c.real() * (vm * e.re(m)) - c.imag() * (vm * e.im(m)));
-    }
-    phi += bracket * rpow;
-    rpow *= inv_r;
-  }
-  return phi;
-}
-
-void m2p_apply_basis_batch(std::span<const MultipoleExpansion> mexp, const double* basis,
-                           std::span<double> out) noexcept {
+void m2p_batch(std::span<const MultipoleExpansion> mexp, const Vec3& center, const Vec3& point,
+               std::span<double> out) noexcept {
   const std::size_t k = mexp.size();
   if (k == 0) return;
   const int p = mexp[0].degree();
-  BasisPhases e(basis, /*conjugate=*/false);
-  const double inv_r = basis[0];
-  const double* v = basis + kBasisHeader;
-  double yr[kMaxDegree + 1];  // one degree's Y, shared by every column
-  double yi[kMaxDegree + 1];
+  const Direction u = direction_of(point - center);
+  assert(u.r > 0.0);
+  // Y_n^m of the direction by tri_index, as degree_brackets() sees it.
+  double yr[tri_size(kMaxDegree)];
+  double yi[tri_size(kMaxDegree)];
+  for_each_harmonic(p, u, [&yr, &yi](int n, int m, Complex y) {
+    yr[tri_index(n, m)] = y.real();
+    yi[tri_index(n, m)] = y.imag();
+  });
   for (std::size_t c = 0; c < k; ++c) out[c] = 0.0;
-  double rpow = inv_r;
+  const double inv_r = 1.0 / u.r;
+  double rpow = inv_r;  // 1/r^(n+1)
   for (int n = 0; n <= p; ++n) {
-    e.next(n);
     const std::size_t i0 = tri_index(n, 0);
-    for (int m = 0; m <= n; ++m) {
-      yr[m] = v[i0 + m] * e.re(m);
-      yi[m] = v[i0 + m] * e.im(m);
-    }
     std::size_t c = 0;  // columns in pairs, then the odd one
-    for (; c + 2 <= k; c += 2) add_brackets<2>(&mexp[c], i0, n, yr, yi, rpow, &out[c]);
-    if (c < k) add_brackets<1>(&mexp[c], i0, n, yr, yi, rpow, &out[c]);
+    for (; c + 2 <= k; c += 2) add_brackets<2>(&mexp[c], i0, n, yr + i0, yi + i0, rpow, &out[c]);
+    if (c < k) add_brackets<1>(&mexp[c], i0, n, yr + i0, yi + i0, rpow, &out[c]);
     rpow *= inv_r;
   }
 }

@@ -96,81 +96,26 @@ std::array<double, 2> m2p_pair(const MultipoleExpansion& a, const Vec3& center_a
                                const Vec3& point) noexcept;
 
 // ---------------------------------------------------------------------------
-// Precomputed evaluation basis
+// Multi-RHS kernels
 //
-// The m2p kernel factors into a charge-independent geometric basis
-// (1/r and the spherical harmonics Y_n^m of the target direction) and a
-// dot product with the multipole coefficients. m2p() itself runs the
-// harmonic recurrence on the fly and folds each Y_n^m into its degree's
-// bracket as it is produced; no transcendental is evaluated on either path,
-// so what a stored basis saves is only the Legendre recurrence and the
-// normalization multiplies. For repeated evaluations over fixed geometry
-// (compiled traversal plans), the basis can be computed once and replayed.
-//
-// A basis stores the scaled Legendre values v_n^m = y_norm(n, m) P_n^m
-// (one double each, packed by tri_index) after a three-double header
-// [x, cos phi, sin phi], not the complex Y_n^m = v_n^m e^{i m phi}: the
-// apply rebuilds e^{i m phi} from the stored e^{i phi} with the complex
-// multiply chain for_each_harmonic() advances (PhaseChain) and forms
-// v * Re, v * Im on the fly. Those are the recurrence's own operations on
-// the recurrence's own doubles, so every apply is bitwise-equal to the
-// fused kernel while the basis is about half the size of a Y_n^m table.
+// The charges enter m2p and p2m only after the geometry: 1/r, e^{i phi} and
+// the scaled Legendre values depend on the offset alone. The batch forms run
+// the direction and the harmonic recurrence once and share each Y_n^m among
+// K columns, each column keeping the single-RHS kernel's products in its
+// order, so column k is bitwise the single-RHS result.
 
-/// Doubles in an evaluation basis header: [x, cos phi, sin phi], where x is
-/// 1/r for m2p and rho for p2m.
-inline constexpr std::size_t kBasisHeader = 3;
+/// Multi-RHS m2p(): out[k] (overwritten; out.size() == m.size()) is bitwise
+/// m2p(m[k], center, point). Every m[k] has m[0]'s degree.
+void m2p_batch(std::span<const MultipoleExpansion> m, const Vec3& center, const Vec3& point,
+               std::span<double> out) noexcept;
 
-/// Doubles needed to store the m2p basis for degree p:
-/// [1/r, cos phi, sin phi] + tri_size(p) scaled Legendre values.
-[[nodiscard]] constexpr std::size_t m2p_basis_size(int p) noexcept {
-  return kBasisHeader + tri_size(p);
-}
-
-/// Fill `out` (size >= m2p_basis_size(p)) with the evaluation basis of
-/// `point` relative to `center`. Precondition: point != center.
-void m2p_basis(int p, const Vec3& center, const Vec3& point, std::span<double> out);
-
-/// Evaluate the expansion against a basis previously filled by m2p_basis()
-/// with p == m.degree(). Bitwise-identical to m2p(m, center, point).
-double m2p_apply_basis(const MultipoleExpansion& m, const double* basis) noexcept;
-
-/// Multi-RHS m2p_apply_basis(): out[c] (overwritten; out.size() == m.size())
-/// is bitwise m2p_apply_basis(m[c], basis). Every m[c] has the basis's
-/// degree. Each degree's Y_n^m row is formed once and shared by the
-/// columns; each column keeps its single-RHS products and order.
-void m2p_apply_basis_batch(std::span<const MultipoleExpansion> m, const double* basis,
-                           std::span<double> out) noexcept;
-
-/// The same factorization for p2m: per source particle the charge enters
-/// through exactly two multiplies (q * rho^n, then the scale of conj(Y)),
-/// so rho, e^{i phi} and the scaled Legendre values can be stored once per
-/// (node, particle) and replayed for every new charge vector; the apply
-/// recomputes the rho^n chain with p2m()'s multiplies.
-
-/// Doubles needed for the p2m basis of `count` particles at degree p:
-/// count * ([rho, cos phi, sin phi] + tri_size(p) scaled Legendre values).
-[[nodiscard]] constexpr std::size_t p2m_basis_size(int p, std::size_t count) noexcept {
-  return count * (kBasisHeader + tri_size(p));
-}
-
-/// Fill `out` (size >= p2m_basis_size(p, positions.size())) with the p2m
-/// basis of the particles relative to `center`.
-void p2m_basis(int p, const Vec3& center, std::span<const Vec3> positions,
-               std::span<double> out);
-
-/// Accumulate the particles' multipole contributions from a basis filled by
-/// p2m_basis() with p == out.degree() and the same particle count/order.
-/// Bitwise-identical to p2m(center, positions, charges, out).
-void p2m_apply_basis(std::span<const double> charges, const double* basis,
-                     MultipoleExpansion& out) noexcept;
-
-/// Multi-RHS p2m_apply_basis(): accumulates column c's charges into out[c]
-/// (out.size() == charge_columns.size(); every out[c] has the basis's
-/// degree; every column has the basis's particle count). Each particle's
-/// conj(Y_n^m) row is formed once and shared by the columns; out[c] ends
-/// bitwise as p2m_apply_basis(charge_columns[c], basis, out[c]) leaves it.
-void p2m_apply_basis_batch(std::span<const std::span<const double>> charge_columns,
-                           const double* basis, std::span<MultipoleExpansion> out) noexcept;
+/// Multi-RHS p2m(): accumulates column k's charges into out[k]
+/// (out.size() == charge_columns.size(); every out[k] has out[0]'s degree;
+/// every column has positions.size() charges). out[k] ends bitwise as
+/// p2m(center, positions, charge_columns[k], out[k]) leaves it.
+void p2m_batch(const Vec3& center, std::span<const Vec3> positions,
+               std::span<const std::span<const double>> charge_columns,
+               std::span<MultipoleExpansion> out) noexcept;
 
 /// Evaluate potential and analytic gradient of the multipole expansion.
 PotentialGrad m2p_grad(const MultipoleExpansion& m, const Vec3& center, const Vec3& point);

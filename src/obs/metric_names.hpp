@@ -64,14 +64,10 @@ inline constexpr const char* kEngineErrors = "engine.errors";
 inline constexpr const char* kEnginePlanCacheHits = "engine.plan_cache_hits";
 inline constexpr const char* kEnginePlanCacheMisses = "engine.plan_cache_misses";
 inline constexpr const char* kEnginePlanDenied = "engine.plan_denied";
-inline constexpr const char* kEngineBasisDenied = "engine.basis_denied";
 inline constexpr const char* kEnginePlanCompiles = "engine.plan_compiles";
 inline constexpr const char* kEnginePlanEntries = "engine.plan_entries";
 inline constexpr const char* kEnginePlanBytes = "engine.plan_bytes";
-inline constexpr const char* kEngineBasisBytes = "engine.basis_bytes";
 inline constexpr const char* kEngineRefreshDenied = "engine.refresh_denied";
-inline constexpr const char* kEngineRefreshBasisBytes = "engine.refresh_basis_bytes";
-inline constexpr const char* kEngineP2mBasisDenied = "engine.p2m_basis_denied";
 inline constexpr const char* kEngineNodesRefreshed = "engine.nodes_refreshed";
 inline constexpr const char* kEngineDeadlineExpirations = "engine.deadline_expirations";
 inline constexpr const char* kEngineReplays = "engine.replays";
@@ -82,8 +78,7 @@ inline constexpr const char* kEngineM2pPerLevel = "engine.m2p_per_level";
 inline constexpr const char* kEngineP2pPerLevel = "engine.p2p_per_level";
 inline constexpr const char* kEngineDegreeUsed = "engine.degree_used";
 inline constexpr const char* kEngineDegradedServes = "engine.degraded_serves";
-inline constexpr const char* kEngineServeBasisReplay = "engine.serve.basis_replay";
-inline constexpr const char* kEngineServePlainReplay = "engine.serve.plain_replay";
+inline constexpr const char* kEngineServeReplay = "engine.serve.replay";
 inline constexpr const char* kEngineServeTraversal = "engine.serve.traversal";
 inline constexpr const char* kEngineServeDirect = "engine.serve.direct";
 /// Multi-RHS batched replay (EvalSession::try_evaluate_batch).

@@ -186,10 +186,9 @@ void push_span(State& s, const SpanRecord& record) noexcept {
 /// values.
 const char* rung_name(std::int8_t rung) {
   switch (rung) {
-    case 0: return "basis_replay";
-    case 1: return "plain_replay";
-    case 2: return "traversal";
-    case 3: return "direct";
+    case 0: return "replay";
+    case 1: return "traversal";
+    case 2: return "direct";
     default: return "none";
   }
 }
@@ -412,7 +411,7 @@ Json record_json(const RequestRecord& record) {
   std::snprintf(key_hex, sizeof key_hex, "0x%016llx",
                 static_cast<unsigned long long>(record.plan_key));
   Json doc = Json::object();
-  doc["schema"] = "treecode-request-record/v2";
+  doc["schema"] = "treecode-request-record/v3";
   doc["seq"] = record.seq;
   doc["ts_us"] = record.ts_us;
   doc["api"] = record.api;
@@ -424,7 +423,6 @@ Json record_json(const RequestRecord& record) {
   doc["wall_seconds"] = record.wall_seconds;
   doc["targets"] = record.targets;
   doc["plan_bytes"] = record.plan_bytes;
-  doc["basis_bytes"] = record.basis_bytes;
   // NaN marks "no deadline armed"; the JSON writer turns it into null.
   doc["deadline_slack_seconds"] = record.deadline_slack_seconds;
   doc["audit_max_tightness"] = record.audit_max_tightness;

@@ -57,7 +57,7 @@
 /// trace per line, validated by scripts/validate_trace.py), Chrome
 /// trace-event JSON of every readable span, timeline included, with flow
 /// events (loadable in Perfetto at https://ui.perfetto.dev), and
-/// `treecode-request-record/v2` JSONL of the request log (validated by
+/// `treecode-request-record/v3` JSONL of the request log (validated by
 /// scripts/validate_telemetry.py).
 
 #include <array>
@@ -130,9 +130,9 @@ struct SamplerConfig {
 };
 
 /// core ServeRung::kTraversal: a request served at this rung or the next
-/// one down the ladder (direct summation) was degraded. Basis and plain
-/// replay are healthy.
-inline constexpr std::int8_t kTraversalRung = 2;
+/// one down the ladder (direct summation) was degraded. Plan replay is
+/// healthy.
+inline constexpr std::int8_t kTraversalRung = 1;
 
 /// One finished request: the row the request log keeps and the input to
 /// the tail decision. Sentinels: plan_key 0 = no plan involved, rung -1 =
@@ -149,13 +149,12 @@ struct RequestRecord {
   bool ok = true;               ///< whether the Expected held a value
   std::uint8_t outcome = 0;     ///< util ErrorCode numeric value (0 = ok)
   const char* outcome_name = "ok";  ///< static error_code_name() string
-  std::int8_t rung = -1;        ///< core ServeRung (0-3) or -1; >= 2 degraded
+  std::int8_t rung = -1;        ///< core ServeRung (0-2) or -1; >= 1 degraded
   bool deadline_missed = false;
   bool slo_breach = false;      ///< caller-determined SLO breach
   double wall_seconds = 0.0;    ///< entry-to-exit wall time
   std::uint64_t targets = 0;    ///< targets served (0 for non-evaluations)
-  std::uint64_t plan_bytes = 0;   ///< resident compiled-plan bytes at exit
-  std::uint64_t basis_bytes = 0;  ///< resident evaluation-basis bytes at exit
+  std::uint64_t plan_bytes = 0;  ///< resident compiled-plan bytes at exit
   double deadline_slack_seconds = 0.0;  ///< deadline - wall; NaN = none
   double audit_max_tightness = 0.0;     ///< max |error|/bound this request
   std::uint32_t threads = 0;    ///< session pool width
@@ -271,7 +270,7 @@ void set_sink(const std::string& path);
 /// Flush and detach the sink. Records keep flowing to the ring.
 void close_sink();
 
-/// One record as a `treecode-request-record/v2` JSON object — the shape
+/// One record as a `treecode-request-record/v3` JSON object — the shape
 /// of a sink line (scripts/telemetry_record_schema.json).
 [[nodiscard]] Json record_json(const RequestRecord& record);
 

@@ -404,7 +404,7 @@ Expected<void> EvalService::try_unregister_tenant_impl(const std::string& name) 
     tenant.queue.clear();
     // The session (plan cache, reservations) leaves the table under the
     // lock but is destroyed outside it: PlanCache's destructor withdraws
-    // the tenant's plan/basis bytes from the shared gauges in this step.
+    // the tenant's plan bytes from the shared gauge in this step.
     session = std::move(tenant.session);
     tenants_.erase(it);
     obs::registry()
@@ -690,8 +690,8 @@ obs::Json EvalService::state_json() const {
       plan["num_entries"] =
           static_cast<std::uint64_t>(tenant.plan->entries.size());
       plan["bytes"] = static_cast<std::uint64_t>(tenant.plan->memory_bytes());
-      plan["basis_bytes"] =
-          static_cast<std::uint64_t>(tenant.plan->basis.size() * sizeof(double));
+      // Always 0 (plans hold no basis); kept for bench/suite/service_open.cpp.
+      plan["basis_bytes"] = std::uint64_t{0};
       t["plan"] = std::move(plan);
     }
     if (tenant.session != nullptr) {

@@ -86,7 +86,7 @@ class EvalService {
   struct TenantOptions {
     EvalConfig eval;   ///< treecode settings; memory_budget_bytes = quota
     TreeConfig tree;   ///< octree settings over the tenant's particles
-    /// Session tuning (plan cache capacity, basis budgets).
+    /// Session tuning (plan cache capacity and byte capacity).
     engine::EvalSession::Options session;
     /// Most columns coalesced into one batched replay (clamped to [1, 8] —
     /// the engine's SoA register block).
@@ -157,8 +157,8 @@ class EvalService {
 
   /// Remove a tenant: waits for its in-flight batch, completes every
   /// queued request with kCancelled, and destroys its session — releasing
-  /// its governor reservations and withdrawing its plan/basis bytes from
-  /// the engine.plan_bytes / engine.basis_bytes gauges in the same step.
+  /// its governor reservations and withdrawing its plan bytes from the
+  /// engine.plan_bytes gauge in the same step.
   [[nodiscard]] Expected<void> try_unregister_tenant(const std::string& name);
 
   /// Drive one scheduler round synchronously: pick the next tenant

@@ -4,13 +4,12 @@
 /// Session-wide resource governance: byte accounting with a hard budget,
 /// plus an armable evaluation deadline.
 ///
-/// The bem-solve benchmark governs 8,098 B per source: about 288 MB of plan,
-/// basis and coefficients for only 35,568 sources (298 MB peak RSS). An
-/// unguarded compile in a memory-constrained deployment does not fail
-/// gracefully, it gets OOM-killed. The governor
-/// turns "hope the allocator succeeds" into an explicit protocol: every
-/// durable engine allocation (plan storage, evaluation bases, multipole
-/// coefficients) first reserves its bytes here, and a denial surfaces as a
+/// A compiled plan grows with targets times interactions, not with sources,
+/// and an unguarded compile in a memory-constrained deployment does not
+/// fail gracefully, it gets OOM-killed. The governor turns "hope the
+/// allocator succeeds" into an explicit protocol: every durable engine
+/// allocation (plan storage, multipole coefficients, batch workspaces)
+/// first reserves its bytes here, and a denial surfaces as a
 /// typed kMemoryBudget error that the degradation ladder (eval_session.hpp)
 /// converts into a cheaper serving strategy instead of a dead process.
 ///
@@ -91,7 +90,7 @@ class ResourceGovernor {
   /// Move-only. An empty guard (default-constructed, denied, moved-from,
   /// or released) is falsy and owns nothing. `absorb()` merges another
   /// guard's bytes into this one for durable storage that grows in steps
-  /// (the p2m basis pool) but is returned as one block.
+  /// (the session's multipole coefficients) but is returned as one block.
   class [[nodiscard]] Reservation {
    public:
     Reservation() = default;

@@ -112,10 +112,9 @@ TEST(AuditEval, FmmIgnoresAuditRequests) {
 TEST(AuditEval, ReplayAuditMatchesFreshTraversal) {
   // The compiled plan freezes the per-target acceptance order, so the
   // replay's (target, ordinal) sampling keys — and therefore the audited
-  // sample set and its summary — must match a fresh traversal exactly,
-  // whether the replay applies a precomputed basis or runs M2P on the fly.
-  // Both the fresh walk and the basis-less replay offer their samples only
-  // after the target's deferred M2P flush.
+  // sample set and its summary — must match a fresh traversal exactly.
+  // Both the fresh walk and the replay offer their samples only after the
+  // target's deferred M2P flush.
   const ParticleSystem ps = clustered(2500, 11);
   const EvalConfig cfg = audited_config(40);
   const std::vector<Vec3> targets = grid_targets(300, 7);
@@ -125,20 +124,15 @@ TEST(AuditEval, ReplayAuditMatchesFreshTraversal) {
   const BarnesHutEvaluator fresh(fresh_tree, cfg, &pool);
   const EvalResult ref = fresh.evaluate_at(pool, targets);
 
-  engine::EvalSession with_basis(Tree(ps), cfg);
-  engine::EvalSession without_basis(
-      Tree(ps), cfg,
-      engine::EvalSession::Options{.basis_budget_bytes = 0, .refresh_basis_budget_bytes = 0});
-  for (engine::EvalSession* session : {&with_basis, &without_basis}) {
-    const EvalResult replay = session->evaluate_at(targets);
-    EXPECT_TRUE(bitwise_equal(ref.potential, replay.potential));
-    EXPECT_EQ(ref.stats.audit_samples, replay.stats.audit_samples);
-    EXPECT_EQ(ref.stats.audit_bound_violations, replay.stats.audit_bound_violations);
-    EXPECT_EQ(ref.stats.audit_max_tightness, replay.stats.audit_max_tightness);
-    EXPECT_EQ(ref.stats.audit_mean_tightness, replay.stats.audit_mean_tightness);
-    EXPECT_GT(replay.stats.audit_samples, 0u);
-    EXPECT_EQ(replay.stats.audit_bound_violations, 0u);
-  }
+  engine::EvalSession session(Tree(ps), cfg);
+  const EvalResult replay = session.evaluate_at(targets);
+  EXPECT_TRUE(bitwise_equal(ref.potential, replay.potential));
+  EXPECT_EQ(ref.stats.audit_samples, replay.stats.audit_samples);
+  EXPECT_EQ(ref.stats.audit_bound_violations, replay.stats.audit_bound_violations);
+  EXPECT_EQ(ref.stats.audit_max_tightness, replay.stats.audit_max_tightness);
+  EXPECT_EQ(ref.stats.audit_mean_tightness, replay.stats.audit_mean_tightness);
+  EXPECT_GT(replay.stats.audit_samples, 0u);
+  EXPECT_EQ(replay.stats.audit_bound_violations, 0u);
 }
 
 TEST(AuditEval, SelfEvaluationReplayAuditMatchesFresh) {

@@ -128,37 +128,6 @@ TEST(CheckPlan, DetectsTargetCostTampering) {
   EXPECT_FALSE(c.check().ok());
 }
 
-TEST(CheckPlan, DetectsCorruptedBasis) {
-  Compiled c(1500, 37);
-  ASSERT_FALSE(c.plan.basis.empty()) << "expected a precomputed basis by default";
-  // The first M2P entry's slot starts the pool, and its first double holds
-  // 1/r; corrupt it.
-  c.plan.basis[0] *= 1.0000001;
-  const analysis::InvariantReport report = c.check();
-  EXPECT_FALSE(report.ok());
-  EXPECT_NE(report.summary().find("inv_r"), std::string::npos) << report.summary();
-}
-
-TEST(CheckPlan, DetectsBasisStartMismatch) {
-  Compiled c(1500, 41);
-  ASSERT_EQ(c.plan.basis_offset.size(), c.plan.num_targets() + 1);
-  // Target 1's slots no longer start where target 0's end.
-  c.plan.basis_offset[1] += 1;
-  const analysis::InvariantReport report = c.check();
-  EXPECT_FALSE(report.ok());
-  EXPECT_NE(report.summary().find("basis slots end"), std::string::npos) << report.summary();
-}
-
-TEST(CheckPlan, DetectsBasisPoolEndingInsideASlot) {
-  Compiled c(1500, 47);
-  ASSERT_FALSE(c.plan.basis.empty());
-  // A pool one double short leaves its last slot partially stored.
-  c.plan.basis.pop_back();
-  const analysis::InvariantReport report = c.check();
-  EXPECT_FALSE(report.ok());
-  EXPECT_NE(report.summary().find("inside the slot"), std::string::npos) << report.summary();
-}
-
 TEST(CheckPlan, AssertMacroThrowsWithContext) {
   Compiled c(1000, 43);
   c.plan.stats.m2p_count += 1;

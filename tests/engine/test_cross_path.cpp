@@ -1,6 +1,6 @@
 // Generated-input cross-path test: seeded degenerate geometries crossed with
 // seeded configurations. For every case the fresh alpha-MAC walk, the
-// compiled replay, every batch column and the rung-2 traversal must agree
+// compiled replay, every batch column and the rung-1 traversal must agree
 // bitwise, and the Theorem-1 certificate must bound the true error of every
 // target. The geometries are the MAC's edge cases (after Engblom's
 // well-separated sets): coincident and collinear sources, a planar sheet, a
@@ -125,7 +125,7 @@ bool bitwise_equal(std::span<const double> a, std::span<const double> b) {
 
 TEST(CrossPath, GeneratedEdgeCasesAgreeBitwiseAndRespectTheCertificate) {
   SplitMix64 rng(0x5eed);
-  int rung2_cases = 0;
+  int rung1_cases = 0;
   int demoting_cases = 0;
   const std::vector<Shape> shapes = {Shape::kCoincident, Shape::kCollinear, Shape::kSheet,
                                      Shape::kSingle, Shape::kZeroNet};
@@ -193,10 +193,8 @@ TEST(CrossPath, GeneratedEdgeCasesAgreeBitwiseAndRespectTheCertificate) {
         }
       }
 
-      // Rung 2: afford the transient traversal multipoles but not the plan.
-      const std::size_t plan_core = plan->memory_bytes() -
-                                    plan->basis_offset.size() * sizeof(std::uint64_t) -
-                                    plan->basis.size() * sizeof(double);
+      // Rung 1: afford the transient traversal multipoles but not the plan.
+      const std::size_t plan_core = plan->memory_bytes();
       std::size_t traversal = 0;
       for (const int p : session.degrees().degree) traversal += tri_size(p) * sizeof(Complex);
       if (traversal < plan_core) {
@@ -208,12 +206,12 @@ TEST(CrossPath, GeneratedEdgeCasesAgreeBitwiseAndRespectTheCertificate) {
         ASSERT_EQ(r2.stats.served_rung, ServeRung::kTraversal) << where;
         EXPECT_TRUE(bitwise_equal(r2.potential, batch[k - 1].potential)) << where;
         EXPECT_TRUE(bitwise_equal(r2.error_bound, batch[k - 1].error_bound)) << where;
-        ++rung2_cases;
+        ++rung1_cases;
       }
     }
   }
   // The generator must actually reach the paths it claims to cover.
-  EXPECT_GT(rung2_cases, 5);
+  EXPECT_GT(rung1_cases, 5);
   EXPECT_GT(demoting_cases, 0);
 }
 

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstring>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include "core/direct.hpp"
@@ -41,7 +42,7 @@ bool bitwise_equal(std::span<const double> a, std::span<const double> b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
-/// Bytes a rung-2 traversal transiently needs: every node's multipole
+/// Bytes a rung-1 traversal transiently needs: every node's multipole
 /// coefficients at its assigned degree (mirrors
 /// EvalSession::serve_degraded).
 std::size_t traversal_bytes(const engine::EvalSession& session) {
@@ -74,30 +75,9 @@ TEST(Degradation, UnbudgetedSessionServesRungZero) {
   const std::vector<Vec3> targets = grid_targets(200, 23);
   auto r = session.try_evaluate_at(targets);
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.value().stats.served_rung, ServeRung::kBasisReplay);
+  EXPECT_EQ(r.value().stats.served_rung, ServeRung::kReplay);
   EXPECT_EQ(r.value().stats.outcome, ErrorCode::kOk);
   EXPECT_EQ(r.value().stats.targets_served, targets.size());
-}
-
-TEST(Degradation, BasisDisabledServesRungOneBitwiseEqual) {
-  const ParticleSystem ps = clustered(1500, 17);
-  const std::vector<Vec3> targets = grid_targets(200, 23);
-
-  engine::EvalSession rung0(Tree(ps), base_config());
-  engine::EvalSession::Options opts;
-  opts.basis_budget_bytes = 0;
-  opts.refresh_basis_budget_bytes = 0;
-  engine::EvalSession rung1(Tree(ps), base_config(), opts);
-
-  auto r0 = rung0.try_evaluate_at(targets);
-  auto r1 = rung1.try_evaluate_at(targets);
-  ASSERT_TRUE(r0.ok());
-  ASSERT_TRUE(r1.ok());
-  EXPECT_EQ(r0.value().stats.served_rung, ServeRung::kBasisReplay);
-  EXPECT_EQ(r1.value().stats.served_rung, ServeRung::kPlainReplay);
-  // The precomputed basis is bitwise-identical to the full kernel.
-  EXPECT_TRUE(bitwise_equal(r0.value().potential, r1.value().potential));
-  EXPECT_TRUE(bitwise_equal(r0.value().error_bound, r1.value().error_bound));
 }
 
 TEST(Degradation, PlanDeniedFallsToTraversalRung) {
@@ -112,18 +92,13 @@ TEST(Degradation, PlanDeniedFallsToTraversalRung) {
   engine::EvalSession probe(Tree(ps), cfg);
   auto plan = probe.try_compile(targets);
   ASSERT_TRUE(plan.ok());
-  // The governed plan-core reservation happens before the basis exists, so
-  // subtract the basis arrays to recover the number the budget must undercut.
-  const std::size_t plan_core_bytes =
-      plan.value()->memory_bytes() -
-      plan.value()->basis_offset.size() * sizeof(std::uint64_t) -
-      plan.value()->basis.size() * sizeof(double);
-  const std::size_t rung2_bytes = traversal_bytes(probe);
-  ASSERT_LT(rung2_bytes, plan_core_bytes)
-      << "test geometry no longer separates rung 2 from the plan footprint";
+  const std::size_t plan_bytes = plan.value()->memory_bytes();
+  const std::size_t rung1_bytes = traversal_bytes(probe);
+  ASSERT_LT(rung1_bytes, plan_bytes)
+      << "test geometry no longer separates rung 1 from the plan footprint";
 
   EvalConfig budgeted = cfg;
-  budgeted.memory_budget_bytes = (rung2_bytes + plan_core_bytes) / 2;
+  budgeted.memory_budget_bytes = (rung1_bytes + plan_bytes) / 2;
   engine::EvalSession session(Tree(ps), budgeted);
   auto r = session.try_evaluate_at(targets);
   ASSERT_TRUE(r.ok());
@@ -133,7 +108,7 @@ TEST(Degradation, PlanDeniedFallsToTraversalRung) {
   // The traversal reservation is transient: released after the serve.
   EXPECT_EQ(session.governor().used(), 0u);
 
-  // Rung 2 is the same alpha-MAC traversal the plan would have replayed.
+  // Rung 1 is the same alpha-MAC traversal the plan would have replayed.
   const EvalResult reference = probe.evaluate(*plan.value());
   EXPECT_TRUE(bitwise_equal(reference.potential, r.value().potential));
   EXPECT_TRUE(bitwise_equal(reference.error_bound, r.value().error_bound));
@@ -151,7 +126,7 @@ TEST(Degradation, StarvedSessionServesExactDirectRung) {
   EXPECT_EQ(r.value().stats.outcome, ErrorCode::kOk);
   EXPECT_EQ(r.value().stats.targets_served, targets.size());
 
-  // Rung 3 is exact summation: zero truncation error, bounds identically 0.
+  // Rung 2 is exact summation: zero truncation error, bounds identically 0.
   const EvalResult exact = evaluate_direct_at(ps, targets, cfg.threads);
   ASSERT_EQ(r.value().potential.size(), exact.potential.size());
   for (std::size_t i = 0; i < targets.size(); ++i) {
@@ -183,18 +158,26 @@ TEST(Degradation, SelfEvaluationDegradesToDirect) {
 
 TEST(Degradation, TheoremOneBoundHoldsAtEveryRung) {
   const ParticleSystem ps = clustered(900, 47);
-  const std::vector<Vec3> targets = grid_targets(120, 53);
+  const std::vector<Vec3> targets = grid_targets(800, 53);
   const EvalResult exact = evaluate_direct_at(ps, targets, 2);
 
-  const std::size_t budgets[] = {0,                     // rung 0
-                                 std::size_t{512} << 10,  // rung 2 territory
-                                 1024};                 // rung 3
-  for (const std::size_t budget : budgets) {
+  // Rung 1 needs a budget between the traversal's transient multipoles and
+  // the plan (with 800 targets the entry stream is the larger).
+  engine::EvalSession probe(Tree(ps), base_config());
+  const std::size_t plan_bytes = probe.compile(targets)->memory_bytes();
+  const std::size_t rung1_bytes = traversal_bytes(probe);
+  ASSERT_LT(rung1_bytes, plan_bytes);
+  const std::pair<std::size_t, ServeRung> budgets[] = {
+      {0, ServeRung::kReplay},
+      {(rung1_bytes + plan_bytes) / 2, ServeRung::kTraversal},
+      {1024, ServeRung::kDirect}};
+  for (const auto& [budget, rung] : budgets) {
     EvalConfig cfg = base_config();
     cfg.memory_budget_bytes = budget;
     engine::EvalSession session(Tree(ps), cfg);
     auto r = session.try_evaluate_at(targets);
     ASSERT_TRUE(r.ok()) << "budget " << budget;
+    EXPECT_EQ(r.value().stats.served_rung, rung) << "budget " << budget;
     expect_bounds_hold(r.value(), exact.potential);
   }
 }

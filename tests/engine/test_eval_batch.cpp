@@ -168,7 +168,7 @@ TEST(EvalBatch, GradientConfigFallsBackToSequentialWithIdenticalResults) {
 }
 
 // The satellite fix: with one PlanCache per tenant session, the
-// engine.plan_bytes / engine.basis_bytes gauges must aggregate across live
+// engine.plan_bytes gauge must aggregate across live
 // caches and shed a session's contribution the moment it is destroyed —
 // not strand it (stale attribution) or clobber a neighbour's total.
 TEST(EvalBatch, PlanBytesGaugeShedsDestroyedSessionsContribution) {

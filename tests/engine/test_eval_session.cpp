@@ -6,11 +6,9 @@
 #include <random>
 #include <vector>
 
-#include "analysis/invariants.hpp"
 #include "core/treecode.hpp"
 #include "dist/distributions.hpp"
 #include "engine/eval_session.hpp"
-#include "multipole/operators.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace treecode {
@@ -87,7 +85,7 @@ TEST(EvalSession, SelfEvaluationMatchesFreshBitwise) {
 }
 
 // After update_charges, the replay must equal a fresh evaluator fed the
-// same charge override — the multipole refresh path, basis and all.
+// same charge override — the lazy multipole refresh path.
 TEST(EvalSession, UpdateChargesMatchesFreshBitwise) {
   const ParticleSystem ps = clustered(2200, 17);
   const EvalConfig cfg = base_config();
@@ -111,114 +109,6 @@ TEST(EvalSession, UpdateChargesMatchesFreshBitwise) {
     const EvalResult ref = fresh.evaluate_at(pool, targets);
     EXPECT_TRUE(bitwise_equal(ref.potential, replay.potential)) << "seed=" << seed;
     EXPECT_TRUE(bitwise_equal(ref.error_bound, replay.error_bound)) << "seed=" << seed;
-  }
-}
-
-// Disabling the precomputed bases must not change a single bit — they are
-// a pure evaluation-speed trade.
-TEST(EvalSession, BasisPrecomputeDoesNotChangeResults) {
-  const ParticleSystem ps = clustered(1800, 19);
-  const EvalConfig cfg = base_config();
-  const std::vector<Vec3> targets = grid_targets(200, 31);
-  const std::vector<double> q = perturbed_charges(ps, 404);
-
-  engine::EvalSession::Options no_basis;
-  no_basis.basis_budget_bytes = 0;
-  no_basis.refresh_basis_budget_bytes = 0;
-  engine::EvalSession plain(Tree(ps), cfg, no_basis);
-  engine::EvalSession with_basis(Tree(ps), cfg);
-
-  plain.update_charges(q);
-  with_basis.update_charges(q);
-  const EvalResult a = plain.evaluate_at(targets);
-  const EvalResult b = with_basis.evaluate_at(targets);
-  EXPECT_TRUE(with_basis.cache().size() == 1);
-  EXPECT_TRUE(bitwise_equal(a.potential, b.potential));
-  EXPECT_TRUE(bitwise_equal(a.error_bound, b.error_bound));
-
-  // A tiny budget covers only a prefix of the entries; the mixed
-  // basis/fallback replay must still be bitwise-identical.
-  engine::EvalSession::Options tiny;
-  tiny.basis_budget_bytes = 4096;
-  tiny.refresh_basis_budget_bytes = 4096;
-  engine::EvalSession mixed(Tree(ps), cfg, tiny);
-  mixed.update_charges(q);
-  const EvalResult c = mixed.evaluate_at(targets);
-  EXPECT_TRUE(bitwise_equal(a.potential, c.potential));
-}
-
-// The m2p basis covers a prefix of the entry stream: a budget that runs out
-// between two M2P entries of one target leaves that target half covered.
-// Replay, a K = 8 batch column and the fresh traversal must still agree
-// bitwise, and the plan must pass its static check.
-TEST(EvalSession, PartialBasisCoverageReplaysBitwise) {
-  const ParticleSystem ps = clustered(1800, 23);
-  EvalConfig cfg = base_config();
-  cfg.mode = DegreeMode::kAdaptive;  // slot sizes vary from entry to entry
-  cfg.track_error_bounds = true;
-  const std::vector<Vec3> targets = grid_targets(200, 53);
-
-  // Learn the slot layout from a fully covered plan. Pick a target in the
-  // middle whose second M2P slot is larger than some later one: a budget
-  // that skipped the second slot but went on filling smaller later slots
-  // would then break the prefix rule.
-  engine::EvalSession probe(Tree(ps), cfg);
-  const auto full = probe.try_compile(targets).value_or_throw();
-  ASSERT_EQ(full->basis_offset.size(), targets.size() + 1);
-  std::vector<std::vector<std::size_t>> needs(targets.size());  // slot sizes per target
-  for (std::size_t i = 0; i < targets.size(); ++i) {
-    for (std::uint64_t idx = full->offsets[i]; idx < full->offsets[i + 1]; ++idx) {
-      const std::int32_t e = full->entries[idx];
-      if (engine::EvalPlan::is_p2p(e)) continue;
-      const auto node = static_cast<std::size_t>(engine::EvalPlan::node_of(e));
-      needs[i].push_back(m2p_basis_size(probe.degrees().degree[node]));
-    }
-  }
-  std::size_t target = targets.size() / 2;
-  for (; target < targets.size(); ++target) {
-    if (needs[target].size() < 2) continue;
-    bool smaller_later = false;
-    for (std::size_t j = target + 1; j < targets.size(); ++j) {
-      for (const std::size_t need : needs[j]) smaller_later |= need < needs[target][1];
-    }
-    if (smaller_later) break;
-  }
-  ASSERT_LT(target, targets.size()) << "no target with a second slot larger than a later one";
-  // The budget fits the target's first slot and most of its second.
-  const std::vector<std::size_t>& slots = needs[target];
-  const std::size_t covered = full->basis_offset[target] + slots[0];
-  engine::EvalSession::Options opts;
-  opts.basis_budget_bytes = (covered + slots[1] - 1) * sizeof(double);
-  engine::EvalSession session(Tree(ps), cfg, opts);
-  const auto plan = session.try_compile(targets).value_or_throw();
-  ASSERT_EQ(plan->basis.size(), covered);
-  ASSERT_EQ(plan->basis_offset, full->basis_offset);
-  const analysis::InvariantReport report =
-      analysis::check_plan(*plan, session.tree(), session.degrees(), session.config());
-  EXPECT_TRUE(report.ok()) << report.summary();
-
-  constexpr std::size_t kColumns = 8;
-  std::vector<std::vector<double>> columns;
-  for (std::size_t c = 0; c < kColumns; ++c) columns.push_back(perturbed_charges(ps, 700 + c));
-  const std::vector<std::span<const double>> spans(columns.begin(), columns.end());
-  const std::vector<EvalResult> batch =
-      session.try_evaluate_batch(*plan, spans).value_or_throw();
-  ASSERT_EQ(batch.size(), kColumns);
-
-  const Tree fresh_tree(ps);
-  ThreadPool pool(cfg.threads);
-  const auto& orig = fresh_tree.original_index();
-  for (std::size_t c = 0; c < kColumns; ++c) {
-    session.update_charges(columns[c]);
-    const EvalResult replay = session.evaluate(*plan);
-    std::vector<double> sorted(columns[c].size());
-    for (std::size_t si = 0; si < orig.size(); ++si) sorted[si] = columns[c][orig[si]];
-    const BarnesHutEvaluator fresh(fresh_tree, cfg, &pool, sorted);
-    const EvalResult ref = fresh.evaluate_at(pool, targets);
-    EXPECT_EQ(replay.stats.served_rung, ServeRung::kBasisReplay);
-    EXPECT_TRUE(bitwise_equal(ref.potential, replay.potential)) << "column " << c;
-    EXPECT_TRUE(bitwise_equal(ref.potential, batch[c].potential)) << "column " << c;
-    EXPECT_TRUE(bitwise_equal(ref.error_bound, replay.error_bound)) << "column " << c;
   }
 }
 

@@ -7,8 +7,8 @@
 // gradients plus the deterministic EvalStats counts, at threads {1, 2, 4}.
 // The build uses no -march or fast-math, so the hashes hold across x86-64
 // hosts; other architectures skip. The compiled cases also pin their
-// durable bytes (plan entries, plan, basis and governed bytes) in a second
-// table, kept out of the hash, so a memory-layout change fails on its own.
+// durable bytes (plan entries, plan and governed bytes) in a second table,
+// kept out of the hash, so a memory-layout change fails on its own.
 //
 // Re-recording (only for a deliberate change of the arithmetic or layout): run
 //   ./build/tests/test_engine --gtest_filter='GoldenBits.*'
@@ -86,12 +86,11 @@ class BitHash {
 };
 
 // Durable bytes of a compiled case. They sit beside the hash, not in it:
-// a layout change that keeps every output bit (an extra double per basis
-// slot, a wider entry) moves these and nothing else.
+// a layout change that keeps every output bit (a wider entry, an extra
+// per-target array) moves these and nothing else.
 struct PlanBytes {
   std::size_t entries = 0;   // plan->entries.size()
   std::size_t plan = 0;      // plan->memory_bytes()
-  std::size_t basis = 0;     // plan->basis.size() * sizeof(double)
   std::size_t governed = 0;  // session.governor().used() after the last evaluate
   bool operator==(const PlanBytes&) const = default;
 };
@@ -102,8 +101,7 @@ struct Outcome {
 };
 
 PlanBytes plan_bytes(const engine::EvalSession& session, const engine::EvalPlan& plan) {
-  return {plan.entries.size(), plan.memory_bytes(), plan.basis.size() * sizeof(double),
-          session.governor().used()};
+  return {plan.entries.size(), plan.memory_bytes(), session.governor().used()};
 }
 
 ParticleSystem clustered() {
@@ -154,10 +152,9 @@ Outcome bh_case(const EvalConfig& cfg, bool self) {
   return {h.digest()};
 }
 
-Outcome replay_case(const EvalConfig& cfg, const engine::EvalSession::Options& opts,
-                    bool self) {
+Outcome replay_case(const EvalConfig& cfg, bool self) {
   const ParticleSystem ps = clustered();
-  engine::EvalSession session(Tree(ps), cfg, opts);
+  engine::EvalSession session(Tree(ps), cfg);
   const auto plan = self ? session.try_compile_self().value_or_throw()
                          : session.try_compile(targets()).value_or_throw();
   BitHash h;
@@ -182,22 +179,19 @@ Outcome batch_case(unsigned threads, std::size_t k) {
   return {h.digest(), plan_bytes(session, *plan)};
 }
 
-// Rung 2: a budget that affords the transient traversal multipoles but not
-// the compiled plan core (calibrated on an unbudgeted probe session). With
-// 800 targets the entry stream outweighs the per-node coefficients.
-Outcome rung2_case(unsigned threads) {
+// Rung 1: a budget that affords the transient traversal multipoles but not
+// the compiled plan (calibrated on an unbudgeted probe session). With 800
+// targets the entry stream outweighs the per-node coefficients.
+Outcome rung1_case(unsigned threads) {
   const ParticleSystem ps = clustered();
   const std::vector<Vec3> t = targets(800);
   const EvalConfig cfg = config(threads);
   engine::EvalSession probe(Tree(ps), cfg);
   const auto plan = probe.try_compile(t).value_or_throw();
-  const std::size_t plan_core = plan->memory_bytes() -
-                                plan->basis_offset.size() * sizeof(std::uint64_t) -
-                                plan->basis.size() * sizeof(double);
   std::size_t traversal = 0;
   for (const int p : probe.degrees().degree) traversal += tri_size(p) * sizeof(Complex);
   EvalConfig budgeted = cfg;
-  budgeted.memory_budget_bytes = (traversal + plan_core) / 2;
+  budgeted.memory_budget_bytes = (traversal + plan->memory_bytes()) / 2;
   engine::EvalSession session(Tree(ps), budgeted);
   const EvalResult r = session.try_evaluate_at(t).value_or_throw();
   EXPECT_EQ(r.stats.served_rung, ServeRung::kTraversal);
@@ -206,7 +200,7 @@ Outcome rung2_case(unsigned threads) {
   return {h.digest()};
 }
 
-Outcome rung3_case(unsigned threads, bool self) {
+Outcome rung2_case(unsigned threads, bool self) {
   EvalConfig cfg = config(threads);
   cfg.compute_gradient = true;
   cfg.memory_budget_bytes = 1024;
@@ -241,8 +235,6 @@ struct GoldenCase {
 };
 
 std::vector<GoldenCase> golden_cases() {
-  const engine::EvalSession::Options no_basis{.basis_budget_bytes = 0,
-                                              .refresh_basis_budget_bytes = 0};
   return {
       {"bh_self_fixed",
        [](unsigned t) {
@@ -270,15 +262,13 @@ std::vector<GoldenCase> golden_cases() {
          cfg.audit_seed = 7;
          return bh_case(cfg, true);
        }},
-      {"replay_basis", [](unsigned t) { return replay_case(config(t), {}, false); }},
-      {"replay_plain",
-       [no_basis](unsigned t) { return replay_case(config(t), no_basis, false); }},
+      {"replay", [](unsigned t) { return replay_case(config(t), false); }},
       {"replay_self_budget",
        [](unsigned t) {
          EvalConfig cfg = config(t);
          cfg.enforce_budget = true;
          cfg.error_budget = 2e-3;
-         return replay_case(cfg, {}, true);
+         return replay_case(cfg, true);
        }},
       {"replay_self_gradient_audit",
        [](unsigned t) {
@@ -286,14 +276,14 @@ std::vector<GoldenCase> golden_cases() {
          cfg.compute_gradient = true;
          cfg.audit_samples = 24;
          cfg.audit_seed = 7;
-         return replay_case(cfg, {}, true);
+         return replay_case(cfg, true);
        }},
       {"batch_k1", [](unsigned t) { return batch_case(t, 1); }},
       {"batch_k3", [](unsigned t) { return batch_case(t, 3); }},
       {"batch_k8", [](unsigned t) { return batch_case(t, 8); }},
-      {"rung2_traversal", [](unsigned t) { return rung2_case(t); }},
-      {"rung3_direct_at", [](unsigned t) { return rung3_case(t, false); }},
-      {"rung3_direct_self", [](unsigned t) { return rung3_case(t, true); }},
+      {"rung1_traversal", [](unsigned t) { return rung1_case(t); }},
+      {"rung2_direct_at", [](unsigned t) { return rung2_case(t, false); }},
+      {"rung2_direct_self", [](unsigned t) { return rung2_case(t, true); }},
       {"dipole_at", [](unsigned t) { return dipole_case(t); }},
   };
 }
@@ -305,22 +295,23 @@ struct Golden {
 
 // Re-recorded when the harmonics moved to the Cartesian recurrence (a
 // deliberate rounding-level change: counts unchanged, every potential field
-// within 1e-15 of its old maximum); see the file comment.
+// within 1e-15 of its old maximum), and again when the ladder lost its
+// basis rung (rungs renumbered 0, 1 -> 0; 2 -> 1; 3 -> 2; no output bit
+// moved); see the file comment.
 constexpr Golden kGolden[] = {
     {"bh_self_fixed", 0x5b1980837585b7a5ull},
     {"bh_at_gradient", 0x53e5e3bf34f276b2ull},
     {"bh_at_budget", 0x9ca334f559951b10ull},
     {"bh_self_audit", 0x39320d777a4bd0c2ull},
-    {"replay_basis", 0xa871f46eb40e54b4ull},
-    {"replay_plain", 0x1064233f472a9070ull},
+    {"replay", 0xa871f46eb40e54b4ull},
     {"replay_self_budget", 0x52a80fc7cbb9296aull},
-    {"replay_self_gradient_audit", 0xa1689e4d5320364eull},
+    {"replay_self_gradient_audit", 0x53fc945e2d5d117eull},
     {"batch_k1", 0x212381600725e746ull},
     {"batch_k3", 0x0d716d48e19b43a4ull},
     {"batch_k8", 0x5d6db9b7efa77527ull},
-    {"rung2_traversal", 0x3bd4e8eacdf158a8ull},
-    {"rung3_direct_at", 0x0f0ae51d5c48740cull},
-    {"rung3_direct_self", 0x4979e6785af350e9ull},
+    {"rung1_traversal", 0x9cfb6a135ad23503ull},
+    {"rung2_direct_at", 0x7102650bda515169ull},
+    {"rung2_direct_self", 0x7b067dd8d7b14d88ull},
     {"dipole_at", 0xaf1f46e30af4f19dull},
 };
 
@@ -329,17 +320,16 @@ struct GoldenBytes {
   PlanBytes bytes;
 };
 
-// Durable bytes of the compiled cases: entries, plan bytes, basis bytes,
-// governed bytes. Re-record (paste the printed table) only with a
-// deliberate change of the plan or basis layout.
+// Durable bytes of the compiled cases: entries, plan bytes, governed bytes.
+// Re-record (paste the printed table) only with a deliberate change of the
+// plan layout.
 constexpr GoldenBytes kGoldenBytes[] = {
-    {"replay_basis", {4668, 1055744, 990184, 3009864}},
-    {"replay_plain", {4668, 64272, 0, 219232}},
-    {"replay_self_budget", {706096, 60008876, 51461624, 60873556}},
-    {"replay_self_gradient_audit", {183978, 2270364, 0, 4362996}},
-    {"batch_k1", {4668, 1055744, 990184, 2854904}},
-    {"batch_k3", {4668, 1055744, 990184, 2854904}},
-    {"batch_k8", {4668, 1055744, 990184, 2854904}},
+    {"replay", {4668, 64272, 219232}},
+    {"replay_self_budget", {706096, 8535244, 8700908}},
+    {"replay_self_gradient_audit", {183978, 2270364, 2484060}},
+    {"batch_k1", {4668, 64272, 64272}},
+    {"batch_k3", {4668, 64272, 64272}},
+    {"batch_k8", {4668, 64272, 64272}},
 };
 
 TEST(GoldenBits, EveryPathMatchesItsRecordedHashAtThreads124) {
@@ -387,8 +377,8 @@ TEST(GoldenBits, CompiledCasesMatchTheirRecordedBytesAtThreads124) {
           << golden.name << " bytes differ between 1 and " << threads << " threads";
     }
     char line[160];
-    std::snprintf(line, sizeof(line), "    {\"%s\", {%zu, %zu, %zu, %zu}},\n", golden.name,
-                  b1.entries, b1.plan, b1.basis, b1.governed);
+    std::snprintf(line, sizeof(line), "    {\"%s\", {%zu, %zu, %zu}},\n", golden.name,
+                  b1.entries, b1.plan, b1.governed);
     table += line;
     if (!(b1 == golden.bytes)) {
       all_match = false;

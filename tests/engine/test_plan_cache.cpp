@@ -82,27 +82,23 @@ TEST(PlanCache, EvictedPlanSurvivesThroughSharedPtr) {
   EXPECT_EQ(a->targets.size(), 1u);
 }
 
-std::shared_ptr<EvalPlan> make_sized_plan(std::uint64_t key, std::size_t entries,
-                                          std::size_t basis_doubles = 0) {
+std::shared_ptr<EvalPlan> make_sized_plan(std::uint64_t key, std::size_t entries) {
   auto plan = make_plan(key, static_cast<double>(key));
   plan->entries.assign(entries, 0);
-  plan->basis.assign(basis_doubles, 0.0);
   return plan;
 }
 
 TEST(PlanCache, BytesTrackResidentPlans) {
   PlanCache cache(8);
   EXPECT_EQ(cache.bytes(), 0u);
-  auto a = make_sized_plan(1, 100, 50);
+  auto a = make_sized_plan(1, 100);
   auto b = make_sized_plan(2, 200);
   cache.insert(a);
   EXPECT_EQ(cache.bytes(), a->memory_bytes());
-  EXPECT_EQ(cache.basis_bytes(), 50 * sizeof(double));
   cache.insert(b);
   EXPECT_EQ(cache.bytes(), a->memory_bytes() + b->memory_bytes());
   cache.clear();
   EXPECT_EQ(cache.bytes(), 0u);
-  EXPECT_EQ(cache.basis_bytes(), 0u);
 }
 
 TEST(PlanCache, ReplacingSameKeySwapsBytes) {

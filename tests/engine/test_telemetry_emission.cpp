@@ -75,7 +75,7 @@ TEST_F(EvalSessionTelemetryTest, WarmReplayLoopEmitsOneRecordPerCall) {
   EXPECT_STREQ(eval.api, "evaluate_plan");
   EXPECT_TRUE(eval.ok);
   EXPECT_EQ(eval.plan_key, plan.value()->key);
-  EXPECT_GE(eval.rung, 0);  // served by some ladder rung
+  EXPECT_EQ(eval.rung, static_cast<std::int8_t>(ServeRung::kReplay));
   EXPECT_EQ(eval.targets, ps.size());
   EXPECT_GE(eval.wall_seconds, 0.0);
   // No deadline configured: slack is the NaN sentinel.
@@ -147,8 +147,8 @@ TEST_F(EvalSessionTelemetryTest, RecordSharesTraceIdAndClockWithItsRootSpan) {
 }
 
 TEST_F(EvalSessionTelemetryTest, HealthyGradientReplaysAreNotKeptAsDegraded) {
-  // Gradient plans carry no basis, so every replay serves at the plain
-  // replay rung: healthy. At sample_rate 0 not one trace may be retained.
+  // Every replay of a gradient plan serves at the replay rung: healthy. At
+  // sample_rate 0 not one trace may be retained.
   const ParticleSystem ps = dist::uniform_cube(600, 13);
   EvalConfig cfg = base_config();
   cfg.compute_gradient = true;
@@ -161,7 +161,7 @@ TEST_F(EvalSessionTelemetryTest, HealthyGradientReplaysAreNotKeptAsDegraded) {
   int replays = 0;
   for (const rt::RequestRecord& record : rt::records()) {
     if (std::string(record.api) != "evaluate_plan") continue;
-    EXPECT_EQ(record.rung, static_cast<std::int8_t>(ServeRung::kPlainReplay));
+    EXPECT_EQ(record.rung, static_cast<std::int8_t>(ServeRung::kReplay));
     ++replays;
   }
   EXPECT_EQ(replays, kEvals);

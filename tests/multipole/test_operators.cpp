@@ -369,90 +369,36 @@ TEST(P2P_Grad, PointChargeGradientSign) {
 
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
-TEST(FusedM2P, EqualsBasisReplayBitwiseAtEveryDegree) {
-  // The fused kernel folds each Y_n^m into its bracket as the recurrence
-  // produces it; the replay reads the same Y from a stored basis. Both must
-  // perform the same products in the same order — including on the z axis,
-  // where sin(theta) = 0 and e^{i phi} = 1.
-  const Cloud c = make_cloud(9, {0.2, -0.1, 0.3}, 0.5, 24);
-  const std::vector<Vec3> points = {{2.5, 1.0, -0.7},  {-1.1, 0.4, 2.2}, {0.2, -0.1, 3.3},
-                                    {0.2, -0.1, -2.9}, {0.2, 2.1, 0.3},  {-3.0, -0.1, 0.3}};
-  std::vector<double> basis;
-  for (int p = 0; p <= kMaxDegree; ++p) {
-    MultipoleExpansion m(p);
-    p2m(c.center, c.pos, c.q, m);
-    basis.assign(m2p_basis_size(p), 0.0);
-    for (const Vec3& x : points) {
-      m2p_basis(p, c.center, x, basis);
-      const double fused = m2p(m, c.center, x);
-      ASSERT_TRUE(std::isfinite(fused)) << "p=" << p;
-      EXPECT_EQ(bits(fused), bits(m2p_apply_basis(m, basis.data())))
-          << "p=" << p << " point=" << x;
-    }
-  }
-}
-
-TEST(FusedP2M, EqualsBasisReplayBitwiseAtEveryDegree) {
-  // Sources include one exactly at the center (r = 0: the +z convention
-  // keeps its harmonics finite) and two on the z axis through it.
-  Cloud c = make_cloud(13, {-0.3, 0.1, 0.2}, 0.4, 20);
-  for (const Vec3& off : {Vec3{0, 0, 0}, Vec3{0, 0, 0.25}, Vec3{-0.0, 0.0, -0.3}}) {
-    c.pos.push_back(c.center + off);
-    c.q.push_back(0.7);
-  }
-  std::vector<double> basis;
-  for (int p = 0; p <= kMaxDegree; ++p) {
-    MultipoleExpansion fresh(p);
-    p2m(c.center, c.pos, c.q, fresh);
-    basis.assign(p2m_basis_size(p, c.pos.size()), 0.0);
-    p2m_basis(p, c.center, c.pos, basis);
-    MultipoleExpansion replayed(p);
-    p2m_apply_basis(c.q, basis.data(), replayed);
-    for (int n = 0; n <= p; ++n) {
-      for (int m = 0; m <= n; ++m) {
-        const Complex a = fresh.coeff(n, m);
-        const Complex b = replayed.coeff(n, m);
-        ASSERT_TRUE(std::isfinite(a.real()) && std::isfinite(a.imag()))
-            << "p=" << p << " n=" << n << " m=" << m;
-        EXPECT_EQ(bits(a.real()), bits(b.real())) << "p=" << p << " n=" << n << " m=" << m;
-        EXPECT_EQ(bits(a.imag()), bits(b.imag())) << "p=" << p << " n=" << n << " m=" << m;
-      }
-    }
-  }
-}
-
-TEST(FusedM2P, BatchApplyEqualsSingleAppliesBitwise) {
-  // K columns share one basis: each column must get the bits of its own
-  // m2p_apply_basis() and of m2p(). The points include both z-axis
-  // directions (e^{i phi} = 1) and offsets with a -0.0 component, which
-  // put signed zeros into e^{i phi} and so into every phase product.
+TEST(FusedM2P, BatchEqualsScalarBitwise) {
+  // K columns share one direction and one harmonic recurrence: column c
+  // must carry the bits of its own m2p() at every degree and every K. The
+  // points include both z-axis directions (e^{i phi} = 1) and offsets with
+  // a -0.0 component, which put signed zeros into e^{i phi} and so into
+  // every phase product; the columns' coefficients are scaled by 1e+-150.
   constexpr std::size_t kColumns = 8;
   const Vec3 center{0.0, 0.0, 0.0};
   const Cloud c = make_cloud(21, center, 0.5, 24);
   const std::vector<Vec3> points = {{2.5, 1.0, -0.7}, {0.0, 0.0, 3.3},   {-0.0, 0.0, -2.9},
                                     {-0.0, 2.1, 0.3}, {1.5, -0.0, -2.0}, {-3.0, -0.0, 0.0}};
-  std::vector<double> basis;
+  const double magnitudes[] = {1.0, 1e150, 1e-150};
   for (int p = 0; p <= kMaxDegree; ++p) {
     std::vector<MultipoleExpansion> m;
     for (std::size_t k = 0; k < kColumns; ++k) {
       std::vector<double> q = c.q;
-      const double scale = (k % 2 == 0 ? 1.0 : -1.0) + 0.25 * static_cast<double>(k);
+      const double scale = ((k % 2 == 0 ? 1.0 : -1.0) + 0.25 * static_cast<double>(k)) *
+                           magnitudes[k % std::size(magnitudes)];
       for (double& x : q) x *= scale;
       m.emplace_back(p);
       p2m(c.center, c.pos, q, m.back());
     }
-    basis.assign(m2p_basis_size(p), 0.0);
     for (const Vec3& x : points) {
-      m2p_basis(p, c.center, x, basis);
       for (std::size_t k = 1; k <= kColumns; ++k) {
         double out[kColumns];
-        m2p_apply_basis_batch({m.data(), k}, basis.data(), {out, k});
+        m2p_batch({m.data(), k}, c.center, x, {out, k});
         for (std::size_t col = 0; col < k; ++col) {
-          const double single = m2p_apply_basis(m[col], basis.data());
+          const double single = m2p(m[col], c.center, x);
           ASSERT_TRUE(std::isfinite(single)) << "p=" << p << " col=" << col;
           EXPECT_EQ(bits(out[col]), bits(single))
-              << "p=" << p << " K=" << k << " col=" << col << " point=" << x;
-          EXPECT_EQ(bits(out[col]), bits(m2p(m[col], c.center, x)))
               << "p=" << p << " K=" << k << " col=" << col << " point=" << x;
         }
       }
@@ -460,10 +406,11 @@ TEST(FusedM2P, BatchApplyEqualsSingleAppliesBitwise) {
   }
 }
 
-TEST(FusedP2M, BatchApplyEqualsSingleAppliesBitwise) {
-  // K charge columns over one basis: column c's expansion must carry the
-  // bits of its own p2m_apply_basis() and of p2m(). Sources include one at
-  // the center, two on the z axis and two with a -0.0 offset component.
+TEST(FusedP2M, BatchEqualsScalarBitwise) {
+  // K charge columns over one pass of the harmonic recurrence per source:
+  // column c's expansion must carry the bits of its own p2m(). Sources
+  // include one at the center, two on the z axis and two with a -0.0
+  // offset component; the columns' charges are scaled by 1e+-150.
   constexpr std::size_t kColumns = 8;
   Cloud c = make_cloud(27, {0.0, 0.0, 0.0}, 0.4, 16);
   for (const Vec3& off : {Vec3{0, 0, 0}, Vec3{0, 0, 0.25}, Vec3{-0.0, 0.0, -0.3},
@@ -471,35 +418,31 @@ TEST(FusedP2M, BatchApplyEqualsSingleAppliesBitwise) {
     c.pos.push_back(c.center + off);
     c.q.push_back(0.7);
   }
+  const double magnitudes[] = {1.0, 1e150, 1e-150};
   std::vector<std::vector<double>> q(kColumns, c.q);
   for (std::size_t k = 0; k < kColumns; ++k) {
-    const double scale = (k % 3 == 0 ? -1.0 : 1.0) + 0.5 * static_cast<double>(k);
+    const double scale = ((k % 3 == 0 ? -1.0 : 1.0) + 0.5 * static_cast<double>(k)) *
+                         magnitudes[k % std::size(magnitudes)];
     for (double& x : q[k]) x *= scale;
   }
-  std::vector<double> basis;
   for (int p = 0; p <= kMaxDegree; ++p) {
-    basis.assign(p2m_basis_size(p, c.pos.size()), 0.0);
-    p2m_basis(p, c.center, c.pos, basis);
     for (std::size_t k = 1; k <= kColumns; ++k) {
       std::vector<std::span<const double>> columns(q.begin(), q.begin() + static_cast<long>(k));
       std::vector<MultipoleExpansion> batch(k, MultipoleExpansion(p));
-      p2m_apply_basis_batch(columns, basis.data(), batch);
+      p2m_batch(c.center, c.pos, columns, batch);
       for (std::size_t col = 0; col < k; ++col) {
         MultipoleExpansion single(p);
-        p2m_apply_basis(q[col], basis.data(), single);
-        MultipoleExpansion fresh(p);
-        p2m(c.center, c.pos, q[col], fresh);
+        p2m(c.center, c.pos, q[col], single);
         for (int n = 0; n <= p; ++n) {
           for (int m = 0; m <= n; ++m) {
             const Complex b = batch[col].coeff(n, m);
-            ASSERT_TRUE(std::isfinite(b.real()) && std::isfinite(b.imag()))
+            const Complex want = single.coeff(n, m);
+            ASSERT_TRUE(std::isfinite(want.real()) && std::isfinite(want.imag()))
                 << "p=" << p << " n=" << n << " m=" << m;
-            for (const Complex want : {single.coeff(n, m), fresh.coeff(n, m)}) {
-              EXPECT_EQ(bits(b.real()), bits(want.real()))
-                  << "p=" << p << " K=" << k << " col=" << col << " n=" << n << " m=" << m;
-              EXPECT_EQ(bits(b.imag()), bits(want.imag()))
-                  << "p=" << p << " K=" << k << " col=" << col << " n=" << n << " m=" << m;
-            }
+            EXPECT_EQ(bits(b.real()), bits(want.real()))
+                << "p=" << p << " K=" << k << " col=" << col << " n=" << n << " m=" << m;
+            EXPECT_EQ(bits(b.imag()), bits(want.imag()))
+                << "p=" << p << " K=" << k << " col=" << col << " n=" << n << " m=" << m;
           }
         }
       }
@@ -605,17 +548,6 @@ TEST(FusedP2M, PairLanesEqualScalarBitwise) {
   }
 }
 
-TEST(EvalBasis, SizeContracts) {
-  // A basis entry is a three-double header ([1/r or rho, cos phi, sin phi])
-  // plus one scaled Legendre value per (n, m >= 0).
-  for (int p = 0; p <= kMaxDegree; ++p) {
-    EXPECT_EQ(m2p_basis_size(p), 3 + tri_size(p)) << "p=" << p;
-    for (const std::size_t count : {std::size_t{0}, std::size_t{1}, std::size_t{37}}) {
-      EXPECT_EQ(p2m_basis_size(p, count), count * (3 + tri_size(p))) << "p=" << p;
-    }
-  }
-}
-
 TEST(FusedP2M, SourceAtTheCenterContributesOnlyTheMonopole) {
   // r = 0: M_0^0 = q Y_0^0 = q and r^n = 0 zeroes every n >= 1 term.
   const Vec3 center{0.4, -0.2, 0.9};
@@ -624,16 +556,15 @@ TEST(FusedP2M, SourceAtTheCenterContributesOnlyTheMonopole) {
   for (int p : {0, 1, 4, kMaxDegree}) {
     MultipoleExpansion m(p);
     p2m(center, pos, q, m);
-    std::vector<double> basis(p2m_basis_size(p, 1));
-    p2m_basis(p, center, pos, basis);
-    MultipoleExpansion replayed(p);
-    p2m_apply_basis(q, basis.data(), replayed);
+    const std::span<const double> columns[] = {q};
+    MultipoleExpansion batched(p);
+    p2m_batch(center, pos, columns, {&batched, 1});
     EXPECT_EQ(m.coeff(0, 0), (Complex{-1.75, 0.0}));
-    EXPECT_EQ(replayed.coeff(0, 0), (Complex{-1.75, 0.0}));
+    EXPECT_EQ(batched.coeff(0, 0), (Complex{-1.75, 0.0}));
     for (int n = 1; n <= p; ++n) {
       for (int k = 0; k <= n; ++k) {
         EXPECT_EQ(std::abs(m.coeff(n, k)), 0.0) << "p=" << p << " n=" << n << " m=" << k;
-        EXPECT_EQ(std::abs(replayed.coeff(n, k)), 0.0);
+        EXPECT_EQ(std::abs(batched.coeff(n, k)), 0.0);
       }
     }
   }

@@ -132,9 +132,10 @@ TEST_F(ReqTraceTest, TailKeepRulesAndReasonPrecedence) {
   };
   const std::vector<Case> cases = {
       {rt::RequestRecord{}, nullptr},  // healthy at sample_rate 0: dropped
-      {rt::RequestRecord{.ok = false, .rung = 2, .deadline_missed = true}, "error"},
-      {rt::RequestRecord{.rung = 2, .deadline_missed = true}, "deadline"},
-      {rt::RequestRecord{.rung = 2, .slo_breach = true}, "degraded"},
+      {rt::RequestRecord{.rung = 0}, nullptr},  // plan replay is healthy
+      {rt::RequestRecord{.ok = false, .rung = 1, .deadline_missed = true}, "error"},
+      {rt::RequestRecord{.rung = 1, .deadline_missed = true}, "deadline"},
+      {rt::RequestRecord{.rung = 1, .slo_breach = true}, "degraded"},
       {rt::RequestRecord{.slo_breach = true}, "slo"},
   };
   for (const Case& c : cases) {
@@ -150,9 +151,9 @@ TEST_F(ReqTraceTest, TailKeepRulesAndReasonPrecedence) {
   EXPECT_STREQ(retained[2].reason, "degraded");
   EXPECT_STREQ(retained[3].reason, "slo");
   const obs::MetricsSnapshot snapshot = obs::registry().snapshot();
-  EXPECT_EQ(snapshot.counters.at(obs::metric::kTraceRequests), 5u);
+  EXPECT_EQ(snapshot.counters.at(obs::metric::kTraceRequests), 6u);
   EXPECT_EQ(snapshot.counters.at(obs::metric::kTraceRetained), 4u);
-  EXPECT_EQ(snapshot.counters.at(obs::metric::kTraceSampledOut), 1u);
+  EXPECT_EQ(snapshot.counters.at(obs::metric::kTraceSampledOut), 2u);
 }
 
 TEST_F(ReqTraceTest, SlowRuleKeepsOverThresholdRequests) {
@@ -552,7 +553,6 @@ rt::RequestRecord sample_record(std::uint64_t key) {
   r.wall_seconds = 0.001;
   r.targets = 64;
   r.plan_bytes = 1024;
-  r.basis_bytes = 2048;
   r.deadline_slack_seconds = std::numeric_limits<double>::quiet_NaN();
   r.audit_max_tightness = 0.5;
   r.threads = 4;
@@ -617,11 +617,11 @@ TEST_F(TelemetryTest, ToJsonShapeAndSentinels) {
   rt::RequestRecord r = sample_record(0xdeadbeef);
   r.seq = 41;
   const obs::Json j = rt::record_json(r);
-  EXPECT_EQ(j.at("schema").as_string(), "treecode-request-record/v2");
+  EXPECT_EQ(j.at("schema").as_string(), "treecode-request-record/v3");
   EXPECT_EQ(j.at("api").as_string(), "evaluate_plan");
   EXPECT_EQ(j.at("plan_key").as_string(), "0x00000000deadbeef");
   EXPECT_EQ(j.at("rung").as_int(), 0);
-  EXPECT_EQ(j.at("rung_name").as_string(), "basis_replay");
+  EXPECT_EQ(j.at("rung_name").as_string(), "replay");
   EXPECT_TRUE(j.at("ok").as_bool());
   // NaN slack (no deadline) must serialize as null, not a bare NaN token
   // (which JSON has no syntax for). The writer maps non-finite to null.
@@ -661,7 +661,7 @@ TEST_F(TelemetryTest, SinkWritesOneJsonLinePerRecord) {
   ASSERT_EQ(lines.size(), 2u);
   for (const std::string& line : lines) {
     const obs::Json j = obs::Json::parse(line);
-    EXPECT_EQ(j.at("schema").as_string(), "treecode-request-record/v2");
+    EXPECT_EQ(j.at("schema").as_string(), "treecode-request-record/v3");
   }
   std::remove(path.c_str());
 }

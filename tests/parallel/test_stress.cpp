@@ -661,7 +661,6 @@ TEST(PlanCacheStress, ConcurrentFindInsertClearUnderEvictionPressure) {
   cache.clear();
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.bytes(), 0u);
-  EXPECT_EQ(cache.basis_bytes(), 0u);
 }
 
 TEST_F(EvaluatorStress, ConcurrentEvaluationsOnSharedTree) {
