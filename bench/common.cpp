@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "obs/openmetrics.hpp"
-#include "obs/recorder.hpp"
 #include "obs/reqtrace.hpp"
 #include "obs/slo.hpp"
 #include "util/stats.hpp"
@@ -141,7 +140,6 @@ obs::Json repeat_stats_json(const RepeatStats& stats) {
 std::vector<std::string> with_obs_flags(std::vector<std::string> known) {
   known.emplace_back("json-out");
   known.emplace_back("trace-out");
-  known.emplace_back("recorder-out");
   known.emplace_back("metrics-out");
   known.emplace_back("openmetrics-out");
   known.emplace_back("telemetry-out");
@@ -157,7 +155,6 @@ ObsOptions obs_options_from(const CliFlags& flags) {
   ObsOptions opts;
   opts.json_out = flags.get_string("json-out", "");
   opts.trace_out = flags.get_string("trace-out", "");
-  opts.recorder_out = flags.get_string("recorder-out", "");
   opts.metrics_out = flags.get_string("metrics-out", "");
   opts.openmetrics_out = flags.get_string("openmetrics-out", "");
   opts.telemetry_out = flags.get_string("telemetry-out", "");
@@ -177,11 +174,9 @@ ObsOptions obs_options_from(const CliFlags& flags) {
     config.sample_rate = opts.trace_sample_rate;
     obs::reqtrace::enable(config);
     if (!opts.telemetry_out.empty()) obs::reqtrace::set_sink(opts.telemetry_out);
-  }
-  if (!opts.recorder_out.empty()) {
-    obs::recorder::reset();
-    obs::recorder::set_dump_path(opts.recorder_out);
-    obs::recorder::start();
+    // A trigger (engine error, invariant failure) dumps here at once; the
+    // end-of-run export overwrites it when the run completes.
+    obs::reqtrace::set_dump_path(opts.trace_out);
   }
   return opts;
 }
@@ -189,10 +184,6 @@ ObsOptions obs_options_from(const CliFlags& flags) {
 void emit_reports(const ObsOptions& opts, const obs::RunReport& report) {
   if (!opts.active()) return;
   obs::reqtrace::disable();
-  if (!opts.recorder_out.empty()) {
-    obs::recorder::stop();
-    obs::recorder::dump(opts.recorder_out, "run complete");
-  }
   obs::reqtrace::close_sink();
   if (!opts.trace_requests_out.empty()) {
     obs::reqtrace::write_jsonl(opts.trace_requests_out);

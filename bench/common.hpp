@@ -122,10 +122,9 @@ obs::Json repeat_stats_json(const RepeatStats& stats);
 /// Parsed observability flags for one run.
 struct ObsOptions {
   std::string json_out;         ///< structured report path ("" = off)
-  /// Chrome trace-event path ("" = off): every span the tracer still holds,
-  /// the newest 512 per thread.
+  /// Chrome trace-event path ("" = off): every span and event the tracer
+  /// still holds, the newest 512 per thread. Also the trigger dump path.
   std::string trace_out;
-  std::string recorder_out;     ///< flight-recorder snapshot path ("" = off)
   std::string metrics_out;      ///< MetricsSnapshot JSON path ("" = off)
   std::string openmetrics_out;  ///< OpenMetrics exposition path ("" = off)
   std::string telemetry_out;    ///< request-record JSONL path ("" = off)
@@ -135,16 +134,16 @@ struct ObsOptions {
   bool slo = false;             ///< check default engine SLO rules at exit
 
   [[nodiscard]] bool active() const {
-    return !json_out.empty() || !trace_out.empty() || !recorder_out.empty() ||
-           !metrics_out.empty() || !openmetrics_out.empty() ||
-           !telemetry_out.empty() || !trace_requests_out.empty() || slo;
+    return !json_out.empty() || !trace_out.empty() || !metrics_out.empty() ||
+           !openmetrics_out.empty() || !telemetry_out.empty() ||
+           !trace_requests_out.empty() || slo;
   }
 };
 
-/// Append the shared flag names ("json-out", "trace-out", "recorder-out",
-/// "metrics-out", "openmetrics-out", "telemetry-out", "trace-requests-out",
-/// "trace-sample-rate", "slo", "repeat", "warmup") to a
-/// binary's known-flags list.
+/// Append the shared flag names ("json-out", "trace-out", "metrics-out",
+/// "openmetrics-out", "telemetry-out", "trace-requests-out",
+/// "trace-sample-rate", "slo", "repeat", "warmup") to a binary's
+/// known-flags list.
 std::vector<std::string> with_obs_flags(std::vector<std::string> known);
 
 /// Read the shared observability flags. When any output is active, resets
@@ -152,7 +151,8 @@ std::vector<std::string> with_obs_flags(std::vector<std::string> known);
 /// tracer (obs/reqtrace.hpp) with sampler seed 1 after a reset, so the id
 /// stream and the retained-trace set repeat run to run; the healthy-trace
 /// keep rate comes from --trace-sample-rate. The armed tracer also keeps the
-/// request log; --telemetry-out streams it to a JSONL sink at that path.
+/// request log; --telemetry-out streams it to a JSONL sink at that path,
+/// and --trace-out is where a trigger dumps the Chrome export at once.
 ObsOptions obs_options_from(const CliFlags& flags);
 
 /// Write the requested outputs: the report to json_out, the Chrome

@@ -22,7 +22,8 @@ ATOMIC_OPS = {"fetch_add", "fetch_sub", "fetch_or", "fetch_and", "load",
 NAME_ARGS = {
     "ScopedTimer": ("span", 0), "RequestScope": ("span", 0),
     "PhaseSpan": ("span", 0), "record_timeline_span": ("span", 0),
-    "record_span": ("span", 1), "parallel_for": ("span", -1),
+    "record_span": ("span", 1), "record_event": ("span", 0),
+    "trigger": ("span", 0), "parallel_for": ("span", -1),
     "parallel_for_blocked": ("span", -1), "flush_counts": ("metric", 0),
     "counter": ("metric", 0), "gauge": ("metric", 0),
     "histogram": ("metric", 0), "series": ("metric", 0)}

@@ -110,6 +110,10 @@ ENTRY_FILE_PREFIX = ("src/engine/", "src/service/")
 GOVERNOR_IMPL_FILES = ("src/util/resource_governor.hpp",
                        "src/util/resource_governor.cpp")
 PARALLEL_FNS = {"parallel_for", "parallel_for_blocked"}
+# Span-name callees that may also take a name computed from a static table
+# (error_code_name, a fault site's name): only literals and constants are
+# checked there.
+COMPUTED_SPAN_FNS = PARALLEL_FNS | {"record_event", "trigger"}
 EMIT_HELPERS = {"emit_request"}
 # Engine emit helpers count engine.requests; the service's counts
 # service.requests. Either satisfies the count-before-gate contract.
@@ -617,8 +621,9 @@ def _registry_names(idx: _Index, rule: str, path: str, kind: str,
 def _registry_rule(idx: _Index, rule: str, kind: str, registry: str,
                    exempt: tuple) -> list[Finding]:
     """Every `kind` name argument is an obs::<kind>::k* constant defined
-    in `registry`. A metric name or a parallel_for trace name may also be
-    computed (or omitted): only literals and constants are checked there."""
+    in `registry`. A metric name, a parallel_for trace name or an event
+    name may also be computed (or omitted): only literals and constants
+    are checked there."""
     out: list[Finding] = []
     names = _registry_names(idx, rule, registry, kind, out)
     const_re = re.compile(rf"(?:\w+::)*{kind}::(k\w+)")
@@ -628,7 +633,7 @@ def _registry_rule(idx: _Index, rule: str, kind: str, registry: str,
                 continue
             const = const_re.fullmatch(arg.text)
             if const is None and not arg.literal and (
-                    kind == "metric" or arg.callee in PARALLEL_FNS):
+                    kind == "metric" or arg.callee in COMPUTED_SPAN_FNS):
                 continue
             if const is None:
                 msg = (f"{arg.callee} name must be a {kind}-registry "

@@ -484,6 +484,23 @@ SPAN_PARFOR_CLEAN = SPAN_PARFOR_BAD.replace(
 SPAN_PARFOR_SUPPRESSED = SPAN_PARFOR_BAD.replace(
     '"fake.worker");', '"fake.worker");  // analyze-allow(span-registry)')
 
+SPAN_EVENT_BAD = """
+void evict(double bytes) {
+  reqtrace::record_event("fake.worker", bytes);
+}
+"""
+
+SPAN_EVENT_CLEAN = """
+void evict(double bytes, ErrorCode code) {
+  reqtrace::record_event(obs::span::kFakeWorker, bytes);
+  reqtrace::trigger(error_code_name(code));
+}
+"""
+
+SPAN_EVENT_SUPPRESSED = SPAN_EVENT_BAD.replace(
+    '"fake.worker", bytes);',
+    '"fake.worker", bytes);  // analyze-allow(span-registry)')
+
 METRIC_REGISTRY_FIXTURE = """#pragma once
 namespace treecode::obs::metric {
 inline constexpr const char* kEngineRequests = "engine.requests";
@@ -695,6 +712,14 @@ MATRIX: dict[str, dict[str, dict[str, str]]] = {
                   "src/fake/spans.cpp": SPAN_PARFOR_CLEAN},
         "suppressed": {SPANS_HPP: SPAN_REGISTRY_FIXTURE,
                        "src/fake/spans.cpp": SPAN_PARFOR_SUPPRESSED},
+    },
+    "span-registry[event]": {
+        "bad": {SPANS_HPP: SPAN_REGISTRY_FIXTURE,
+                "src/fake/spans.cpp": SPAN_EVENT_BAD},
+        "clean": {SPANS_HPP: SPAN_REGISTRY_FIXTURE,
+                  "src/fake/spans.cpp": SPAN_EVENT_CLEAN},
+        "suppressed": {SPANS_HPP: SPAN_REGISTRY_FIXTURE,
+                       "src/fake/spans.cpp": SPAN_EVENT_SUPPRESSED},
     },
     "span-registry[duplicate]": {
         "bad": {SPANS_HPP: SPAN_REGISTRY_DUP},

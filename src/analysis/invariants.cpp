@@ -8,7 +8,7 @@
 
 #include "engine/eval_plan.hpp"
 #include "multipole/error_bounds.hpp"
-#include "obs/recorder.hpp"
+#include "obs/reqtrace.hpp"
 #include "multipole/harmonics.hpp"
 
 namespace treecode::analysis {
@@ -58,16 +58,17 @@ InvariantError::InvariantError(const InvariantReport& report)
     : std::logic_error(report.summary()), report_(report) {}
 
 void require(const InvariantReport& report, const char* context) {
-  obs::recorder::record(obs::recorder::Category::kInvariant, context,
-                        static_cast<double>(report.violations.size()));
-  if (!report.ok()) {
-    // Dump the flight record before the unwind destroys the evaluation
-    // state the events describe.
-    obs::recorder::trigger(std::string("invariant failure: ") + context);
-    InvariantReport prefixed = report;
-    for (auto& v : prefixed.violations) v = std::string(context) + ": " + v;
-    throw InvariantError(prefixed);
+  const double violations = static_cast<double>(report.violations.size());
+  if (report.ok()) {
+    obs::reqtrace::record_event(context, violations);
+    return;
   }
+  // Keep the request's trace and dump it before the unwind destroys the
+  // evaluation state the events describe.
+  obs::reqtrace::trigger(context, violations);
+  InvariantReport prefixed = report;
+  for (auto& v : prefixed.violations) v = std::string(context) + ": " + v;
+  throw InvariantError(prefixed);
 }
 
 InvariantReport check_nodes(std::span<const TreeNode> nodes, std::span<const Vec3> positions,

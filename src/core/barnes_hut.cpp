@@ -9,7 +9,7 @@
 #include "core/interaction_walk.hpp"
 #include "multipole/operators.hpp"
 #include "obs/metric_names.hpp"
-#include "obs/recorder.hpp"
+#include "obs/reqtrace.hpp"
 #include "obs/report.hpp"
 #include "obs/spans.hpp"
 #include "util/timer.hpp"
@@ -149,9 +149,8 @@ EvalResult BarnesHutEvaluator::run(ThreadPool& pool, std::span<const Vec3> point
           // (the sweep cancels the remaining blocks) instead of returning
           // garbage.
           if (!std::isfinite(my_phi)) {
-            obs::recorder::record(obs::recorder::Category::kNonFinite,
-                                  "bh.nonfinite_potential", static_cast<double>(i));
-            obs::recorder::trigger("bh: non-finite potential");
+            obs::reqtrace::trigger(obs::span::kBhNonfinitePotential,
+                                   static_cast<double>(i));
             throw std::runtime_error(
                 "BarnesHutEvaluator: non-finite potential at evaluation point " +
                 std::to_string(i));
@@ -170,8 +169,8 @@ EvalResult BarnesHutEvaluator::run(ThreadPool& pool, std::span<const Vec3> point
     finish_audit(audits, config_.audit_samples, points, tree_, q, result.stats);
   }
   if (result.stats.budget_refinements > 0) {
-    obs::recorder::record(obs::recorder::Category::kBudget, "bh.budget_refinements",
-                          static_cast<double>(result.stats.budget_refinements));
+    obs::reqtrace::record_event(obs::span::kBhBudgetRefinements,
+                                static_cast<double>(result.stats.budget_refinements));
   }
 
   obs::Registry& reg = obs::registry();

@@ -158,8 +158,8 @@ class InteractionWalk {
 /// deferred so that same-degree clusters run through m2p_pair() two at a
 /// time. Per-thread scratch: start() a target, then defer() reserves the
 /// next term slot for a cluster's M2P and files it under its degree, add()
-/// appends a term already computed (P2P, a basis apply, a gradient
-/// evaluation's potential). flush() evaluates the filed M2P into their
+/// appends a term already computed (P2P, a gradient evaluation's
+/// potential). flush() evaluates the filed M2P into their
 /// slots and returns 0.0 + the terms summed in slot order: the additions,
 /// operands and order of the `phi += term` loop it replaces, since
 /// m2p_pair() lanes are bitwise m2p().

@@ -18,7 +18,6 @@
 #include "obs/audit.hpp"
 #include "obs/instrument.hpp"
 #include "obs/metric_names.hpp"
-#include "obs/recorder.hpp"
 #include "obs/report.hpp"
 #include "obs/reqtrace.hpp"
 #include "util/timer.hpp"
@@ -70,13 +69,12 @@ std::uint64_t plan_key(std::span<const Vec3> targets, bool self, const EvalConfi
   return h;
 }
 
-/// Construct an Error, counting it and arming the flight recorder — every
-/// engine failure leaves a metrics + recorder trail regardless of whether
+/// Construct an Error, counting it and triggering the tracer — every
+/// engine failure leaves a metrics + trace trail regardless of whether
 /// the ladder absorbs it or the caller sees it.
 Error engine_error(ErrorCode code, std::string message) {
   obs::registry().counter(obs::metric::kEngineErrors).add(1);
-  obs::recorder::record(obs::recorder::Category::kCustom, error_code_name(code), 0.0);
-  obs::recorder::trigger(error_code_name(code));
+  obs::reqtrace::trigger(error_code_name(code));
   return Error{code, std::move(message)};
 }
 
@@ -224,8 +222,8 @@ Expected<void> sweep(ThreadPool& pool, ResourceGovernor& governor, const EvalCon
             const std::uint64_t target_cost = target(i, t);
             for (std::size_t c = 0; c < k; ++c) {
               if (std::isfinite(rows.phi[c * n + i])) continue;
-              obs::recorder::record(obs::recorder::Category::kNonFinite,
-                                    "engine.nonfinite_potential", static_cast<double>(i));
+              obs::reqtrace::record_event(obs::span::kEngineNonfinitePotential,
+                                          static_cast<double>(i));
               std::int64_t expected_idx = -1;
               nonfinite_at.compare_exchange_strong(expected_idx,
                                                    static_cast<std::int64_t>(i * k + c),

@@ -35,8 +35,8 @@
 /// throws; the legacy `foo()` wrapper unwraps via EngineError for callers
 /// that prefer exceptions. Engine code itself contains no `throw` —
 /// enforced by the treecode-analyze rule `engine-returns-expected`.
-/// Every constructed Error increments `engine.errors` and arms the flight
-/// recorder with the error-code name as the trigger reason.
+/// Every constructed Error increments `engine.errors` and triggers the
+/// tracer (obs/reqtrace.hpp) with an event named after the error code.
 ///
 /// ## Resource governance and the degradation ladder
 ///

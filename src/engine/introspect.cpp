@@ -2,7 +2,6 @@
 
 #include <cstdio>
 
-#include "obs/recorder.hpp"
 #include "obs/report.hpp"
 #include "obs/reqtrace.hpp"
 
@@ -42,6 +41,22 @@ obs::Json telemetry_json() {
   }
   t["records"] = std::move(records);
   return t;
+}
+
+/// The tracer's events (record_event / trigger), oldest first.
+obs::Json events_json() {
+  namespace rt = obs::reqtrace;
+  obs::Json events = obs::Json::array();
+  for (const rt::SpanRecord& span : rt::spans()) {
+    if (span.kind != rt::SpanKind::kEvent) continue;
+    obs::Json e = obs::Json::object();
+    e["ts_us"] = span.start_ns / 1000;
+    e["tid"] = static_cast<std::uint64_t>(span.tid);
+    e["name"] = span.name;
+    e["value"] = span.value;
+    events.push_back(std::move(e));
+  }
+  return events;
 }
 
 }  // namespace
@@ -89,7 +104,7 @@ obs::Json plan_cache_json(const PlanCache& cache) {
 
 obs::Json inspect_json(const EvalSession* session) {
   obs::Json doc = obs::Json::object();
-  doc["schema"] = "treecode-inspect/v1";
+  doc["schema"] = "treecode-inspect/v2";
   doc["provenance"] = obs::provenance_json();
   if (session != nullptr) {
     doc["session"] = session_json(*session);
@@ -97,7 +112,7 @@ obs::Json inspect_json(const EvalSession* session) {
     doc["plan_cache"] = plan_cache_json(session->cache());
   }
   doc["telemetry"] = telemetry_json();
-  doc["flight_recorder"] = obs::recorder::to_json("inspect");
+  doc["events"] = events_json();
   doc["metrics"] = obs::metrics_json(obs::registry().snapshot());
   obs::Json warnings = obs::Json::array();
   for (const std::string& w : obs::warnings()) warnings.push_back(w);

@@ -3,19 +3,21 @@
 /// \file introspect.hpp
 /// One-call engine state snapshot: everything an operator asks "what is
 /// this session doing right now?" — metrics, the governor's byte ledger,
-/// the plan cache's resident plans, recent telemetry records, the flight
-/// recorder ring, and pending warnings — as a single JSON document.
+/// the plan cache's resident plans, recent telemetry records, the tracer's
+/// events, and pending warnings — as a single JSON document.
 ///
 /// This is the read-only diagnostic surface of the future evaluation
 /// service: the `treecode-inspect` CLI (tools/treecode_inspect.cpp) prints
 /// exactly this document, and the SLO watchdog's status block can be
 /// attached by the caller (the watchdog is owned by the monitoring loop,
-/// not the session). Schema `treecode-inspect/v1`:
+/// not the session). Schema `treecode-inspect/v2` (v2 replaced v1's
+/// `flight_recorder` block with the tracer's `events`):
 ///
-///   {"schema": "treecode-inspect/v1", "provenance": {...},
+///   {"schema": "treecode-inspect/v2", "provenance": {...},
 ///    "session": {...}, "governor": {...}, "plan_cache":
 ///    {..., "plans": [...]}, "telemetry": {..., "records": [...]},
-///    "flight_recorder": {...}, "metrics": {...}, "warnings": [...]}
+///    "events": [{ts_us, tid, name, value}, ...], "metrics": {...},
+///    "warnings": [...]}
 ///
 /// Snapshotting is read-only but not atomic: each block reads its
 /// subsystem independently, so counts across blocks may disagree by
@@ -36,7 +38,7 @@ namespace treecode::engine {
 [[nodiscard]] obs::Json plan_cache_json(const PlanCache& cache);
 
 /// The full inspect document for one session. `session` may be null: the
-/// process-wide blocks (metrics, telemetry, flight recorder, warnings) are
+/// process-wide blocks (metrics, telemetry, events, warnings) are
 /// still emitted, with the session/governor/plan_cache blocks omitted.
 [[nodiscard]] obs::Json inspect_json(const EvalSession* session);
 

@@ -6,7 +6,8 @@
 
 #include "obs/metric_names.hpp"
 #include "obs/metrics.hpp"
-#include "obs/recorder.hpp"
+#include "obs/reqtrace.hpp"
+#include "obs/spans.hpp"
 #include "util/fault_inject.hpp"
 #include "util/resource_governor.hpp"
 
@@ -64,8 +65,8 @@ void PlanCache::evict_lru_locked() {
   const Entry& victim = plans_.back();
   const std::size_t victim_bytes = victim.plan->memory_bytes();
   by_key_.erase(victim.plan->key);
-  obs::recorder::record(obs::recorder::Category::kEviction, "plan_cache.evict",
-                        static_cast<double>(victim_bytes));
+  obs::reqtrace::record_event(obs::span::kPlanCacheEvict,
+                              static_cast<double>(victim_bytes));
   bytes_ -= victim_bytes;
   plans_.pop_back();  // ~Entry returns the reservation to the budget
   ++evictions_;
@@ -97,8 +98,8 @@ bool PlanCache::insert(std::shared_ptr<const EvalPlan> plan,
     // The plan alone busts the byte capacity: caching it would immediately
     // evict everything else and still sit over budget. Serve it transient;
     // `reservation` returns the bytes on the way out.
-    obs::recorder::record(obs::recorder::Category::kEviction,
-                          "plan_cache.uncacheable", static_cast<double>(new_bytes));
+    obs::reqtrace::record_event(obs::span::kPlanCacheUncacheable,
+                                static_cast<double>(new_bytes));
     publish_gauges_locked();
     return false;
   }

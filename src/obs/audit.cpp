@@ -8,8 +8,8 @@
 
 #include "obs/metric_names.hpp"
 #include "obs/metrics.hpp"
-#include "obs/recorder.hpp"
 #include "obs/report.hpp"
+#include "obs/reqtrace.hpp"
 #include "obs/spans.hpp"
 #include "util/timer.hpp"
 
@@ -125,7 +125,7 @@ Summary finalize(std::span<const Sample> winners,
     ++summary.samples;
     if (violation) {
       ++summary.bound_violations;
-      recorder::record(recorder::Category::kAudit, "audit.bound_violation", ratio);
+      reqtrace::record_event(span::kAuditBoundViolation, ratio);
       char msg[160];
       std::snprintf(msg, sizeof(msg),
                     "audit: Theorem-1 bound violated at target %llu node %lld "
@@ -147,8 +147,7 @@ Summary finalize(std::span<const Sample> winners,
   reg.counter(metric::kAuditSamples).add(summary.samples);
   reg.counter(metric::kAuditBoundViolations).add(summary.bound_violations);
   reg.gauge(metric::kAuditMaxTightness).record_max(summary.max_tightness);
-  recorder::record(recorder::Category::kAudit, "audit.finalize",
-                   static_cast<double>(summary.samples));
+  reqtrace::record_event(span::kAuditFinalizeEvent, static_cast<double>(summary.samples));
   return summary;
 }
 

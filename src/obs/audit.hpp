@@ -130,7 +130,7 @@ struct Summary {
 /// is truncation-unresolvable at double precision and scores ratio 0. Above
 /// the floor, a sample with a nonpositive bound counts as a violation with
 /// infinite ratio (histogrammed into the overflow bucket, excluded from
-/// max/mean). Violations emit an obs::warn and a flight-recorder event.
+/// max/mean). Violations emit an obs::warn and a tracer event.
 ///
 /// `winners` must already be merge()-sorted; the mean is accumulated in
 /// that order, so the summary is bitwise identical across schedules.

@@ -1,7 +1,6 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 
 namespace treecode::obs {
@@ -10,12 +9,6 @@ unsigned thread_index() noexcept {
   static std::atomic<unsigned> next{0};
   thread_local const unsigned id = next.fetch_add(1, std::memory_order_relaxed);
   return id;
-}
-
-std::int64_t steady_now_us() noexcept {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
 }
 
 // ---- Histogram -------------------------------------------------------------

@@ -7,8 +7,8 @@
 #include <ctime>
 #include <mutex>
 
-#include "obs/recorder.hpp"
 #include "obs/reqtrace.hpp"
+#include "obs/spans.hpp"
 
 namespace treecode::obs {
 
@@ -23,9 +23,9 @@ std::vector<std::string>& warning_list() {
 }  // namespace
 
 void warn(std::string message) {
-  // The recorder only keeps static labels; the message text itself is in
-  // the warning sink, the event just timestamps that *a* warning fired.
-  recorder::record(recorder::Category::kWarning, "obs.warn", 0.0);
+  // Events keep static names only; the message text itself is in the
+  // warning sink, the event just timestamps that *a* warning fired.
+  reqtrace::record_event(span::kObsWarn);
   std::lock_guard lock(g_warnings_mutex);
   auto& list = warning_list();
   if (std::find(list.begin(), list.end(), message) == list.end()) {

@@ -78,7 +78,6 @@ class RunReport {
 /// The provenance block stamped into every report: what produced this
 /// measurement (git SHA from $TREECODE_GIT_SHA, compiler, build flags,
 /// host, UTC timestamp), so a report read later stays attributable.
-/// Flight-recorder dumps (v2) embed the same block.
 [[nodiscard]] Json provenance_json();
 
 /// The schema identifier stamped into every report. v2 added the required

@@ -24,6 +24,7 @@ const char* span_kind_name(SpanKind kind) {
     case SpanKind::kQueue: return "queue";
     case SpanKind::kBatch: return "batch";
     case SpanKind::kPhase: return "phase";
+    case SpanKind::kEvent: return "event";
   }
   return "unknown";
 }
@@ -44,9 +45,9 @@ std::string span_id_hex(std::uint64_t id) {
 
 namespace {
 
-/// Thread rings of 512 span slots; obs::thread_index() wraps past 64
-/// (slots are still claimed atomically, two threads just share a ring).
-using ThreadRing = SeqRing<SpanRecord, 512>;
+/// One ring per thread; obs::thread_index() wraps past 64 (slots are
+/// still claimed atomically, two threads just share a ring).
+using ThreadRing = SeqRing<SpanRecord, kSpanRingCapacity>;
 constexpr std::size_t kMaxThreadRings = 64;
 
 constexpr std::uint64_t kGolden = 0x9E3779B97F4A7C15ULL;
@@ -97,6 +98,10 @@ struct State {
   SeqRing<RequestRecord, kRequestRingCapacity> requests;
   std::mutex sink_mutex;
   std::ofstream sink;
+
+  // Held across a trigger's dump, so concurrent triggers write whole files.
+  std::mutex dump_mutex;
+  std::string dump_path;
 };
 
 State& state() {
@@ -253,6 +258,7 @@ void reset() {
     s.forced.clear();
   }
   close_sink();
+  set_dump_path("");
 }
 
 std::int64_t now_ns() noexcept {
@@ -315,6 +321,35 @@ void record_timeline_span(const char* name, std::int64_t start_ns,
                           .tid = thread_index(),
                           .start_ns = start_ns,
                           .end_ns = end_ns});
+}
+
+void record_event(const char* name, double value) noexcept {
+  State& s = state();
+  if (!s.enabled.load(std::memory_order_relaxed)) return;
+  const std::int64_t t = now_ns();
+  push_span(s, SpanRecord{.name = name, .kind = SpanKind::kEvent,
+                          .tid = thread_index(), .start_ns = t, .end_ns = t,
+                          .value = value});
+}
+
+void set_dump_path(std::string path) {
+  State& s = state();
+  const std::scoped_lock lock(s.dump_mutex);
+  s.dump_path = std::move(path);
+}
+
+void trigger(const char* name, double value) {
+  State& s = state();
+  record_event(name, value);
+  // A parallel worker runs detached (invalid context): only the request's
+  // own thread can keep its trace, which keeps the retained set
+  // schedule-independent.
+  if (const TraceContext& ctx = current(); ctx.valid()) {
+    const std::scoped_lock lock(s.sampler_mutex);
+    add_forced_locked(s, TraceId{ctx.trace_hi, ctx.trace_lo});
+  }
+  const std::scoped_lock lock(s.dump_mutex);
+  if (!s.dump_path.empty()) write_chrome_json(s.dump_path);
 }
 
 void finish_request(const TraceContext& ctx, const RequestRecord& record,
@@ -479,7 +514,9 @@ std::vector<SpanRecord> spans() {
       out.push_back(record);
     }
   }
-  std::sort(out.begin(), out.end(), [](const SpanRecord& a, const SpanRecord& b) {
+  // Stable: events of one thread stamped in the same nanosecond keep their
+  // ring order.
+  std::stable_sort(out.begin(), out.end(), [](const SpanRecord& a, const SpanRecord& b) {
     return a.start_ns != b.start_ns ? a.start_ns < b.start_ns : a.span_id < b.span_id;
   });
   return out;
@@ -551,11 +588,20 @@ std::string chrome_json() {
     Json event = Json::object();
     event["name"] = span.name;
     event["cat"] = span_kind_name(span.kind);
-    event["ph"] = "X";
     event["ts"] = us(span.start_ns);
-    event["dur"] = us(span.end_ns - span.start_ns);
     event["pid"] = 0;
     event["tid"] = static_cast<std::uint64_t>(span.tid);
+    if (span.kind == SpanKind::kEvent) {
+      // A thread-scoped instant; its payload rides in args.
+      event["ph"] = "i";
+      event["s"] = "t";
+      Json args = Json::object();
+      args["value"] = span.value;
+      event["args"] = std::move(args);
+    } else {
+      event["ph"] = "X";
+      event["dur"] = us(span.end_ns - span.start_ns);
+    }
     if (!span.timeline()) {
       Json args = Json::object();
       args["trace_id"] = trace_id_hex(span.trace_hi, span.trace_lo);

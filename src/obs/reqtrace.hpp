@@ -6,7 +6,7 @@
 /// RequestRecord per finished request, behind one enable switch and one
 /// epoch.
 ///
-/// Two kinds of span share the rings:
+/// Three kinds of record share the rings:
 ///  - *Request spans* belong to a trace. A TraceContext (128-bit trace id +
 ///    64-bit span ids) is minted at every service submission and every
 ///    direct engine entry, propagated through the scheduler queue and the
@@ -17,6 +17,10 @@
 ///    context installed (tree builds, solver cycles, every parallel
 ///    region's per-worker span). They carry zero ids and never draw from
 ///    the id stream.
+///  - *Events* are zero-duration timeline records with a static name and a
+///    value (invariant outcomes, non-finite potentials, evictions, SLO
+///    breaches, ...). trigger() also keeps the calling thread's trace and
+///    dumps the Chrome export, so a failure that unwinds leaves both.
 ///
 /// Every engine and service exit fills one RequestRecord: which entry
 /// point, plan, serving rung, outcome, wall time, deadline slack and
@@ -27,10 +31,10 @@
 /// and runs the tail decision on the same record.
 ///
 /// Design constraints:
-///  - Span and record writes go to obs::SeqRing rings (obs/seq_ring.hpp,
-///    the flight recorder's ring): torn reads detected and skipped, no
-///    locks on the record path. A span ring keeps its thread's newest 512
-///    spans. The JSONL sink is mutex-serialized (requests finish at call
+///  - Span, event and record writes go to obs::SeqRing rings
+///    (obs/seq_ring.hpp): torn reads detected and skipped, no locks on the
+///    record path. A span ring keeps its thread's newest 512 spans and
+///    events. The JSONL sink is mutex-serialized (requests finish at call
 ///    granularity, never inside kernel loops).
 ///  - Disabled (the default) costs one relaxed load and a branch.
 ///  - IDs come from splitmix64 over one seeded global counter — no wall
@@ -55,8 +59,8 @@
 ///
 /// Exports: `treecode-trace/v1` JSONL of the retained request traces (one
 /// trace per line, validated by scripts/validate_trace.py), Chrome
-/// trace-event JSON of every readable span, timeline included, with flow
-/// events (loadable in Perfetto at https://ui.perfetto.dev), and
+/// trace-event JSON of every readable span, timeline and events included,
+/// with flow events (loadable in Perfetto at https://ui.perfetto.dev), and
 /// `treecode-request-record/v3` JSONL of the request log (validated by
 /// scripts/validate_telemetry.py).
 
@@ -90,17 +94,23 @@ enum class SpanKind : std::uint8_t {
   kQueue,        ///< time spent queued between admission and batch pickup
   kBatch,        ///< one coalesced batched replay; carries flow links
   kPhase,        ///< phase inside a request, or a timeline span
+  kEvent,        ///< zero-duration timeline record carrying a value
 };
 
-/// Stable name for a SpanKind ("request", "queue", "batch", "phase").
+/// Stable name for a SpanKind ("request", "queue", "batch", "phase",
+/// "event").
 const char* span_kind_name(SpanKind kind);
 
 /// Most flow links one span can carry — the engine's SoA register block
 /// caps batch width at 8, so a batch span fans in from at most 8 requests.
 inline constexpr std::size_t kMaxFlows = 8;
 
-/// One completed span, as read back from the rings. A timeline span has
-/// all four ids zero.
+/// Span slots per thread ring: each thread keeps its newest 512 spans and
+/// events.
+inline constexpr std::size_t kSpanRingCapacity = 512;
+
+/// One completed span or event, as read back from the rings. A timeline
+/// span or event has all four ids zero.
 struct SpanRecord {
   std::uint64_t trace_hi = 0;
   std::uint64_t trace_lo = 0;
@@ -113,6 +123,7 @@ struct SpanRecord {
   std::int64_t end_ns = 0;
   std::uint32_t flow_count = 0;
   std::array<std::uint64_t, kMaxFlows> flows{};  ///< linked request span ids
+  double value = 0.0;  ///< kEvent payload
 
   [[nodiscard]] bool timeline() const noexcept { return (trace_hi | trace_lo) == 0; }
 };
@@ -197,8 +208,8 @@ void disable();
 bool enabled() noexcept;
 
 /// Disable, then clear rings, retained traces, the id counter and the
-/// request log, and close the sink. Not safe concurrently with recording;
-/// intended for run and test setup.
+/// request log, close the sink and forget the dump path. Not safe
+/// concurrently with recording; intended for run and test setup.
 void reset();
 
 /// Nanoseconds since enable() (0 before the first enable()).
@@ -233,6 +244,20 @@ void record_span(const TraceContext& ctx, const char* name, SpanKind kind,
 /// ring. PhaseSpan's path when no request context is installed.
 void record_timeline_span(const char* name, std::int64_t start_ns,
                           std::int64_t end_ns) noexcept;
+
+/// Record one event — a zero-duration timeline record named `name`
+/// carrying `value` — into the calling thread's ring. `name` is stored by
+/// pointer: an obs/spans.hpp constant or another static string.
+void record_event(const char* name, double value = 0.0) noexcept;
+
+/// Where trigger() writes chrome_json() ("" = nowhere, the default).
+void set_dump_path(std::string path);
+
+/// Something went wrong: record event `name`, force-keep the calling
+/// thread's current trace (its tail reason reads "forced" unless its
+/// record demands another), and write chrome_json() to the dump path now,
+/// so callers about to throw leave the artifact before the unwind.
+void trigger(const char* name, double value = 0.0);
 
 /// Tail decision for a completed request trace. When the trace is kept and
 /// `force_keep_link` names another (not yet finished) trace — the batch a
@@ -277,8 +302,9 @@ void close_sink();
 /// Whether `ctx`'s trace is currently in the retained set.
 [[nodiscard]] bool is_retained(const TraceContext& ctx);
 
-/// Every readable span in every thread ring, request and timeline alike,
-/// in start order. Torn/overwritten slots are skipped.
+/// Every readable span and event in every thread ring, request and
+/// timeline alike, in start order (ring order among ties). Torn/overwritten
+/// slots are skipped.
 [[nodiscard]] std::vector<SpanRecord> spans();
 
 /// Snapshot the retained traces (oldest first), each with its readable
@@ -290,9 +316,10 @@ void close_sink();
 [[nodiscard]] std::string jsonl(std::size_t max_traces = 0);
 
 /// Every readable span as a Chrome trace-event JSON array: one "X" slice
-/// per span (request spans carry their trace and span ids in `args`), plus
-/// flow events ("s"/"f" pairs) from each member request span into its
-/// batch span.
+/// per span (request spans carry their trace and span ids in `args`), one
+/// "i" instant per event (its value in `args`), plus flow events ("s"/"f"
+/// pairs) from each member request span into its batch span. Readable
+/// while disabled.
 [[nodiscard]] std::string chrome_json();
 
 /// Write jsonl() / chrome_json() to `path`; false on I/O failure (warns).

@@ -6,8 +6,9 @@
 
 #include "obs/metric_names.hpp"
 #include "obs/openmetrics.hpp"
-#include "obs/recorder.hpp"
 #include "obs/report.hpp"
+#include "obs/reqtrace.hpp"
+#include "obs/spans.hpp"
 
 namespace treecode::obs::slo {
 
@@ -80,12 +81,11 @@ std::vector<Status> Watchdog::check(const MetricsSnapshot& snapshot) {
                     "slo breach: %s measured %.6g exceeds threshold %.6g",
                     rule.name.c_str(), status.measured, rule.threshold);
       warn(line);
-      // Arm the flight recorder around the breach: start it if idle so the
-      // *next* window is captured, stamp the breach itself, and dump if a
-      // dump path is configured.
-      if (!recorder::enabled()) recorder::start();
-      recorder::record(recorder::Category::kCustom, "slo.breach", status.measured);
-      recorder::trigger("slo: " + rule.name);
+      // Arm the tracer around the breach: enable it if off (default
+      // sampler) so the *next* window is captured, stamp the breach
+      // itself, and dump if a dump path is set.
+      if (!reqtrace::enabled()) reqtrace::enable();
+      reqtrace::trigger(span::kSloBreach, status.measured);
     }
     last_.push_back(status);
   }

@@ -12,10 +12,11 @@
 ///  - measures each rule against the snapshot (counter ratios, histogram
 ///    quantiles via openmetrics::histogram_quantile, gauge values/maxima);
 ///  - on breach increments `slo.breaches`, emits an obs::warn naming the
-///    rule, measured value, and threshold, and *arms the flight recorder*
-///    (starts it if idle, records a kCustom "slo.breach" event, and
-///    triggers a dump when a dump path is configured) so the window around
-///    the breach is captured for post-mortem;
+///    rule, measured value, and threshold, and *arms the tracer* (enables
+///    it with the default sampler if off, and triggers an "slo.breach"
+///    event carrying the measured value, which dumps the Chrome export when
+///    a dump path is set) so the window after the breach is captured for
+///    post-mortem;
 ///  - returns per-rule Status (measured value, breached, evaluated) for
 ///    programmatic consumers (treecode-inspect, tests).
 ///
@@ -72,7 +73,7 @@ class Watchdog {
   [[nodiscard]] const std::vector<Rule>& rules() const noexcept { return rules_; }
 
   /// Measure every rule against `snapshot`, applying breach side effects
-  /// (slo.breaches counter, obs::warn, flight-recorder arm + trigger).
+  /// (slo.breaches counter, obs::warn, tracer arm + trigger).
   /// Also increments slo.checks. Returns one Status per rule, in order.
   std::vector<Status> check(const MetricsSnapshot& snapshot);
 

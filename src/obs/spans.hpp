@@ -3,20 +3,22 @@
 /// \file spans.hpp
 /// Central registry of every trace-span / phase name in the library.
 ///
-/// Span names identify phases across three consumers at once: the tracer's
-/// spans and exports (obs/reqtrace.hpp), the `time.*_ns` phase counters
-/// (util/timer.hpp ScopedTimer), and the flight recorder's phase events
-/// (obs/recorder.hpp). A typo'd literal at any one call site silently
-/// fragments all three — the span records under a name nothing else
-/// aggregates. Every call site therefore names its span through one of
-/// these constants; the treecode-analyze rule `span-registry`
-/// rejects raw string literals at PhaseSpan / ScopedTimer / RequestScope /
-/// record_span / record_timeline_span / parallel_for(_blocked) call sites
-/// and any constant here whose value duplicates another's.
+/// Span names identify phases across two consumers at once: the tracer's
+/// spans, events and exports (obs/reqtrace.hpp) and the `time.*_ns` phase
+/// counters (util/timer.hpp ScopedTimer). A typo'd literal at any one call
+/// site silently fragments both — the span records under a name nothing
+/// else aggregates. Every call site therefore names its span through one
+/// of these constants; the treecode-analyze rule `span-registry` rejects
+/// raw string literals at PhaseSpan / ScopedTimer / RequestScope /
+/// record_span / record_timeline_span / record_event / trigger /
+/// parallel_for(_blocked) call sites and any constant here whose value
+/// duplicates another's. Event and parallel-region names may also come
+/// from static tables (error_code_name, fault site_name, ...).
 ///
 /// Naming convention: `time.<subsystem>_<phase>` for ScopedTimer phases
-/// (the `_ns` counter suffix is appended by ScopedTimer), and
-/// `<subsystem>.<phase>.worker` for per-worker parallel-region spans.
+/// (the `_ns` counter suffix is appended by ScopedTimer),
+/// `<subsystem>.<phase>.worker` for per-worker parallel-region spans, and
+/// `<subsystem>.<what>` for events.
 
 namespace treecode::obs::span {
 
@@ -88,6 +90,17 @@ inline constexpr const char* kAuditFinalize = "time.audit_finalize";
 // -- linear algebra ----------------------------------------------------------
 inline constexpr const char* kGmresSolve = "time.gmres_solve";
 inline constexpr const char* kGmresCycle = "gmres.cycle";
+
+// -- events (obs/reqtrace.hpp record_event / trigger) ------------------------
+inline constexpr const char* kPlanCacheEvict = "plan_cache.evict";
+inline constexpr const char* kPlanCacheUncacheable = "plan_cache.uncacheable";
+inline constexpr const char* kBhBudgetRefinements = "bh.budget_refinements";
+inline constexpr const char* kBhNonfinitePotential = "bh.nonfinite_potential";
+inline constexpr const char* kEngineNonfinitePotential = "engine.nonfinite_potential";
+inline constexpr const char* kAuditBoundViolation = "audit.bound_violation";
+inline constexpr const char* kAuditFinalizeEvent = "audit.finalize";
+inline constexpr const char* kSloBreach = "slo.breach";
+inline constexpr const char* kObsWarn = "obs.warn";
 
 // -- parallel runtime --------------------------------------------------------
 /// Fallback for parallel regions whose caller passed no span name.

@@ -20,8 +20,8 @@
 ///    `engine-returns-expected` rejects raw `throw` statements in src/engine
 ///    and src/service so new failure paths cannot bypass the taxonomy.
 ///  * Producing an Error is side-effect-free here; the engine records every
-///    failure to the metrics registry and the flight recorder at the point
-///    it constructs the Error (see eval_session.cpp fail()).
+///    failure to the metrics registry and as a tracer event at the point
+///    it constructs the Error (see eval_session.cpp engine_error()).
 
 #include <cstdint>
 #include <optional>
@@ -47,7 +47,7 @@ enum class ErrorCode : std::uint8_t {
 };
 
 /// Stable lower-case name for a code ("memory_budget", "deadline", ...).
-/// Returns string literals, safe to hand to the flight recorder.
+/// Returns string literals, safe to name a tracer event by.
 [[nodiscard]] const char* error_code_name(ErrorCode code) noexcept;
 
 /// One failure: a taxonomy code plus a human-readable account.

@@ -22,7 +22,7 @@ const char* site_name(Site site) noexcept {
 
 #include "obs/metric_names.hpp"
 #include "obs/metrics.hpp"
-#include "obs/recorder.hpp"
+#include "obs/reqtrace.hpp"
 
 namespace treecode::fault {
 
@@ -131,8 +131,7 @@ bool fire(Site site) noexcept {
   if (fires) {
     s.fired_count.fetch_add(1, std::memory_order_relaxed);
     obs::registry().counter(obs::metric::kFaultInjected).add(1);
-    obs::recorder::record(obs::recorder::Category::kCustom, site_name(site),
-                          static_cast<double>(hit));
+    obs::reqtrace::record_event(site_name(site), static_cast<double>(hit));
   }
   return fires;
 }

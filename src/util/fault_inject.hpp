@@ -28,9 +28,9 @@
 ///                splitmix64(seed ^ site ^ hit_counter): seeded and
 ///                counter-based, so a campaign replays exactly.
 ///
-/// Every firing increments the `fault.injected` metrics counter and drops a
-/// kCustom "fault.injected" event into the flight recorder, so a test (or a
-/// post-mortem snapshot) can always reconstruct which faults actually fired.
+/// Every firing increments the `fault.injected` metrics counter and records
+/// a tracer event named after its site, so a test (or a post-mortem trace)
+/// can always reconstruct which faults actually fired.
 
 #include <cstdint>
 
@@ -45,7 +45,7 @@ enum class Site : std::uint8_t {
 };
 inline constexpr std::size_t kNumSites = 4;
 
-/// Stable name for a site ("engine_alloc", ...), for logs and recorder labels.
+/// Stable name for a site ("engine_alloc", ...), for logs and event names.
 [[nodiscard]] const char* site_name(Site site) noexcept;
 
 #ifdef TREECODE_FAULT_INJECT
@@ -70,7 +70,7 @@ void disarm(Site site) noexcept;
 void reset() noexcept;
 
 /// Count a hit at `site` and report whether the armed plan fires. Records
-/// the firing to metrics + flight recorder.
+/// the firing to metrics + a tracer event.
 [[nodiscard]] bool fire(Site site) noexcept;
 
 /// Hits (armed or not) and firings since the last reset().

@@ -5,7 +5,7 @@
 
 #include "obs/metric_names.hpp"
 #include "obs/metrics.hpp"
-#include "obs/recorder.hpp"
+#include "obs/reqtrace.hpp"
 #include "util/fault_inject.hpp"
 
 namespace treecode {
@@ -52,8 +52,7 @@ bool ResourceGovernor::try_reserve(std::size_t bytes, const char* label) noexcep
     denials_.fetch_add(1, std::memory_order_relaxed);
     last_denial_fault_.store(injected, std::memory_order_relaxed);
     obs::registry().counter(obs::metric::kGovernorDenials).add(1);
-    obs::recorder::record(obs::recorder::Category::kCustom, label,
-                          static_cast<double>(bytes));
+    obs::reqtrace::record_event(label, static_cast<double>(bytes));
     return false;
   }
   obs::registry().gauge(obs::metric::kGovernorUsedBytes).record_max(static_cast<double>(used()));

@@ -70,7 +70,7 @@ class ResourceGovernor {
   /// exceed it — or when fault site kEngineAlloc fires at this ordinal
   /// (then last_denial() reports kFaultInjected instead of kMemoryBudget).
   /// Counts one reservation ordinal either way. `label` names the
-  /// allocation in the flight-recorder event a denial drops.
+  /// allocation in the tracer event a denial records.
   [[nodiscard]] bool try_reserve(std::size_t bytes, const char* label) noexcept;
 
   /// Would try_reserve(bytes) succeed right now? No ledger change, no

@@ -8,7 +8,6 @@
 #include <string>
 
 #include "obs/metrics.hpp"
-#include "obs/recorder.hpp"
 #include "obs/reqtrace.hpp"
 
 namespace treecode {
@@ -49,8 +48,9 @@ double time_seconds(F&& f) {
 /// this is how engine replay phases appear inside service batch traces —
 /// and a timeline span otherwise), and optionally stores the elapsed
 /// seconds for callers that keep their own bookkeeping (the evaluators'
-/// build/eval seconds). `metric` must be a string literal or otherwise
-/// outlive the timer.
+/// build/eval seconds). The counter flows whether or not tracing is on:
+/// untraced timed bench runs read it. `metric` must be a string literal or
+/// otherwise outlive the timer.
 class ScopedTimer {
  public:
   explicit ScopedTimer(const char* metric, double* out_seconds = nullptr) noexcept
@@ -62,7 +62,6 @@ class ScopedTimer {
     obs::registry()
         .counter(std::string(metric_) + "_ns")
         .add(static_cast<std::uint64_t>(s * 1e9));
-    obs::recorder::record(obs::recorder::Category::kPhase, metric_, s);
   }
 
   ScopedTimer(const ScopedTimer&) = delete;

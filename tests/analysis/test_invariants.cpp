@@ -7,6 +7,8 @@
 #include "analysis/invariants.hpp"
 #include "core/treecode.hpp"
 #include "dist/distributions.hpp"
+#include "obs/reqtrace.hpp"
+#include "obs/spans.hpp"
 
 namespace treecode {
 namespace {
@@ -248,6 +250,36 @@ TEST(InvariantsEval, RequireThrowsWithContextPrefix) {
     EXPECT_NE(std::string(e.what()).find("test-context"), std::string::npos);
     EXPECT_FALSE(e.report().ok());
   }
+}
+
+TEST(InvariantsEval, RequireFailureKeepsItsRequestTrace) {
+  // The throw unwinds the request scope with a default-healthy record;
+  // require()'s trigger is what keeps that trace.
+  namespace rt = obs::reqtrace;
+  rt::reset();
+  rt::enable();  // healthy traces sample at rate 0
+  EvalResult r;
+  r.potential = {kNan};
+  const analysis::InvariantReport report = analysis::check_eval_result(r, EvalConfig{}, 1);
+  rt::TraceContext ctx;
+  try {
+    const rt::RequestScope scope(obs::span::kReqEngineEvaluatePlan);
+    ctx = scope.context();
+    analysis::require(report, "test-context");
+  } catch (const analysis::InvariantError&) {
+  }
+  const std::vector<rt::RetainedTrace> retained = rt::retained();
+  ASSERT_EQ(retained.size(), 1u);
+  EXPECT_EQ(retained[0].trace_lo, ctx.trace_lo);
+  EXPECT_STREQ(retained[0].reason, "forced");
+  bool recorded = false;
+  for (const rt::SpanRecord& e : rt::spans()) {
+    if (e.kind == rt::SpanKind::kEvent && std::string(e.name) == "test-context") {
+      recorded = e.value == static_cast<double>(report.violations.size());
+    }
+  }
+  EXPECT_TRUE(recorded);
+  rt::reset();
 }
 
 TEST(InvariantsEval, RequirePassesCleanReport) {

@@ -13,7 +13,7 @@
 
 #include "obs/audit.hpp"
 #include "obs/metrics.hpp"
-#include "obs/recorder.hpp"
+#include "obs/reqtrace.hpp"
 #include "obs/report.hpp"
 
 namespace treecode {
@@ -122,7 +122,7 @@ class AuditFinalize : public ::testing::Test {
   void SetUp() override {
     obs::registry().reset_values();
     obs::drain_warnings();
-    obs::recorder::reset();
+    obs::reqtrace::reset();
   }
 };
 

@@ -99,7 +99,7 @@ TEST(Json, AccessorsThrowOnTypeMismatch) {
 }
 
 TEST(Json, NonFiniteRoundTripsAsNullDeterministically) {
-  // Reports and flight records can legitimately contain NaN/Inf (an empty
+  // Reports and trace exports can legitimately contain NaN/Inf (an empty
   // histogram's mean, an infinite tightness ratio); they must serialize as
   // null the same way every time, and the result must re-parse.
   obs::Json j = obs::Json::object();

@@ -1,5 +1,5 @@
 // SLO watchdog unit tests: each rule kind's measurement, breach side
-// effects (slo.breaches counter, warning, flight-recorder arming), absent
+// effects (slo.breaches counter, warning, tracer arming), absent
 // metrics reported unevaluated, the default engine rule set, and the
 // status_json shape.
 
@@ -9,9 +9,10 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "obs/recorder.hpp"
 #include "obs/report.hpp"
+#include "obs/reqtrace.hpp"
 #include "obs/slo.hpp"
+#include "obs/spans.hpp"
 
 namespace treecode {
 namespace {
@@ -22,12 +23,12 @@ class SloTest : public ::testing::Test {
  protected:
   void SetUp() override {
     obs::registry().reset_values();
-    obs::recorder::reset();
+    obs::reqtrace::reset();
     obs::drain_warnings();
   }
   void TearDown() override {
     obs::registry().reset_values();
-    obs::recorder::reset();
+    obs::reqtrace::reset();
     obs::drain_warnings();
   }
 };
@@ -134,7 +135,7 @@ TEST_F(SloTest, BreachEmitsWarningCounterAndArmsRecorder) {
   obs::MetricsSnapshot snapshot;
   snapshot.counters["engine.errors"] = 50;
   snapshot.counters["telemetry.requests"] = 100;
-  EXPECT_FALSE(obs::recorder::enabled());
+  EXPECT_FALSE(obs::reqtrace::enabled());
   slo::Watchdog watchdog;
   watchdog.add_rule(ratio_rule(0.01));
   watchdog.check(snapshot);
@@ -150,11 +151,15 @@ TEST_F(SloTest, BreachEmitsWarningCounterAndArmsRecorder) {
   }
   EXPECT_TRUE(warned);
 
-  // The flight recorder was armed and holds the breach event.
-  EXPECT_TRUE(obs::recorder::enabled());
+  // The breach armed the tracer, which holds the breach event and its
+  // measured value.
+  EXPECT_TRUE(obs::reqtrace::enabled());
   bool recorded = false;
-  for (const auto& e : obs::recorder::events()) {
-    if (std::string(e.label) == "slo.breach") recorded = true;
+  for (const auto& e : obs::reqtrace::spans()) {
+    if (e.kind == obs::reqtrace::SpanKind::kEvent &&
+        std::string(e.name) == obs::span::kSloBreach && e.value == 0.5) {
+      recorded = true;
+    }
   }
   EXPECT_TRUE(recorded);
 }

@@ -22,8 +22,8 @@
 #include "engine/eval_session.hpp"
 #include "engine/plan_cache.hpp"
 #include "obs/json.hpp"
+#include "obs/metric_names.hpp"
 #include "obs/metrics.hpp"
-#include "obs/recorder.hpp"
 #include "obs/reqtrace.hpp"
 #include "obs/seq_ring.hpp"
 #include "parallel/parallel_for.hpp"
@@ -348,8 +348,8 @@ TEST_F(EngineStress, ReplayAuditBitwiseDeterministicAcrossSchedules) {
 }
 
 TEST(SeqRingStress, ConcurrentWritersAndSnapshotReaders) {
-  // The ring under the recorder, request-log and span streams, on
-  // its own: 6 writers push while 2 readers snapshot, and every slot is
+  // The ring under the request-log and span/event streams, on its own:
+  // 6 writers push while 2 readers snapshot, and every slot is
   // overwritten ~100 times. Every record carries a relation across its
   // words (b == a*3+1, fill == a); a torn slot that passed the stamp check
   // would break it. TSan certifies the slots race-free.
@@ -405,13 +405,18 @@ TEST(SeqRingStress, ConcurrentWritersAndSnapshotReaders) {
 }
 
 TEST(RecorderStress, ConcurrentRecordersAndSnapshotReaders) {
-  // Writers hammer the ring from 6 threads while 2 threads repeatedly
-  // snapshot it: TSan certifies the seqlock slots race-free, and every
-  // snapshot must be internally consistent (strictly increasing seqs,
-  // valid categories, non-null labels) even mid-overwrite.
-  namespace rec = obs::recorder;
-  rec::reset();
-  rec::start();
+  // 6 threads record tracer events while 2 threads repeatedly snapshot
+  // the rings: TSan certifies the seqlock slots race-free, and every
+  // snapshot must be internally consistent (start-ordered, every record a
+  // whole zero-duration event whose value names its writer) even
+  // mid-overwrite.
+  namespace rt = obs::reqtrace;
+  rt::reset();
+  rt::enable();
+  const auto recorded = [] {
+    return obs::registry().counter(obs::metric::kTraceRecordedSpans).value();
+  };
+  const std::uint64_t recorded_before = recorded();
   constexpr int kWriters = 6;
   constexpr std::uint64_t kPerWriter = 30000;
   ThreadPool pool(kWriters);
@@ -421,13 +426,15 @@ TEST(RecorderStress, ConcurrentRecordersAndSnapshotReaders) {
   for (int i = 0; i < 2; ++i) {
     readers.emplace_back([&] {
       while (!done.load(std::memory_order_acquire)) {
-        const std::vector<rec::Event> events = rec::events();
+        const std::vector<rt::SpanRecord> events = rt::spans();
         for (std::size_t j = 1; j < events.size(); ++j) {
-          ASSERT_LT(events[j - 1].seq, events[j].seq);
+          ASSERT_LE(events[j - 1].start_ns, events[j].start_ns);
         }
-        for (const rec::Event& e : events) {
-          ASSERT_NE(e.label, nullptr);
-          ASSERT_LE(static_cast<int>(e.category), static_cast<int>(rec::Category::kCustom));
+        for (const rt::SpanRecord& e : events) {
+          ASSERT_EQ(e.kind, rt::SpanKind::kEvent);
+          ASSERT_STREQ(e.name, "stress.tick");
+          ASSERT_EQ(e.start_ns, e.end_ns);
+          ASSERT_LT(e.value, kWriters * 1e6);
         }
         snapshots.fetch_add(1, std::memory_order_relaxed);
       }
@@ -435,17 +442,16 @@ TEST(RecorderStress, ConcurrentRecordersAndSnapshotReaders) {
   }
   pool.run_on_all([&](unsigned t) {
     for (std::uint64_t i = 0; i < kPerWriter; ++i) {
-      rec::record(rec::Category::kCustom, "stress.tick",
-                  static_cast<double>(t) * 1e6 + static_cast<double>(i));
+      rt::record_event("stress.tick", static_cast<double>(t) * 1e6 + static_cast<double>(i));
     }
   });
   done.store(true, std::memory_order_release);
   readers.clear();  // join
-  EXPECT_EQ(rec::recorded_count(), kWriters * kPerWriter);
+  EXPECT_EQ(recorded() - recorded_before, kWriters * kPerWriter);
   EXPECT_GT(snapshots.load(), 0u);
-  const std::vector<rec::Event> final_events = rec::events();
-  EXPECT_EQ(final_events.size(), rec::kCapacity);
-  rec::reset();
+  // Quiescent: each writer's ring is full of whole events.
+  EXPECT_EQ(rt::spans().size(), kWriters * rt::kSpanRingCapacity);
+  rt::reset();
 }
 
 TEST(TelemetryStress, ConcurrentEmittersWithSinkAndReaders) {

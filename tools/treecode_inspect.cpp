@@ -1,7 +1,7 @@
 // treecode-inspect: build a demo EvalSession, drive it through a few
 // telemetered evaluations, and dump the full engine state snapshot
-// (treecode-inspect/v1: provenance, session, governor ledger, plan-cache
-// contents, telemetry records, flight-recorder ring, metrics, warnings) as
+// (treecode-inspect/v2: provenance, session, governor ledger, plan-cache
+// contents, telemetry records, tracer events, metrics, warnings) as
 // one JSON document — the operator's "what is this engine doing?" view.
 //
 //   ./tools/treecode-inspect [--n 4k] [--alpha 0.5] [--degree 4]
@@ -41,7 +41,6 @@
 #include "engine/eval_session.hpp"
 #include "engine/introspect.hpp"
 #include "obs/openmetrics.hpp"
-#include "obs/recorder.hpp"
 #include "obs/reqtrace.hpp"
 #include "obs/slo.hpp"
 #include "service/eval_service.hpp"
@@ -149,7 +148,6 @@ int main(int argc, char** argv) {
       return 1;
     }
 
-    obs::recorder::start();
     obs::reqtrace::SamplerConfig trace_cfg;
     trace_cfg.seed = 1;
     trace_cfg.sample_rate = flags.get_double("trace-sample-rate", 1.0);
